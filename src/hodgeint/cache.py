@@ -7,7 +7,8 @@ record per integral::
 
 Rationals are stored as ``"p/q"`` strings.  A header with an unknown format
 version makes the loader refuse the file (returning 0 entries) so values are
-recomputed rather than misread.  Writing always re-exports the full tables,
+recomputed rather than misread; any other malformed line makes it raise
+ValueError.  Writing always re-exports the full tables,
 which compacts any duplicates an append-only writer may have left.
 """
 
@@ -31,7 +32,8 @@ def load_cache(path: Union[str, Path]) -> int:
     """Preload table entries from a cache file; returns the number loaded.
 
     Missing files and version mismatches load nothing (the caller recomputes);
-    malformed records raise ValueError.
+    a file of any other shape than the layout above raises ValueError naming
+    the offending line.
     """
     path = Path(path)
     if not path.exists():
@@ -41,21 +43,49 @@ def load_cache(path: Union[str, Path]) -> int:
         header_line = fh.readline()
         if not header_line.strip():
             return 0
-        header = json.loads(header_line)
+        header = _parse_line(header_line, 1)
         if header.get("format") != FORMAT_VERSION:
             return 0
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            tag = rec["tag"]
-            if tag not in store.CACHED_TAGS:
-                raise ValueError(f"unknown cache tag {tag!r}")
-            key = (int(rec["genus"]), tuple(sorted(map(int, rec["exponents"]), reverse=True)))
-            store.preload(tag, key, store.parse_rational(rec["value"]))
+            tag, key, value = _parse_record(_parse_line(line, lineno), lineno)
+            store.preload(tag, key, value)
             loaded += 1
     return loaded
+
+
+def _parse_line(line: str, lineno: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: not JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"line {lineno}: not a JSON object")
+    return obj
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _parse_record(rec: dict, lineno: int):
+    """``(tag, key, value)`` of one record, or ValueError for any other shape."""
+    missing = [f for f in ("tag", "genus", "exponents", "value") if f not in rec]
+    if missing:
+        raise ValueError(f"line {lineno}: record lacks {', '.join(missing)}")
+    tag, genus, exps, value = rec["tag"], rec["genus"], rec["exponents"], rec["value"]
+    if tag not in store.CACHED_TAGS:
+        raise ValueError(f"line {lineno}: unknown cache tag {tag!r}")
+    if not _is_int(genus) or not isinstance(exps, list) or not all(map(_is_int, exps)):
+        raise ValueError(f"line {lineno}: genus and exponents must be integers")
+    if not isinstance(value, str):
+        raise ValueError(f"line {lineno}: value must be a \"p/q\" string")
+    try:
+        value = store.parse_rational(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"line {lineno}: bad rational {value!r}") from None
+    return tag, (genus, tuple(sorted(exps, reverse=True))), value
 
 
 def save_cache(path: Union[str, Path]) -> int:

@@ -7,7 +7,8 @@ formats: ``pretty`` (default), ``json`` (rationals as "p/q" strings, stable
 key order), ``csv``.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 flag errors,
-3 domain errors (unstable inputs, underdetermined integrals).
+3 domain errors (unstable inputs, underdetermined integrals) and malformed
+cache files.
 """
 
 from __future__ import annotations
@@ -207,7 +208,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     cache_path = args.cache or os.environ.get(cache.ENV_CACHE_PATH)
     if cache_path:
-        cache.load_cache(cache_path)
+        try:
+            cache.load_cache(cache_path)
+        except ValueError as exc:
+            print(f"error: cache {cache_path}: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
     try:
         code = _run(args)
     except (DomainError, UnderdeterminedError) as exc:

@@ -430,10 +430,12 @@ def kappa_lambda_integral(g: int, indices: Sequence[int]) -> Fraction:
     """Integral of kappa_{i1}...kappa_{im} lambda_g lambda_{g-1} over the
     unpointed genus-g moduli space.
 
-    Obtained by inverting the symmetric-group sum relating psi and kappa
-    monomials: summing over set partitions P of the index set with weight
-    (-1)^{m-|P|} prod (|B|-1)! of the psi-side values with one insertion
-    k_B + 1 per block (k_B the block sum).
+    Pushing forward psi_1^{i1+1}...psi_m^{im+1} from the m-pointed space
+    gives the sum over permutations of the indices of one kappa per cycle
+    (indexed by the cycle sum).  Its inverse sums over set partitions P of
+    the indices with weight (-1)^{m-|P|} alone (as 1 - e^{-x} inverts
+    -log(1 - x)) of the psi-side values with one insertion k_B + 1 per
+    block B, k_B the block sum.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
@@ -444,32 +446,9 @@ def kappa_lambda_integral(g: int, indices: Sequence[int]) -> Fraction:
         return Fraction(0)
     total = Fraction(0)
     for part in _set_partitions(len(idx)):
-        weight = Fraction((-1) ** (len(idx) - len(part)))
-        ks = []
-        for block in part:
-            weight *= factorial(len(block) - 1)
-            ks.append(sum(idx[i] for i in block) + 1)
-        total += weight * lambda_g_gm1_or_zero(g, ks)
+        ks = [sum(idx[i] for i in block) + 1 for block in part]
+        total += (-1) ** (len(idx) - len(part)) * lambda_g_gm1_or_zero(g, ks)
     return total
-
-
-def psi_side_from_kappa(g: int, indices: Sequence[int]) -> Fraction:
-    """Forward direction of the same correspondence: sum over permutations,
-    grouped by cycle type.  Used to cross-check the inversion."""
-    idx = list(indices)
-    total = Fraction(0)
-    for part in _set_partitions(len(idx)):
-        weight = 1
-        kappas = []
-        for block in part:
-            weight *= factorial(len(block) - 1)  # cyclic orders of the block
-        kappas = [[sum(idx[i] for i in block) for block in part]]
-        total += weight * _kappa_monomial(g, kappas[0])
-    return total
-
-
-def _kappa_monomial(g: int, kappa_indices: List[int]) -> Fraction:
-    return kappa_lambda_integral(g, kappa_indices)
 
 
 def _set_partitions(n: int):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .combinat import bracket
@@ -100,22 +100,7 @@ class CohomologyData:
         return self.p[a] + Fraction(1 - self.dim, 2)
 
     def eta_inverse(self) -> List[List[Fraction]]:
-        n = self.size
-        aug = [
-            [Fraction(x) for x in self.eta[i]]
-            + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = Fraction(1) / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return [row[n:] for row in aug]
+        return _invert(self.eta)
 
     def c1_power(self, i: int) -> List[List[Fraction]]:
         n = self.size
@@ -136,6 +121,26 @@ class CohomologyData:
         return Fraction(1, 48) * (
             (3 - self.dim) * self.chern_top - 2 * self.chern_mixed
         )
+
+
+def _invert(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """Exact inverse of an invertible square matrix (Gauss-Jordan)."""
+    n = len(mat)
+    aug = [
+        [Fraction(x) for x in mat[i]]
+        + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def _fr(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -245,32 +250,16 @@ class DifferentialOperator:
     def __mul__(self, other: "DifferentialOperator") -> "DifferentialOperator":
         """Normal-ordered composition self . other.
 
-        Derivatives of the left factor contract against coordinates of the
-        right factor in all possible ways (Leibniz); the remaining pieces pass
-        through to a single normal-ordered term.
+        Each pair of terms gives its plain product, in which no derivative of
+        the left factor acts on the right factor, plus the terms of
+        :func:`_contracted`, in which at least one does (Leibniz).
         """
         out = DifferentialOperator()
         for (h1, m1, d1), c1 in self.terms.items():
-            dcounts = _counts(d1)
             for (h2, m2, d2), c2 in other.terms.items():
-                mcounts = _counts(m2)
-                shared = [c for c in dcounts if c in mcounts]
-                for choice in _contractions(shared, dcounts, mcounts):
-                    ways = 1
-                    for coord, s in choice.items():
-                        dcnt, mcnt = dcounts[coord], mcounts[coord]
-                        perm = 1
-                        for j in range(s):
-                            perm *= mcnt - j
-                        ways *= comb(dcnt, s) * perm
-                    newm = dict(mcounts)
-                    newd = dict(dcounts)
-                    for coord, s in choice.items():
-                        newm[coord] -= s
-                        newd[coord] -= s
-                    mult = _expand(_counts(m1), newm)
-                    diff = _expand(_counts(d2), newd)
-                    out._add((h1 + h2, mult, diff), c1 * c2 * ways)
+                out._add((h1 + h2, m1 + m2, d1 + d2), c1 * c2)
+        for key, c in _contracted(self, other):
+            out._add(key, c)
         return out
 
     def pretty(self) -> str:
@@ -312,23 +301,72 @@ def _expand(base: Dict[Coord, int], extra: Dict[Coord, int]) -> Tuple[Coord, ...
     return tuple(out)
 
 
+def _contracted(left: DifferentialOperator, right: DifferentialOperator):
+    """The terms of left . right with at least one contraction.
+
+    A contraction is a derivative of a left term acting on a coordinate of a
+    right term.  When a coordinate carries d derivatives on the left and m
+    factors on the right, s contractions on it can be chosen in
+    comb(d, s) * perm(m, s) ways.  Yields one ``(key, coefficient)`` pair per
+    choice, not yet combined.  Right terms are indexed by coordinate, so a
+    left term only meets the right terms that carry one of its derivative
+    coordinates.
+    """
+    rights = []
+    by_coord: Dict[Coord, List[int]] = {}
+    for (h2, m2, d2), c2 in right.terms.items():
+        mcounts = _counts(m2)
+        for coord in mcounts:
+            by_coord.setdefault(coord, []).append(len(rights))
+        rights.append((h2, mcounts, _counts(d2), c2))
+    for (h1, m1, d1), c1 in left.terms.items():
+        dcounts = _counts(d1)
+        base = _counts(m1)
+        for i in {i for coord in dcounts for i in by_coord.get(coord, ())}:
+            h2, mcounts, d2counts, c2 = rights[i]
+            shared = [coord for coord in dcounts if coord in mcounts]
+            for choice in _contractions(shared, dcounts, mcounts):
+                if not choice:
+                    continue
+                ways = 1
+                newm = dict(mcounts)
+                newd = dict(dcounts)
+                for coord, s in choice.items():
+                    ways *= comb(dcounts[coord], s) * perm(mcounts[coord], s)
+                    newm[coord] -= s
+                    newd[coord] -= s
+                mult = _expand(base, newm)
+                diff = _expand(d2counts, newd)
+                yield (h1 + h2, mult, diff), c1 * c2 * ways
+
+
 def _contractions(shared, dcounts, mcounts):
-    """All choices of how many derivative factors contract per shared coord."""
+    """Every choice of how many derivative factors contract per shared
+    coordinate, as {coord: s} without the zero entries; {} comes first."""
     if not shared:
         yield {}
         return
     head, rest = shared[0], shared[1:]
     for sub in _contractions(rest, dcounts, mcounts):
-        for s in range(min(dcounts[head], mcounts[head]) + 1):
-            out = dict(sub)
-            out[head] = s
-            yield out
+        yield sub
+        for s in range(1, min(dcounts[head], mcounts[head]) + 1):
+            yield {**sub, head: s}
 
 
 def commutator(
     a: DifferentialOperator, b: DifferentialOperator
 ) -> DifferentialOperator:
-    return a * b - b * a
+    """[a, b] = a . b - b . a.
+
+    The plain products of a . b and b . a are equal term by term and
+    cancel, so only the contracted terms of each order are summed.
+    """
+    out = DifferentialOperator()
+    for key, c in _contracted(a, b):
+        out._add(key, c)
+    for key, c in _contracted(b, a):
+        out._add(key, -c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +567,8 @@ def surface_operator(
             op.add_term(cr, mult=[(r_cls, m)], diff=[(r_cls, m + k)])
             for a in a_cls:
                 op.add_term(cr, mult=[(a, m)], diff=[(a, m + k)])
+    # the s-block double derivative contracts through the inverse Gram
+    ginv = _invert(gram)
     for m in range(k):
         sign = Fraction(-1) ** (m + 1)
         op.add_term(
@@ -537,8 +577,6 @@ def surface_operator(
             diff=[(r_cls, m), (t_cls, k - m - 1)],
         )
         w = Half * sign * bracket(-m - Half, k, 0)
-        # the s-block double derivative contracts through the inverse Gram
-        ginv = _invert(gram)
         for i in range(d):
             for j in range(d):
                 if ginv[i][j]:
@@ -591,25 +629,6 @@ def surface_operator(
         if k == 1:
             op.add_term(csq * Half, hbar=-1, mult=[(t_cls, 0), (t_cls, 0)])
     return op
-
-
-def _invert(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    n = len(mat)
-    aug = [
-        [Fraction(x) for x in mat[i]]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

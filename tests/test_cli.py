@@ -146,3 +146,43 @@ class TestCachePlumbing:
         code, out, _ = run(capsys, "--cache", path, "cache-info")
         assert code == EXIT_OK
         assert "computed_this_run = 0" in out
+
+    _HEADER = json.dumps({"format": "hodgeint-cache-v1"})
+    _RECORD = {"tag": "psi", "genus": 2, "exponents": [4], "value": "1/1152"}
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[1, 2]",  # header not a JSON object
+            "{not json",  # header not JSON
+            _HEADER + "\n" + json.dumps({"tag": "psi", "genus": 2, "value": "1"}),
+            _HEADER + "\n" + json.dumps([_RECORD]),  # record not an object
+            _HEADER + "\n" + json.dumps({**_RECORD, "tag": "bogus"}),
+            _HEADER + "\n" + json.dumps({**_RECORD, "genus": "2"}),
+            _HEADER + "\n" + json.dumps({**_RECORD, "exponents": 4}),
+            _HEADER + "\n" + json.dumps({**_RECORD, "value": 0.5}),
+            _HEADER + "\n" + json.dumps({**_RECORD, "value": "1/0"}),
+        ],
+        ids=[
+            "header-array",
+            "header-not-json",
+            "missing-field",
+            "record-array",
+            "unknown-tag",
+            "genus-string",
+            "exponents-scalar",
+            "value-float",
+            "value-zero-denominator",
+        ],
+    )
+    def test_malformed_cache_is_a_domain_error(self, tmp_path, capsys, body):
+        path = tmp_path / "memo.jsonl"
+        path.write_text(body + "\n")
+        code, out, err = run(
+            capsys, "--cache", str(path), "psi", "--genus", "2", "--exponents", "4"
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith(f"error: cache {path}: line ")
+        assert err.count("\n") == 1
+        assert path.read_text() == body + "\n"  # left as it was, not rewritten

@@ -1,5 +1,6 @@
 """Hodge-class integral families: closed forms, solvers, golden constants."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,13 @@ class TestGm2Provider:
         assert lambda_g_gm2_or_none(3, (3, 1)) is None
 
 
+def _kappa_triples(g):
+    """Every ordered triple of kappa indices >= 1 of total degree g - 2."""
+    return [
+        t for t in itertools.product(range(1, g), repeat=3) if sum(t) == g - 2
+    ]
+
+
 class TestKappa:
     def test_single_index_is_one_point_descendent(self):
         # <kappa_a l_g l_{g-1}>_g = <tau_{a+1} l_g l_{g-1}>_{g,1}
@@ -140,6 +148,41 @@ class TestKappa:
         # <kappa_1^2 l l> = <tau_2 tau_2 l l> - <tau_3 l l>
         want = lambda_g_gm1(4, (2, 2)) - lambda_g_gm1(4, (3,))
         assert kappa_lambda_integral(4, (1, 1)) == want
+
+    def test_three_indices_regression(self):
+        # a (|B|-1)! block weight in the inversion gave 289/63866880 here
+        assert kappa_lambda_integral(5, (1, 1, 1)) == F(1, 221760)
+
+    @pytest.mark.parametrize("g", range(5, 8))
+    def test_three_indices_partition_formula(self, g):
+        # kappa_a kappa_b kappa_c = P(a+1, b+1, c+1) - sum over pairs
+        # P(pair sum + 1, other + 1) + P(a+b+c+1), P = <... | l_g l_{g-1}>;
+        # below genus 5 no triple has the degree g - 2
+        P = lambda_g_gm1
+        for a, b, c in _kappa_triples(g):
+            want = (
+                P(g, (a + 1, b + 1, c + 1))
+                - P(g, (a + b + 1, c + 1))
+                - P(g, (a + c + 1, b + 1))
+                - P(g, (b + c + 1, a + 1))
+                + P(g, (a + b + c + 1,))
+            )
+            assert kappa_lambda_integral(g, (a, b, c)) == want
+
+    @pytest.mark.parametrize("g", range(5, 8))
+    def test_three_indices_forward_identity(self, g):
+        # pi_* psi^{a+1} psi^{b+1} psi^{c+1} sums one kappa per cycle of each
+        # permutation of {a, b, c}: the two 3-cycles give 2 kappa_{a+b+c}
+        K = kappa_lambda_integral
+        for a, b, c in _kappa_triples(g):
+            pushed = (
+                K(g, (a, b, c))
+                + K(g, (a + b, c))
+                + K(g, (a + c, b))
+                + K(g, (b + c, a))
+                + 2 * K(g, (a + b + c,))
+            )
+            assert pushed == lambda_g_gm1(g, (a + 1, b + 1, c + 1))
 
     def test_dimension_mismatch_is_zero(self):
         assert kappa_lambda_integral(3, (2,)) == 0

@@ -1,8 +1,11 @@
 """Constraint operators: construction, algebra, specializations, application."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hodgeint.combinat import bracket
 from hodgeint.errors import DomainError
@@ -88,6 +91,14 @@ class TestAlgebra:
                 rhs = ops[k + l].scale(F(k - l)).level_filter(4)
                 assert (lhs - rhs).is_zero(), (maker.__name__, k, l)
 
+    @pytest.mark.parametrize("maker", [p1_data, p2_data])
+    def test_commutator_equals_both_products(self, maker):
+        data = maker()
+        ops = {k: general_operator(k, data, CAP) for k in range(-1, 4)}
+        for k, a in ops.items():
+            for l, b in ops.items():
+                assert commutator(a, b).terms == (a * b - b * a).terms, (k, l)
+
     def test_operator_arithmetic(self):
         a = DifferentialOperator()
         a.add_term(F(2), mult=[(0, 1)])
@@ -102,6 +113,73 @@ class TestAlgebra:
         op.add_term(F(1), mult=[(0, 5)])
         op.add_term(F(1), mult=[(0, 1)])
         assert op.level_filter(3).terms == {(0, ((0, 1),), ()): F(1)}
+
+
+# Random operators on a pool of four coordinates, so terms repeat
+# coordinates and share them between multiplications and derivatives.
+_POOL = [(0, 0), (0, 1), (1, 0), (1, 1)]
+_MONOMIALS = [
+    m for d in range(7) for m in itertools.combinations_with_replacement(_POOL, d)
+]
+_coords = st.lists(st.sampled_from(_POOL), max_size=3)
+_terms = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-1, 2),
+    _coords,
+    _coords,
+)
+
+
+def _operator(terms):
+    op = DifferentialOperator()
+    for c, h, mult, diff in terms:
+        op.add_term(c, hbar=h, mult=mult, diff=diff)
+    return op
+
+
+def _act(op, poly):
+    """Apply op to {(hbar, sorted coords): coefficient} by the bare rules:
+    differentiate a monomial factor by factor, then multiply."""
+    out = {}
+    for (h, mono), c in poly.items():
+        for (dh, mult, diff), k in op.terms.items():
+            rest, factor = list(mono), 1
+            for x in diff:
+                factor *= rest.count(x)
+                if not factor:
+                    break
+                rest.remove(x)
+            else:
+                key = (h + dh, tuple(sorted(rest + list(mult))))
+                out[key] = out.get(key, 0) + c * k * factor
+    return {key: v for key, v in out.items() if v}
+
+
+# each side's doubled derivative meets a repeated factor of the other side,
+# so both orders contract up to two factors of one coordinate
+_REPEATED = [(F(1), 1, [(0, 0), (0, 0)], [(0, 1), (0, 1)])]
+_SHARED = [(F(-2), -1, [(0, 1), (0, 1), (0, 1)], [(0, 0), (0, 0)])]
+
+
+class TestCompositionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_terms, max_size=4), st.lists(_terms, max_size=4))
+    @example(_REPEATED, _SHARED)
+    def test_commutator_equals_both_products(self, ta, tb):
+        a, b = _operator(ta), _operator(tb)
+        assert commutator(a, b).terms == (a * b - b * a).terms
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_terms, max_size=4), st.lists(_terms, max_size=4))
+    @example(_REPEATED, _SHARED)
+    def test_product_acts_as_successive_application(self, ta, tb):
+        # a * b has at most 6 derivatives, so it is fixed by its action on
+        # the monomials of degree <= 6, each taken alone
+        a, b = _operator(ta), _operator(tb)
+        ab = a * b
+        for mono in _MONOMIALS:
+            f = {(0, mono): F(1)}
+            assert _act(ab, f) == _act(a, _act(b, f)), mono
 
 
 class TestApply:
