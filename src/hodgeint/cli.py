@@ -6,9 +6,9 @@ the one-point constant table (``bseq``), print obstruction Euler classes
 formats: ``pretty`` (default), ``json`` (rationals as "p/q" strings, stable
 key order), ``csv``.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 flag errors,
-3 domain errors (unstable inputs, underdetermined integrals) and malformed
-cache files.
+Exit codes: 0 success, 1 a verification suite failed, 2 flag errors and
+inputs beyond a size limit (more than errors.MAX_POINTS insertions), 3 domain
+errors (unstable inputs, underdetermined integrals) and malformed cache files.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
 from . import cache, store
-from .errors import DomainError, UnderdeterminedError
+from .errors import DomainError, LimitError, UnderdeterminedError
 from .hodge import c_constant, lambda_cube, lambda_g, lambda_g_gm1, lambda_gm1
 from .mumford import degree0_gw, euler_class, euler_class_genus1
 from .psi import psi_integral
@@ -215,6 +215,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_DOMAIN
     try:
         code = _run(args)
+    except LimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (DomainError, UnderdeterminedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

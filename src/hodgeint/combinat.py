@@ -12,19 +12,34 @@ products, keeping all operator coefficients rational.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import List, Sequence
+from itertools import product
+from math import comb, factorial, prod
+from typing import Iterator, List, Sequence, Tuple
+
+from .store import register_memo
 
 __all__ = [
+    "LAMBDA_GG_GRADING",
+    "LAMBDA_G_GRADING",
+    "PSI_GRADING",
     "bernoulli",
     "bracket",
     "double_factorial",
+    "graded_splits",
     "harmonic",
     "multinomial",
+    "multisets",
     "stirling_s2",
 ]
+
+# (slope, offset) of a family's grading: a genus-h integral with n insertions
+# summing to d is nonzero only if d - n = slope * h + offset.
+PSI_GRADING = (3, -3)  # d = 3h - 3 + n
+LAMBDA_G_GRADING = (2, -3)  # lambda_g: d = 2h - 3 + n
+LAMBDA_GG_GRADING = (1, -2)  # lambda_h lambda_{h-1}: d = h - 2 + n
 
 
 @lru_cache(maxsize=None)
@@ -45,16 +60,21 @@ def bernoulli(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _rising_poly(x: Fraction, k: int) -> tuple:
-    # Coefficients (low to high) of prod_{j=0}^{k} (t + x + j); empty product for k = -1.
-    coeffs = [Fraction(1)]
+    # Coefficients (low to high) of prod_{j=0}^{k} (t + x + j); empty product
+    # for k = -1.  With x = p/q this is q^{-(k+1)} prod_j (q t + p + j q), so
+    # the t^i coefficient is e_{k+1-i}(p + j q) / q^{k+1-i}: build the integer
+    # polynomial prod_j (s + p + j q) and divide once per coefficient.
+    p, q = x.numerator, x.denominator
+    coeffs = [1]
     for j in range(k + 1):
-        root = x + j
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d] += c * root
-            nxt[d + 1] += c
-        coeffs = nxt
-    return tuple(coeffs)
+        root = p + j * q
+        coeffs = [a * root + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    top = len(coeffs) - 1
+    return tuple(Fraction(c, q ** (top - i)) for i, c in enumerate(coeffs))
+
+
+register_memo(bernoulli.cache_clear)
+register_memo(_rising_poly.cache_clear)
 
 
 def bracket(x, k: int, i: int) -> Fraction:
@@ -108,3 +128,47 @@ def double_factorial(n: int) -> int:
         out *= n
         n -= 2
     return out
+
+
+def multisets(n: int, total: int) -> List[Tuple[int, ...]]:
+    """Non-increasing n-tuples of nonnegative ints summing to total, in
+    reverse lexicographic order (none when total < 0)."""
+
+    def rec(n: int, total: int, cap: int) -> List[Tuple[int, ...]]:
+        if n == 0:
+            return [()] if total == 0 else []
+        return [
+            (first,) + rest
+            for first in range(min(cap, total), -1, -1)
+            if first * n >= total
+            for rest in rec(n - 1, total - first, first)
+        ]
+
+    return rec(n, total, total)
+
+
+def graded_splits(
+    items: Sequence[int], head: Sequence[int], genus: int, grading: Tuple[int, int]
+) -> Iterator[Tuple[int, Tuple[int, ...], Tuple[int, ...], int]]:
+    """Splits of the multiset ``items`` over two factors of a genus-split
+    product, with the one genus the grading leaves the first factor.
+
+    Yields ``(weight, left, right, g1)`` once per sub-multiset ``left`` of
+    ``items`` (``right`` its complement, both non-increasing); ``weight`` =
+    prod C(c_v, a_v) counts the subsets of positions that give ``left``.
+    ``g1`` solves the grading for the first factor, whose insertions are
+    ``head + left``; splits where it is not an integer in [0, genus] are
+    skipped, since that factor vanishes at every genus.
+    """
+    slope, offset = grading
+    groups = sorted(Counter(items).items(), reverse=True)
+    base = sum(head) - len(head) - offset
+    for picks in product(*(range(c + 1) for _, c in groups)):
+        excess = base + sum(a * (v - 1) for (v, _), a in zip(groups, picks))
+        g1, r = divmod(excess, slope)
+        if r or not 0 <= g1 <= genus:
+            continue
+        weight = prod(comb(c, a) for (_, c), a in zip(groups, picks))
+        left = tuple(v for (v, _), a in zip(groups, picks) for _ in range(a))
+        right = tuple(v for (v, c), a in zip(groups, picks) for _ in range(c - a))
+        yield weight, left, right, g1

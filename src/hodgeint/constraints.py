@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .combinat import bracket
+from .combinat import LAMBDA_GG_GRADING, PSI_GRADING, bracket, graded_splits
 from .errors import DomainError
 from .hodge import (
     lambda_g_gm1_or_zero,
@@ -37,6 +37,7 @@ from .hodge import (
     lambda_g_or_zero,
 )
 from .hodge import _gm1_or_zero as _lambda_gm1_or_zero
+from .hodge import _xcurve_partial
 from .psi import psi_or_zero
 
 __all__ = ["x_curve", "y_curve", "x_surface", "y_surface"]
@@ -47,15 +48,6 @@ Half = Fraction(1, 2)
 # one or two of these
 Atom = Tuple[int, Tuple[int, ...]]
 Symbolic = Dict[Tuple[Atom, ...], Fraction]
-
-
-def _splits(derivs: Sequence[int]):
-    """All ways to distribute the derivative indices over two factors."""
-    n = len(derivs)
-    for bits in range(1 << n):
-        left = tuple(derivs[j] for j in range(n) if bits >> j & 1)
-        right = tuple(derivs[j] for j in range(n) if not bits >> j & 1)
-        yield left, right
 
 
 def _drop(derivs: Sequence[int], i: int) -> Tuple[int, ...]:
@@ -78,22 +70,8 @@ def x_curve(k: int, g: int, derivs: Sequence[int] = ()) -> Fraction:
     """
     _check_k(k)
     derivs = tuple(derivs)
-    total = -bracket(1, k, 0) * _lambda_gm1_or_zero(g, (k + 1,) + derivs)
-    for i, j in enumerate(derivs):
-        total += bracket(j, k, 0) * _lambda_gm1_or_zero(g, (k + j,) + _drop(derivs, i))
-    total += bracket(1, k, 1) * lambda_g_or_zero(g, (k,) + derivs)
-    for i, j in enumerate(derivs):
-        total -= bracket(j, k, 1) * lambda_g_or_zero(g, (k + j - 1,) + _drop(derivs, i))
-    for m in range(k - 1):
-        w = Half * Fraction(-1) ** (m + 1) * bracket(-m - 1, k, 1)
-        if w == 0:
-            continue
-        for left, right in _splits(derivs):
-            for g1 in range(g + 1):
-                total -= w * lambda_g_or_zero(g1, (m,) + left) * lambda_g_or_zero(
-                    g - g1, (k - m - 2,) + right
-                )
-    return total
+    leading = -bracket(1, k, 0) * _lambda_gm1_or_zero(g, (k + 1,) + derivs)
+    return leading + _xcurve_partial(g, k, derivs)
 
 
 def y_curve(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
@@ -196,24 +174,15 @@ def x_surface(
     for m in range(k):
         sign = Fraction(-1) ** (m + 1)
         w1 = sign * bracket(-m - Half - 1, k, 0)  # [-m-3/2]^k_0
-        if w1 != 0:
-            for left, right in _splits(derivs):
-                psi0 = psi_or_zero(0, (m,) + left)
-                if psi0:
-                    scalar, sym = _gm2_term(
-                        (scalar, sym), g, (k - m - 1,) + right, w1 * psi0
-                    )
+        for c, left, right, _ in graded_splits(derivs, (m,), 0, PSI_GRADING):
+            psi0 = psi_or_zero(0, (m,) + left)
+            scalar, sym = _gm2_term((scalar, sym), g, (k - m - 1,) + right, w1 * c * psi0)
         # double derivative on the (1,1) block squares the lambda_g
         # lambda_{g-1} part of the exponent
         w2 = Half * sign * bracket(-m - Half, k, 0)
-        if w2 != 0:
-            for left, right in _splits(derivs):
-                for g1 in range(g + 1):
-                    scalar += (
-                        w2
-                        * lambda_g_gm1_or_zero(g1, (m,) + left)
-                        * lambda_g_gm1_or_zero(g - g1, (k - m - 1,) + right)
-                    )
+        for c, left, right, g1 in graded_splits(derivs, (m,), g, LAMBDA_GG_GRADING):
+            gg = lambda_g_gm1_or_zero(g1, (m,) + left)
+            scalar += w2 * c * gg * lambda_g_gm1_or_zero(g - g1, (k - m - 1,) + right)
 
     # lambda_g lambda_{g-1} block (its exponent block carries a minus sign,
     # so the shifted-coordinate pair comes out +constant, -t_m)
@@ -226,10 +195,9 @@ def x_surface(
         w = Fraction(-1) ** (m + 1) * bracket(-m - Half - 1, k, 1)
         if w == 0:
             continue
-        for left, right in _splits(derivs):
+        for c, left, right, _ in graded_splits(derivs, (m,), 0, PSI_GRADING):
             psi0 = psi_or_zero(0, (m,) + left)
-            if psi0:
-                scalar -= w * psi0 * lambda_g_gm1_or_zero(g, (k - m - 2,) + right)
+            scalar -= w * c * psi0 * lambda_g_gm1_or_zero(g, (k - m - 2,) + right)
     return scalar, sym
 
 
@@ -259,17 +227,10 @@ def y_surface(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
         sign = Fraction(-1) ** (m + 1)
         w1 = sign * bracket(-m - Half - 1, k, 0)
         w2 = sign * bracket(-m - Half, k, 0)
-        for left, right in _splits(derivs):
-            if w1 != 0:
-                total += (
-                    w1
-                    * psi_or_zero(0, (m,) + left)
-                    * lambda_g_gm1_or_zero(g, (k - m - 1, ell) + right)
-                )
-            if w2 != 0:
-                total += (
-                    w2
-                    * psi_or_zero(0, (m, ell) + left)
-                    * lambda_g_gm1_or_zero(g, (k - m - 1,) + right)
-                )
+        for c, left, right, _ in graded_splits(derivs, (m,), 0, PSI_GRADING):
+            psi0 = psi_or_zero(0, (m,) + left)
+            total += w1 * c * psi0 * lambda_g_gm1_or_zero(g, (k - m - 1, ell) + right)
+        for c, left, right, _ in graded_splits(derivs, (m, ell), 0, PSI_GRADING):
+            psi0 = psi_or_zero(0, (m, ell) + left)
+            total += w2 * c * psi0 * lambda_g_gm1_or_zero(g, (k - m - 1,) + right)
     return total

@@ -23,8 +23,16 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .combinat import bernoulli, bracket, double_factorial, harmonic, multinomial
-from .errors import DomainError, UnderdeterminedError
+from .combinat import (
+    LAMBDA_G_GRADING,
+    bernoulli,
+    bracket,
+    double_factorial,
+    graded_splits,
+    harmonic,
+    multinomial,
+)
+from .errors import DomainError, check_points
 from .psi import psi_or_zero
 from .series1d import b_closed_form
 from .store import (
@@ -33,6 +41,7 @@ from .store import (
     TAG_LAMBDA_GM1,
     lookup,
     record,
+    register_memo,
 )
 
 __all__ = [
@@ -68,6 +77,7 @@ def _check(g: int, ks: Sequence[int], gmin: int = 0) -> Key:
         raise DomainError(f"(g, n) = (0, {len(ks)}) is unstable")
     if any(k < 0 for k in ks):
         raise DomainError("exponents must be >= 0")
+    check_points(len(ks))
     return _canon(ks)
 
 
@@ -146,6 +156,7 @@ def lambda_g_or_zero(g: int, ks: Iterable[int]) -> Fraction:
 
 
 _lambda_g_rec: Dict[Tuple[int, Key], Fraction] = {}
+register_memo(_lambda_g_rec.clear)
 
 
 def lambda_g_solver(g: int, ks: Sequence[int]) -> Fraction:
@@ -232,11 +243,6 @@ def lambda_g_gm1(g: int, ks: Sequence[int]) -> Fraction:
             ),
             Fraction(0),
         )
-    elif key == (0,):
-        # only possible for g = 1 (grading); string down to nothing is not
-        # available at n = 1, but the closed form with the (-1)!! convention
-        # already covers k = 0
-        val = _gg_closed(g, key)
     else:
         val = _gg_closed(g, key)
     return record(TAG_LAMBDA_G_GM1, (g, key), val)
@@ -261,6 +267,7 @@ def lambda_g_gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
 
 
 _lambda_gg_rec: Dict[Tuple[int, Key], Fraction] = {}
+register_memo(_lambda_gg_rec.clear)
 
 
 def lambda_g_gm1_solver(g: int, ks: Sequence[int]) -> Fraction:
@@ -324,7 +331,8 @@ def lambda_gm1(g: int, ks: Sequence[int]) -> Fraction:
     and one exponents are removed by string/dilaton and a top insertion is
     removed by coefficient extraction from the curve constraint relations,
     which expresses it through lambda_{g-1} values with fewer insertions plus
-    known lambda_g values.  Raises UnderdeterminedError if no relation applies.
+    known lambda_g values.  One of these always applies: once no exponent is
+    0 or 1, the top one is at least 2.
     """
     key = _check(g, ks, gmin=1)
     return _gm1(g, key)
@@ -350,12 +358,9 @@ def _gm1(g: int, key: Key) -> Fraction:
         )
     elif key[-1] == 1:
         val = (2 * g - 2 + n - 1) * _gm1(g, key[:-1])
-    elif key[0] >= 2:
+    else:  # key[0] >= key[-1] >= 2
         k = key[0] - 1
-        derivs = key[1:]
-        val = _xcurve_partial(g, k, derivs) / bracket(1, k, 0)
-    else:
-        raise UnderdeterminedError(f"no reduction applies to {(g, key)}")
+        val = _xcurve_partial(g, k, key[1:]) / bracket(1, k, 0)
     return record(TAG_LAMBDA_GM1, (g, key), val)
 
 
@@ -368,8 +373,9 @@ def _gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
 
 def _xcurve_partial(g: int, k: int, derivs: Key) -> Fraction:
     """All terms of the derivative of the curve x-constraint except the
-    leading -[1]^k_0 <tau_{k+1} derivs | lambda_{g-1}> one, with x = 0 solved
-    for that term.  See constraints.x_curve for the full expression."""
+    leading -[1]^k_0 <tau_{k+1} derivs | lambda_{g-1}> one: _gm1 solves x = 0
+    for that term, and constraints.x_curve (which shows the full expression)
+    adds it back."""
     total = Fraction(0)
     for i, m in enumerate(derivs):
         others = derivs[:i] + derivs[i + 1 :]
@@ -384,18 +390,14 @@ def _xcurve_partial(g: int, k: int, derivs: Key) -> Fraction:
 
 def _xcurve_quadratic(g: int, k: int, derivs: Key) -> Fraction:
     total = Fraction(0)
-    nrest = len(derivs)
     for m in range(k - 1):
         w = Fraction(1, 2) * Fraction(-1) ** (m + 1) * bracket(-m - 1, k, 1)
         if w == 0:
             continue
-        for bits in range(1 << nrest):
-            left = tuple(derivs[j] for j in range(nrest) if bits >> j & 1)
-            right = tuple(derivs[j] for j in range(nrest) if not bits >> j & 1)
-            for g1 in range(g + 1):
-                total += w * lambda_g_or_zero(g1, (m,) + left) * lambda_g_or_zero(
-                    g - g1, (k - m - 2,) + right
-                )
+        for c, left, right, g1 in graded_splits(derivs, (m,), g, LAMBDA_G_GRADING):
+            total += w * c * lambda_g_or_zero(g1, (m,) + left) * lambda_g_or_zero(
+                g - g1, (k - m - 2,) + right
+            )
     return total
 
 

@@ -33,6 +33,7 @@ from .hodge import (
     lambda_gm1,
 )
 from .psi import psi_or_zero
+from .store import register_memo
 
 __all__ = [
     "LambdaRingElem",
@@ -112,6 +113,11 @@ def reduce_lambda_monomial(g: int, key: LamKey) -> Tuple[Tuple[Fraction, LamKey]
             continue
         out.append((Fraction(sp.Rational(coeff)), mk_t))
     return tuple(sorted(out, key=lambda t: t[1]))
+
+
+register_memo(mumford_relations.cache_clear)
+register_memo(_groebner.cache_clear)
+register_memo(reduce_lambda_monomial.cache_clear)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
-__all__ = ["Caps", "TruncatedSeries", "monomial_weight", "merge_monomial", "remove_factors"]
+__all__ = ["Caps", "TruncatedSeries", "monomial_weight"]
 
 Coord = Tuple[int, int]
 Monomial = Tuple[Tuple[Coord, int], ...]  # sorted ((a,k), exponent) pairs
@@ -42,32 +42,6 @@ def monomial_weight(mono: Monomial) -> int:
 
 def monomial_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
-
-
-def merge_monomial(mono: Monomial, extra: Iterable[Coord]) -> Monomial:
-    """Multiply a monomial by additional coordinate factors."""
-    d = dict(mono)
-    for c in extra:
-        d[c] = d.get(c, 0) + 1
-    return tuple(sorted(d.items()))
-
-
-def remove_factors(mono: Monomial, coords: Iterable[Coord]):
-    """Divide out coordinate factors; returns (monomial, combinatorial factor)
-    where the factor is the product of the exponents consumed (for repeated
-    differentiation), or None if a coordinate is absent."""
-    d = dict(mono)
-    factor = 1
-    for c in coords:
-        e = d.get(c, 0)
-        if e == 0:
-            return None, 0
-        factor *= e
-        if e == 1:
-            del d[c]
-        else:
-            d[c] = e - 1
-    return tuple(sorted(d.items())), factor
 
 
 class TruncatedSeries:
@@ -112,8 +86,7 @@ class TruncatedSeries:
         out = TruncatedSeries(self.caps)
         for (h1, m1), c1 in self.terms.items():
             for (h2, m2), c2 in other.terms.items():
-                mono = merge_monomial(m1, ())
-                d = dict(mono)
+                d = dict(m1)
                 for coord, e in m2:
                     d[coord] = d.get(coord, 0) + e
                 out._add((h1 + h2, tuple(sorted(d.items()))), c1 * c2)

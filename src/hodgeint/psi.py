@@ -18,11 +18,11 @@ The extraction reads, with A(k, m) = [m + 1/2]^k_0:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
-from typing import Iterable, List, Sequence, Tuple
+from math import factorial, prod
+from typing import Iterable, Sequence, Tuple
 
-from .combinat import bracket
-from .errors import DomainError
+from .combinat import PSI_GRADING, bracket, graded_splits, multisets
+from .errors import DomainError, check_points
 from .phase_space import Caps, TruncatedSeries
 from .store import TAG_PSI, lookup, record
 
@@ -52,10 +52,11 @@ def psi_integral(g: int, ks: Sequence[int]) -> Fraction:
     """<tau_{k1} ... tau_{kn}>_g, exact.
 
     Returns 0 on dimension mismatch (sum k != 3g - 3 + n); raises DomainError
-    for unstable (g, n).
+    for unstable (g, n) and LimitError for more than MAX_POINTS insertions.
     """
     ks = list(ks)
     _check_stable(g, len(ks))
+    check_points(len(ks))
     if any(k < 0 for k in ks):
         raise DomainError("exponents must be >= 0")
     return _psi(g, tuple(sorted(ks, reverse=True)))
@@ -123,13 +124,10 @@ def _top_reduction(g: int, ks: Tuple[int, ...]) -> Fraction:
             continue
         if g >= 1:
             total += w * psi_or_zero(g - 1, rest + (m, k - m - 1))
-        for bits in range(1 << len(rest)):
-            left = tuple(rest[j] for j in range(len(rest)) if bits >> j & 1)
-            right = tuple(rest[j] for j in range(len(rest)) if not bits >> j & 1)
-            for g1 in range(g + 1):
-                total += w * psi_or_zero(g1, (m,) + left) * psi_or_zero(
-                    g - g1, (k - m - 1,) + right
-                )
+        for c, left, right, g1 in graded_splits(rest, (m,), g, PSI_GRADING):
+            total += w * c * psi_or_zero(g1, (m,) + left) * psi_or_zero(
+                g - g1, (k - m - 1,) + right
+            )
     return total / bracket(1 + Half, k, 0)
 
 
@@ -155,11 +153,11 @@ def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:
         n = 3 if g == 0 else 1
         while 3 * g - 3 + 2 * n <= weight_cap:
             d = 3 * g - 3 + n
-            for part in _multisets(n, d):
+            for part in multisets(n, d):
                 val = _psi(g, part)
                 if val:
                     sym = prod(
-                        _factorial(part.count(x)) for x in set(part)
+                        factorial(part.count(x)) for x in set(part)
                     )
                     mono = tuple(
                         ((0, x), part.count(x)) for x in sorted(set(part))
@@ -168,30 +166,3 @@ def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:
             n += 1
     free = TruncatedSeries(caps, terms)
     return free.exp()
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _multisets(n: int, total: int) -> List[Tuple[int, ...]]:
-    """Non-increasing n-tuples of nonnegative ints summing to total."""
-    out: List[Tuple[int, ...]] = []
-
-    def rec(remaining: int, slots: int, cap: int, acc: List[int]) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for v in range(min(cap, remaining), -1, -1):
-            if remaining - v > v * (slots - 1):
-                break
-            acc.append(v)
-            rec(remaining - v, slots - 1, v, acc)
-            acc.pop()
-
-    rec(total, n, total, [])
-    return out

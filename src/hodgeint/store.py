@@ -12,20 +12,20 @@ Rationals are serialized as ``"p/q"`` with the ``/q`` omitted when q = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 __all__ = [
     "TAG_PSI",
     "TAG_LAMBDA_G",
     "TAG_LAMBDA_G_GM1",
     "TAG_LAMBDA_GM1",
-    "TAG_LAMBDA_G_GM2",
     "CACHED_TAGS",
     "tables",
     "lookup",
     "record",
     "preload",
     "computed_count",
+    "register_memo",
     "reset",
     "format_rational",
     "parse_rational",
@@ -35,7 +35,6 @@ TAG_PSI = "psi"
 TAG_LAMBDA_G = "lambda_g"
 TAG_LAMBDA_G_GM1 = "lambda_g_gm1"
 TAG_LAMBDA_GM1 = "lambda_gm1"
-TAG_LAMBDA_G_GM2 = "lambda_g_gm2"
 
 # Tags that are written through to the persistent cache.  Recursion-solver
 # oracles keep private in-memory memos instead (see hodge.py): mixing them with
@@ -46,6 +45,9 @@ Key = Tuple[int, Tuple[int, ...]]
 
 _tables: Dict[str, Dict[Key, Fraction]] = {t: {} for t in CACHED_TAGS}
 _computed = 0
+# clear() of every memo kept outside the tables: the solver memos in hodge.py
+# and the lru_caches of combinat.py and mumford.py
+_other_memos: List[Callable[[], None]] = []
 
 
 def tables() -> Dict[str, Dict[Key, Fraction]]:
@@ -73,10 +75,19 @@ def computed_count() -> int:
     return _computed
 
 
+def register_memo(clear: Callable[[], None]) -> None:
+    """Have reset() also call clear, the emptying method of a memo kept
+    outside the tables."""
+    _other_memos.append(clear)
+
+
 def reset() -> None:
+    """Empty every memo: the tables and each registered memo."""
     global _computed
     for t in _tables.values():
         t.clear()
+    for clear in _other_memos:
+        clear()
     _computed = 0
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from . import store
-from .combinat import stirling_s2
+from .combinat import multisets, stirling_s2
 from .hodge import (
     b_constant,
     c_constant,
@@ -59,26 +59,6 @@ GOLDEN_TABLE: Dict[int, Tuple[Fraction, Fraction]] = {
 }
 
 
-def _dim_multisets(n: int, total: int) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = []
-
-    def rec(remaining: int, slots: int, cap: int, acc: List[int]) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for v in range(min(cap, remaining), -1, -1):
-            if remaining - v > v * (slots - 1):
-                break
-            acc.append(v)
-            rec(remaining - v, slots - 1, v, acc)
-            acc.pop()
-
-    if total >= 0:
-        rec(total, n, total, [])
-    return out
-
-
 def suite_table(max_genus: int = 5) -> List[Check]:
     checks: List[Check] = []
     rows = hodge_table(min(max_genus, 5))
@@ -105,14 +85,14 @@ def suite_closed_vs_recursion(max_genus: int = 3, max_points: int = 4) -> List[C
     checks: List[Check] = []
     for g in range(0, max_genus + 1):
         for n in range(3 if g == 0 else 1, max_points + 1):
-            for ks in _dim_multisets(n, 2 * g - 3 + n):
+            for ks in multisets(n, 2 * g - 3 + n):
                 a, b = lambda_g(g, ks), lambda_g_solver(g, ks)
                 checks.append(
                     (f"lambda_g g={g} ks={ks}", a == b, f"{a} vs {b}")
                 )
     for g in range(1, max_genus + 1):
         for n in range(1, max_points + 1):
-            for ks in _dim_multisets(n, g - 2 + n):
+            for ks in multisets(n, g - 2 + n):
                 a, b = lambda_g_gm1(g, ks), lambda_g_gm1_solver(g, ks)
                 checks.append(
                     (f"lambda_g_gm1 g={g} ks={ks}", a == b, f"{a} vs {b}")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from hodgeint import store, verify
-from hodgeint.combinat import multinomial
+from hodgeint.combinat import multinomial, multisets
 from hodgeint.constraints import x_curve
 from hodgeint.hodge import (
     hodge_table,
@@ -29,24 +29,6 @@ F = Fraction
 
 def _report(name: str) -> None:
     print(f"{name}: PASS")
-
-
-def _dim_multisets(n, total):
-    out = []
-
-    def rec(remaining, slots, cap, acc):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for v in range(min(cap, remaining), -1, -1):
-            acc.append(v)
-            rec(remaining - v, slots - 1, v, acc)
-            acc.pop()
-
-    if total >= 0:
-        rec(total, n, total, [])
-    return out
 
 
 def test_ac01_one_point_constant_table():
@@ -73,11 +55,11 @@ def test_ac03_closed_forms_vs_recursions():
     start = time.monotonic()
     for g in range(0, 4):
         for n in range(3 if g == 0 else 1, 5):
-            for ks in _dim_multisets(n, 2 * g - 3 + n):
+            for ks in multisets(n, 2 * g - 3 + n):
                 assert lambda_g(g, ks) == lambda_g_solver(g, ks), (g, ks)
     for g in range(1, 4):
         for n in range(1, 5):
-            for ks in _dim_multisets(n, g - 2 + n):
+            for ks in multisets(n, g - 2 + n):
                 assert lambda_g_gm1(g, ks) == lambda_g_gm1_solver(g, ks), (g, ks)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"exhaustive comparison took {elapsed:.3f}s"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodgeint import cache, store
+from hodgeint import cache, combinat, hodge, mumford, store
 from hodgeint.psi import psi_integral
 
 F = Fraction
@@ -16,6 +16,36 @@ def fresh_store():
     store.reset()
     yield
     store.reset()
+
+
+def test_reset_empties_every_memo():
+    def compute():
+        return (
+            psi_integral(3, [7]),
+            hodge.lambda_g_solver(3, [3, 2, 1]),
+            hodge.lambda_g_gm1_solver(3, [2, 1]),
+            hodge.lambda_gm1(3, [4, 2]),
+            mumford.euler_class(2, 3),
+        )
+
+    def sizes():
+        return {
+            "tables": sum(len(t) for t in store.tables().values()),
+            "lambda_g_rec": len(hodge._lambda_g_rec),
+            "lambda_gg_rec": len(hodge._lambda_gg_rec),
+            "bernoulli": combinat.bernoulli.cache_info().currsize,
+            "rising_poly": combinat._rising_poly.cache_info().currsize,
+            "mumford_relations": mumford.mumford_relations.cache_info().currsize,
+            "groebner": mumford._groebner.cache_info().currsize,
+            "reduce": mumford.reduce_lambda_monomial.cache_info().currsize,
+        }
+
+    first = compute()
+    assert all(sizes().values()), sizes()
+    store.reset()
+    assert not any(sizes().values()), sizes()
+    assert store.computed_count() == 0
+    assert compute() == first
 
 
 def test_round_trip(tmp_path):

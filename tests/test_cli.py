@@ -121,6 +121,13 @@ class TestFailures:
         )
         assert code == EXIT_DOMAIN
 
+    def test_too_many_points(self, capsys):
+        exponents = ",".join(["597"] + ["0"] * 599)
+        code, out, err = run(capsys, "psi", "--genus", "0", "--exponents", exponents)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "at most" in err
+
     def test_bad_exponent_list(self, capsys):
         code, _, err = run(capsys, "psi", "--genus", "1", "--exponents", "x")
         assert code == EXIT_DOMAIN

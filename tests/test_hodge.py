@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgeint.combinat import multisets
 from hodgeint.errors import DomainError
 from hodgeint.hodge import (
     b_constant,
@@ -32,24 +33,6 @@ GOLDEN = {
     4: (F(127, 154828800), F(13, 6220800)),
     5: (F(73, 3503554560), F(21481, 367873228800)),
 }
-
-
-def _dim_multisets(n, total):
-    out = []
-
-    def rec(remaining, slots, cap, acc):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        for v in range(min(cap, remaining), -1, -1):
-            acc.append(v)
-            rec(remaining - v, slots - 1, v, acc)
-            acc.pop()
-
-    if total >= 0:
-        rec(total, n, total, [])
-    return out
 
 
 class TestGoldenConstants:
@@ -78,13 +61,13 @@ class TestClosedVsRecursion:
     @pytest.mark.parametrize("g", [0, 1, 2, 3])
     def test_lambda_g(self, g):
         for n in range(3 if g == 0 else 1, 5):
-            for ks in _dim_multisets(n, 2 * g - 3 + n):
+            for ks in multisets(n, 2 * g - 3 + n):
                 assert lambda_g(g, ks) == lambda_g_solver(g, ks)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_lambda_g_gm1(self, g):
         for n in range(1, 5):
-            for ks in _dim_multisets(n, g - 2 + n):
+            for ks in multisets(n, g - 2 + n):
                 assert lambda_g_gm1(g, ks) == lambda_g_gm1_solver(g, ks)
 
     def test_lambda_g_genus_zero_is_psi(self):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeint.combinat import multinomial
-from hodgeint.errors import DomainError
+from hodgeint.errors import MAX_POINTS, DomainError
+from hodgeint.hodge import lambda_gm1
 from hodgeint.psi import psi_integral, psi_or_zero
 
 F = Fraction
@@ -37,7 +38,7 @@ class TestOracleValues:
 
     def test_one_point_closed_form(self):
         # <tau_{3g-2}>_g = 1 / (24^g g!)
-        for g in range(1, 6):
+        for g in [1, 2, 3, 4, 5, 12]:
             assert psi_integral(g, [3 * g - 2]) == F(1, 24**g * factorial(g))
 
     def test_genus_zero_multinomial(self):
@@ -68,6 +69,16 @@ class TestStructure:
     def test_negative_exponent_raises(self):
         with pytest.raises(DomainError):
             psi_integral(1, [-1, 2])
+
+    def test_too_many_points_raises(self):
+        # string reduction recurses once per tau_0; 600 points used to end in
+        # RecursionError
+        with pytest.raises(DomainError):
+            psi_integral(0, [597] + [0] * 599)
+        with pytest.raises(DomainError):
+            lambda_gm1(2, [602] + [0] * 599)
+        n = MAX_POINTS
+        assert psi_integral(0, [n - 3] + [0] * (n - 1)) == 1
 
     def test_psi_or_zero_silences_domain_errors(self):
         assert psi_or_zero(0, (0,)) == 0

@@ -1,0 +1,185 @@
+"""The split helper and the integer bracket kernel against brute references.
+
+The references here are the loops the recursions were first written with:
+every subset of the insertions as a bitmask, against every genus split, and
+the bracket as a product of ``Fraction`` linear factors.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodgeint import hodge, psi
+from hodgeint.combinat import (
+    LAMBDA_G_GRADING,
+    LAMBDA_GG_GRADING,
+    PSI_GRADING,
+    bracket,
+    graded_splits,
+    multisets,
+)
+from hodgeint.hodge import lambda_g_or_zero
+from hodgeint.psi import psi_integral, psi_or_zero
+
+F = Fraction
+HALF = F(1, 2)
+
+
+@lru_cache(maxsize=None)
+def _rising_product(x: Fraction, k: int) -> tuple:
+    """Coefficients (low to high) of prod_{j=0}^{k} (t + x + j) over Fraction."""
+    coeffs = [F(1)]
+    for j in range(k + 1):
+        new = [F(0)] * (len(coeffs) + 1)
+        for d, c in enumerate(coeffs):
+            new[d] += (x + j) * c
+            new[d + 1] += c
+        coeffs = new
+    return tuple(coeffs)
+
+
+def _br(x, k: int, i: int) -> Fraction:
+    return _rising_product(F(x), k)[i]
+
+
+def _bitmask_splits(items):
+    n = len(items)
+    for bits in range(1 << n):
+        left = tuple(items[j] for j in range(n) if bits >> j & 1)
+        right = tuple(items[j] for j in range(n) if not bits >> j & 1)
+        yield left, right
+
+
+def _desc(items):
+    return tuple(sorted(items, reverse=True))
+
+
+def _brute_top_reduction(g, ks):
+    k = ks[0] - 1
+    rest = ks[1:]
+    total = F(0)
+    for i, m in enumerate(rest):
+        raised = rest[:i] + (m + k,) + rest[i + 1 :]
+        total += _br(m + HALF, k, 0) * psi_or_zero(g, raised)
+    for m in range(k):
+        w = HALF * (-1) ** (m + 1) * _br(-m - HALF, k, 0)
+        if g >= 1:
+            total += w * psi_or_zero(g - 1, rest + (m, k - m - 1))
+        for left, right in _bitmask_splits(rest):
+            for g1 in range(g + 1):
+                a = psi_or_zero(g1, (m,) + left)
+                if a:
+                    total += w * a * psi_or_zero(g - g1, (k - m - 1,) + right)
+    return total / _br(1 + HALF, k, 0)
+
+
+def _brute_xcurve_quadratic(g, k, derivs):
+    total = F(0)
+    for m in range(k - 1):
+        w = HALF * (-1) ** (m + 1) * _br(-m - 1, k, 1)
+        for left, right in _bitmask_splits(derivs):
+            for g1 in range(g + 1):
+                total += w * lambda_g_or_zero(g1, (m,) + left) * lambda_g_or_zero(
+                    g - g1, (k - m - 2,) + right
+                )
+    return total
+
+
+def test_psi_top_reduction_matches_bitmask_loop():
+    count = 0
+    for g in range(5):
+        for n in range(1, 7):
+            for ks in multisets(n, 3 * g - 3 + n):
+                if ks[0] < 2:
+                    continue
+                want = _brute_top_reduction(g, ks)
+                assert psi._top_reduction(g, ks) == want, (g, ks)
+                assert psi_integral(g, ks) == want, (g, ks)
+                count += 1
+    assert count > 100
+
+
+def test_xcurve_quadratic_matches_bitmask_loop():
+    count = 0
+    for g in range(1, 6):
+        for n in range(1, 5):
+            # (k+1, derivs) is a lambda_{g-1} key: k + 1 + sum = 2g - 2 + n
+            for top, *derivs in multisets(n, 2 * g - 2 + n):
+                if top < 2:
+                    continue
+                derivs = tuple(derivs)
+                want = _brute_xcurve_quadratic(g, top - 1, derivs)
+                assert hodge._xcurve_quadratic(g, top - 1, derivs) == want
+                count += 1
+    assert count > 50
+
+
+def test_multisets_small_cases():
+    assert multisets(3, 2) == [(2, 0, 0), (1, 1, 0)]
+    assert multisets(0, 0) == [()]
+    assert multisets(2, -1) == []
+    for n in range(1, 6):
+        for total in range(8):
+            got = multisets(n, total)
+            assert len(set(got)) == len(got)
+            for ks in got:
+                assert sum(ks) == total and list(ks) == sorted(ks, reverse=True)
+
+
+_ITEMS = st.lists(st.integers(0, 4), max_size=7)
+_GRADINGS = st.sampled_from([PSI_GRADING, LAMBDA_G_GRADING, LAMBDA_GG_GRADING])
+
+
+@given(items=_ITEMS)
+@settings(max_examples=150, deadline=None)
+def test_unfiltered_splits_are_the_bitmask_splits(items):
+    # slope 1 and offset -n put every split's g1 in [0, n + sum(items)]
+    n = len(items)
+    got = Counter()
+    total_weight = 0
+    for c, left, right, _ in graded_splits(items, (), n + sum(items), (1, -n)):
+        got[left, right] += c
+        total_weight += c
+    assert total_weight == 2**n
+    want = Counter((_desc(left), _desc(right)) for left, right in _bitmask_splits(items))
+    assert got == want
+
+
+@given(
+    items=_ITEMS,
+    head=st.lists(st.integers(0, 6), min_size=1, max_size=2),
+    genus=st.integers(0, 5),
+    grading=_GRADINGS,
+)
+@settings(max_examples=200, deadline=None)
+def test_graded_splits_keep_the_one_allowed_genus(items, head, genus, grading):
+    slope, offset = grading
+    want = Counter()
+    for left, right in _bitmask_splits(items):
+        d, n = sum(head) + sum(left), len(head) + len(left)
+        for g1 in range(genus + 1):
+            if d - n == slope * g1 + offset:
+                want[_desc(left), _desc(right), g1] += 1
+    got = Counter()
+    for c, left, right, g1 in graded_splits(items, tuple(head), genus, grading):
+        got[left, right, g1] += c
+    assert got == want
+
+
+def test_bracket_matches_fraction_product():
+    xs = [F(h, 2) for h in range(-60, 60)] + [F(1, 3)]
+    for x in xs:
+        coeffs = [F(1)]
+        for k in range(-1, 31):
+            if k >= 0:
+                new = [F(0)] * (len(coeffs) + 1)
+                for d, c in enumerate(coeffs):
+                    new[d] += (x + k) * c
+                    new[d + 1] += c
+                coeffs = new
+            for i in range(-1, k + 3):
+                want = coeffs[i] if 0 <= i <= k + 1 else 0
+                assert bracket(x, k, i) == want, (x, k, i)
