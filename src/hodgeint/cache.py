@@ -8,21 +8,23 @@ record per integral::
 Rationals are stored as ``"p/q"`` strings.  A header with an unknown format
 version makes the loader refuse the file (returning 0 entries) so values are
 recomputed rather than misread; any other malformed line makes it raise
-ValueError.  Writing always re-exports the full tables,
-which compacts any duplicates an append-only writer may have left.
+ValueError.  Writing re-exports the full tables into a fresh temporary file in
+the same directory and renames it over the target, so processes that share
+one cache file never see, or clobber, a half-written one.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Union
 
 from . import store
 
-__all__ = ["FORMAT_VERSION", "ENV_CACHE_PATH", "load_cache", "save_cache", "append_entry"]
+__all__ = ["FORMAT_VERSION", "ENV_CACHE_PATH", "load_cache", "save_cache"]
 
 FORMAT_VERSION = "hodgeint-cache-v1"
 ENV_CACHE_PATH = "HODGEINT_CACHE"
@@ -93,43 +95,9 @@ def save_cache(path: Union[str, Path]) -> int:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     written = 0
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "format": FORMAT_VERSION,
-                    "created": datetime.now(timezone.utc).isoformat(),
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        for tag in store.CACHED_TAGS:
-            for (g, ks), value in sorted(store.tables()[tag].items()):
-                fh.write(
-                    json.dumps(
-                        {
-                            "tag": tag,
-                            "genus": g,
-                            "exponents": list(ks),
-                            "value": store.format_rational(value),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                written += 1
-    os.replace(tmp, path)
-    return written
-
-
-def append_entry(path: Union[str, Path], tag: str, genus: int, exponents, value) -> None:
-    """Append one record (crash-safe incremental writing; compacted on save)."""
-    path = Path(path)
-    new = not path.exists() or path.stat().st_size == 0
-    with path.open("a", encoding="utf-8") as fh:
-        if new:
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(
                 json.dumps(
                     {
@@ -140,15 +108,23 @@ def append_entry(path: Union[str, Path], tag: str, genus: int, exponents, value)
                 )
                 + "\n"
             )
-        fh.write(
-            json.dumps(
-                {
-                    "tag": tag,
-                    "genus": genus,
-                    "exponents": list(exponents),
-                    "value": store.format_rational(value),
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+            for tag in store.CACHED_TAGS:
+                for (g, ks), value in sorted(store.tables()[tag].items()):
+                    fh.write(
+                        json.dumps(
+                            {
+                                "tag": tag,
+                                "genus": g,
+                                "exponents": list(ks),
+                                "value": store.format_rational(value),
+                            },
+                            sort_keys=True,
+                        )
+                        + "\n"
+                    )
+                    written += 1
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return written

@@ -7,8 +7,11 @@ formats: ``pretty`` (default), ``json`` (rationals as "p/q" strings, stable
 key order), ``csv``.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 flag errors and
-inputs beyond a size limit (more than errors.MAX_POINTS insertions), 3 domain
-errors (unstable inputs, underdetermined integrals) and malformed cache files.
+inputs beyond a size limit (more than errors.MAX_POINTS insertions; ``psi
+--genus`` above errors.MAX_PSI_GENUS, ``lambda --genus`` above
+errors.MAX_LAMBDA_GENUS, ``bseq --max-genus`` above errors.MAX_BSEQ_GENUS), 3
+domain errors (unstable inputs, underdetermined integrals) and malformed cache
+files.
 """
 
 from __future__ import annotations
@@ -23,7 +26,15 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
 from . import cache, store
-from .errors import DomainError, LimitError, UnderdeterminedError
+from .errors import (
+    MAX_BSEQ_GENUS,
+    MAX_LAMBDA_GENUS,
+    MAX_PSI_GENUS,
+    DomainError,
+    LimitError,
+    UnderdeterminedError,
+    check_limit,
+)
 from .hodge import c_constant, lambda_cube, lambda_g, lambda_g_gm1, lambda_gm1
 from .mumford import degree0_gw, euler_class, euler_class_genus1
 from .psi import psi_integral
@@ -126,12 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args: argparse.Namespace) -> int:
     fmt = args.format
     if args.command == "psi":
+        check_limit("--genus", args.genus, MAX_PSI_GENUS)
         value = psi_integral(args.genus, _parse_exponents(args.exponents))
         print(_emit({"genus": args.genus, "value": _rat(value)}, fmt))
         return EXIT_OK
 
     if args.command == "lambda":
         g = args.genus
+        check_limit("--genus", g, MAX_LAMBDA_GENUS)
         needs_exponents = args.family in ("g", "gg", "gm1")
         if needs_exponents and args.exponents is None:
             raise DomainError(f"--exponents required for --class {args.family}")
@@ -151,6 +164,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "bseq":
         if args.max_genus < 0:
             raise DomainError("--max-genus must be >= 0")
+        check_limit("--max-genus", args.max_genus, MAX_BSEQ_GENUS)
         seq = b_sequence(args.max_genus)
         payload = {f"b_{g}": _rat(v) for g, v in enumerate(seq)}
         print(_emit(payload, fmt))

@@ -7,6 +7,11 @@ and lambda_{g-1}^2 = 2 lambda_g lambda_{g-2}).  :class:`LambdaRingElem` keeps
 expressions in normal form modulo these relations, with coefficients that are
 polynomials in the Chern classes c_1..c_r of a target variety.
 
+In grevlex order with lambda_1 > ... > lambda_g the leading monomial of the
+m-th relation is lambda_m^2.  These leading monomials are pairwise coprime, so
+by Buchberger's first criterion the relations already form a Groebner basis:
+the normal form is reached by rewriting squares alone and is square-free.
+
 The Euler class of the obstruction bundle (the external tensor product of the
 target's tangent bundle with the dual Hodge bundle) is computed by the
 splitting principle and symmetrized back into Chern classes; pairing it with
@@ -20,9 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Sequence, Tuple
-
-import sympy as sp
+from typing import Dict, Sequence, Tuple
 
 from .errors import DomainError, UnderdeterminedError
 from .hodge import (
@@ -48,41 +51,36 @@ __all__ = [
 LamKey = Tuple[int, ...]  # lambda indices, sorted descending, each in 1..g
 ChernKey = Tuple[int, ...]  # chern indices, sorted, each in 1..r
 CoeffPoly = Dict[ChernKey, Fraction]
+LamPoly = Dict[LamKey, Fraction]
 
 
-def _lam_syms(g: int) -> List[sp.Symbol]:
-    return [sp.Symbol(f"lam{i}") for i in range(1, g + 1)]
+def _lam_key(indices) -> LamKey:
+    """Key of a product of lambda classes; lambda_0 = 1 drops out."""
+    return tuple(sorted((i for i in indices if i), reverse=True))
 
 
-def _lam_expr(i: int, syms: List[sp.Symbol]):
-    g = len(syms)
-    if i == 0:
-        return sp.Integer(1)
-    if i < 0 or i > g:
-        return sp.Integer(0)
-    return syms[i - 1]
-
-
-@lru_cache(maxsize=None)
-def mumford_relations(g: int) -> Tuple[sp.Expr, ...]:
-    """The t^{2m}-coefficients of c_t(E) c_{-t}(E) - 1 for m = 1..g."""
-    syms = _lam_syms(g)
+def mumford_relations(g: int) -> Tuple[LamPoly, ...]:
+    """The t^{2m}-coefficients of c_t(E) c_{-t}(E) - 1 for m = 1..g, i.e.
+    sum_{i+j=2m} (-1)^j lambda_i lambda_j, as {lambda key: coefficient}."""
     rels = []
     for m in range(1, g + 1):
-        rel = sp.Integer(0)
-        for i in range(0, 2 * m + 1):
-            j = 2 * m - i
-            rel += (-1) ** j * _lam_expr(i, syms) * _lam_expr(j, syms)
-        rels.append(sp.expand(rel))
+        rel: LamPoly = {}
+        for i in range(max(0, 2 * m - g), min(2 * m, g) + 1):
+            key = _lam_key((i, 2 * m - i))
+            # (-1)^j = (-1)^i, since i + j = 2m is even
+            rel[key] = rel.get(key, Fraction(0)) + (-1) ** i
+        rels.append(rel)
     return tuple(rels)
 
 
 @lru_cache(maxsize=None)
-def _groebner(g: int):
-    syms = _lam_syms(g)
-    # graded reverse lex with lam1 > ... > lamg: the leading monomial of the
-    # m = g-1 relation is lam_{g-1}^2, so squares rewrite toward lam_g
-    return sp.groebner(mumford_relations(g), *syms, order="grevlex")
+def _square_rules(g: int) -> Tuple[Tuple[Tuple[Fraction, LamKey], ...], ...]:
+    """For m = 1..g, lambda_m^2 - (-1)^m rel_m, the rewrite of the leading
+    monomial lambda_m^2 of the m-th relation, as ((coeff, key), ...)."""
+    return tuple(
+        tuple((-(-1) ** m * c, key) for key, c in rel.items() if key != (m, m))
+        for m, rel in enumerate(mumford_relations(g), start=1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -91,32 +89,26 @@ def reduce_lambda_monomial(g: int, key: LamKey) -> Tuple[Tuple[Fraction, LamKey]
 
     Indices outside 1..g make the product zero; monomials of weighted degree
     above the dimension of the coarse space the classes live on (3g - 3 for
-    g >= 2, 1 for g = 1) are dropped.
+    g >= 2, 1 for g = 1) are dropped.  The relations are homogeneous, so a
+    product above that degree is dropped before any rewriting.
     """
     if any(i > g or i < 1 for i in key):
         return ()
-    syms = _lam_syms(g)
-    mono = sp.prod([_lam_expr(i, syms) for i in key], start=sp.Integer(1))
-    _, rem = _groebner(g).reduce(mono) if key else (None, sp.Integer(1))
-    out: List[Tuple[Fraction, LamKey]] = []
-    poly = sp.Poly(rem, *syms)
-    for powers, coeff in poly.terms():
-        if coeff == 0:
-            continue
-        mk: List[int] = []
-        for idx, e in enumerate(powers):
-            mk.extend([idx + 1] * e)
-        mk_t = tuple(sorted(mk, reverse=True))
-        # monomials above the dimension of the coarse space the lambda
-        # classes are pulled back from vanish (3g-3 for g >= 2, 1 for g = 1)
-        if sum(mk_t) > max(3 * g - 3, 1):
-            continue
-        out.append((Fraction(sp.Rational(coeff)), mk_t))
-    return tuple(sorted(out, key=lambda t: t[1]))
+    key = _lam_key(key)
+    if sum(key) > max(3 * g - 3, 1):
+        return ()
+    p = next((p for p in range(len(key) - 1) if key[p] == key[p + 1]), None)
+    if p is None:
+        return ((Fraction(1), key),)
+    rest = key[:p] + key[p + 2 :]
+    acc: LamPoly = {}
+    for coeff, tail in _square_rules(g)[key[p] - 1]:
+        for c, red in reduce_lambda_monomial(g, _lam_key(rest + tail)):
+            acc[red] = acc.get(red, Fraction(0)) + coeff * c
+    return tuple((c, k) for k, c in sorted(acc.items()) if c)
 
 
-register_memo(mumford_relations.cache_clear)
-register_memo(_groebner.cache_clear)
+register_memo(_square_rules.cache_clear)
 register_memo(reduce_lambda_monomial.cache_clear)
 
 
@@ -178,6 +170,19 @@ def mumford_reduce(elem: LambdaRingElem) -> LambdaRingElem:
     return LambdaRingElem.build(elem.g, elem.r, elem.as_dict())
 
 
+# The monomial symmetric polynomials m_mu(x_1..x_r), |mu| <= 3, in the
+# elementary symmetric ones c_1..c_3: {mu: {chern key: coefficient}}.
+_MONOMIAL_IN_CHERN: Dict[Tuple[int, ...], CoeffPoly] = {
+    (): {(): Fraction(1)},
+    (1,): {(1,): Fraction(1)},
+    (2,): {(1, 1): Fraction(1), (2,): Fraction(-2)},
+    (1, 1): {(2,): Fraction(1)},
+    (3,): {(1, 1, 1): Fraction(1), (1, 2): Fraction(-3), (3,): Fraction(3)},
+    (2, 1): {(1, 2): Fraction(1), (3,): Fraction(-3)},
+    (1, 1, 1): {(3,): Fraction(1)},
+}
+
+
 def euler_class(r: int, g: int) -> LambdaRingElem:
     """Euler class of the obstruction bundle for a dimension-r target, g >= 2.
 
@@ -186,53 +191,21 @@ def euler_class(r: int, g: int) -> LambdaRingElem:
 
         prod_i sum_m (-1)^{g-m} x_i^m lambda_{g-m},
 
-    truncated above x-degree r, symmetrized into c_1..c_r and reduced.
+    truncated above x-degree r.  Its coefficient of m_mu(x), for mu padded
+    with zeros to length r, is prod_j (-1)^{g-mu_j} lambda_{g-mu_j}; the
+    table above turns m_mu into Chern classes, and the result is reduced.
     """
     if r not in (1, 2, 3):
         raise DomainError("the class vanishes for r > 3; use r in {1, 2, 3}")
     if g < 2:
         raise DomainError("g must be >= 2 (see euler_class_genus1)")
-    xs = [sp.Symbol(f"x{i}") for i in range(1, r + 1)]
-    syms = _lam_syms(g)
-    prodx = sp.Integer(1)
-    for x in xs:
-        factor = sp.Integer(0)
-        for m in range(0, r + 1):
-            factor += (-1) ** (g - m) * x**m * _lam_expr(g - m, syms)
-        prodx *= factor
-    prodx = sp.expand(prodx)
-
     raw: Dict[LamKey, CoeffPoly] = {}
-    poly = sp.Poly(prodx, *xs)
-    # group by lambda monomial: collect x-coefficients, then symmetrize
-    by_lam: Dict[LamKey, sp.Expr] = {}
-    for powers, coeff in poly.terms():
-        if sum(powers) > r:
+    for mu, cpoly in _MONOMIAL_IN_CHERN.items():
+        if sum(mu) > r or max(mu, default=0) > g:
             continue
-        xmono = sp.prod([x**e for x, e in zip(xs, powers)], start=sp.Integer(1))
-        lpoly = sp.Poly(coeff, *syms)
-        for lpow, lcoeff in lpoly.terms():
-            lk: List[int] = []
-            for idx, e in enumerate(lpow):
-                lk.extend([idx + 1] * e)
-            key = tuple(sorted(lk, reverse=True))
-            by_lam[key] = by_lam.get(key, sp.Integer(0)) + lcoeff * xmono
-    for key, expr in by_lam.items():
-        sym_part, remainder, basis = sp.polys.polyfuncs.symmetrize(
-            sp.expand(expr), *xs, formal=True
-        )
-        if sp.expand(remainder) != 0:
-            raise RuntimeError("root symmetry broken in Euler class expansion")
-        cs = [sp.Symbol(f"c{i}") for i in range(1, r + 1)]
-        sym_c = sym_part.subs({sym: c for (sym, _), c in zip(basis, cs)})
-        cpoly: CoeffPoly = {}
-        p = sp.Poly(sp.expand(sym_c), *cs) if cs else None
-        for cpow, ccoeff in p.terms():
-            ck: List[int] = []
-            for idx, e in enumerate(cpow):
-                ck.extend([idx + 1] * e)
-            cpoly[tuple(sorted(ck))] = Fraction(sp.Rational(ccoeff))
-        raw[key] = cpoly
+        lam = [g - m for m in mu] + [g] * (r - len(mu))
+        sign = (-1) ** (r * g - sum(mu))
+        raw[_lam_key(lam)] = {ck: sign * c for ck, c in cpoly.items()}
     return LambdaRingElem.build(g, r, raw)
 
 

@@ -1,7 +1,11 @@
 """Persistent memo cache: round trips, version guard, preload accounting."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from hodgeint import cache, combinat, hodge, mumford, store
 from hodgeint.psi import psi_integral
 
 F = Fraction
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -35,8 +40,7 @@ def test_reset_empties_every_memo():
             "lambda_gg_rec": len(hodge._lambda_gg_rec),
             "bernoulli": combinat.bernoulli.cache_info().currsize,
             "rising_poly": combinat._rising_poly.cache_info().currsize,
-            "mumford_relations": mumford.mumford_relations.cache_info().currsize,
-            "groebner": mumford._groebner.cache_info().currsize,
+            "square_rules": mumford._square_rules.cache_info().currsize,
             "reduce": mumford.reduce_lambda_monomial.cache_info().currsize,
         }
 
@@ -104,20 +108,55 @@ def test_unknown_tag_rejected(tmp_path):
         cache.load_cache(path)
 
 
-def test_append_then_load(tmp_path):
-    path = tmp_path / "memo.jsonl"
-    cache.append_entry(path, store.TAG_PSI, 2, (4,), F(1, 1152))
-    cache.append_entry(path, store.TAG_PSI, 1, (1,), F(1, 24))
-    assert cache.load_cache(path) == 2
-    assert store.lookup(store.TAG_PSI, (1, (1,))) == F(1, 24)
-
-
 def test_save_compacts_duplicates(tmp_path):
     path = tmp_path / "memo.jsonl"
-    for _ in range(3):
-        cache.append_entry(path, store.TAG_PSI, 1, (1,), F(1, 24))
-    cache.load_cache(path)
+    record = {"tag": store.TAG_PSI, "genus": 1, "exponents": [1], "value": "1/24"}
+    path.write_text(
+        "\n".join(json.dumps(r) for r in [{"format": cache.FORMAT_VERSION}] + [record] * 3)
+        + "\n"
+    )
+    assert cache.load_cache(path) == 3
     assert cache.save_cache(path) == 1
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "memo.jsonl"
+    psi_integral(2, [4])
+    cache.save_cache(path)
+    before = path.read_text()
+
+    def broken(value):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(store, "format_rational", broken)
+    with pytest.raises(RuntimeError):
+        cache.save_cache(path)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_text() == before
+
+
+_SAVER = """
+import sys
+from hodgeint import cache
+from hodgeint.psi import psi_integral
+
+psi_integral(int(sys.argv[2]), [3 * int(sys.argv[2]) - 2])
+for _ in range(100):
+    cache.save_cache(sys.argv[1])
+"""
+
+
+def test_concurrent_saves_leave_a_loadable_file(tmp_path):
+    # more saving processes than a small CI host has cores
+    path = tmp_path / "memo.jsonl"
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _SAVER, str(path), str(g)], env=env)
+        for g in (2, 3, 4, 5)
+    ]
+    assert [p.wait(timeout=120) for p in procs] == [0] * 4
+    assert cache.load_cache(path) > 0
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_rational_serialization():

@@ -12,6 +12,7 @@ from hodgeint.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from hodgeint.errors import MAX_BSEQ_GENUS, MAX_LAMBDA_GENUS, MAX_PSI_GENUS
 
 
 @pytest.fixture(autouse=True)
@@ -127,6 +128,28 @@ class TestFailures:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and "at most" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psi", "--genus", str(MAX_PSI_GENUS + 1), "--exponents", "46"],
+            ["psi", "--genus", "40", "--exponents", "118"],
+            ["lambda", "--class", "c", "--genus", str(MAX_LAMBDA_GENUS + 1)],
+            ["lambda", "--class", "g", "--genus", "1000", "--exponents", "1998"],
+            ["bseq", "--max-genus", str(MAX_BSEQ_GENUS + 1)],
+            ["bseq", "--max-genus", "1000000"],
+        ],
+    )
+    def test_genus_beyond_cap(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "is at most" in err
+
+    def test_genus_at_cap(self, capsys):
+        argv = ["lambda", "--class", "c", "--genus", str(MAX_LAMBDA_GENUS)]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and f"genus = {MAX_LAMBDA_GENUS}" in out
 
     def test_bad_exponent_list(self, capsys):
         code, _, err = run(capsys, "psi", "--genus", "1", "--exponents", "x")
