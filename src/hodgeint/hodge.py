@@ -20,7 +20,8 @@ is one of the package's acceptance gates.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .combinat import (
@@ -71,20 +72,39 @@ def _canon(ks: Sequence[int]) -> Key:
 def _check(g: int, ks: Sequence[int], gmin: int = 0) -> Key:
     if g < gmin:
         raise DomainError(f"genus must be >= {gmin}")
-    if len(ks) < 1:
+    key = _canon(ks)
+    if not key:
         raise DomainError("need at least one insertion")
-    if g == 0 and len(ks) < 3:
-        raise DomainError(f"(g, n) = (0, {len(ks)}) is unstable")
-    if any(k < 0 for k in ks):
+    if g == 0 and len(key) < 3:
+        raise DomainError(f"(g, n) = (0, {len(key)}) is unstable")
+    if key[-1] < 0:
         raise DomainError("exponents must be >= 0")
-    check_points(len(ks))
-    return _canon(ks)
+    check_points(len(key))
+    return key
+
+
+def _runs(key: Key):
+    """(entry, multiplicity, index of its last copy) of each distinct entry of
+    a descending key.  Equal entries give equal terms in the string and top
+    steps, so those steps visit each once, weighted by its multiplicity."""
+    for v in dict.fromkeys(key):
+        c = key.count(v)
+        yield v, c, key.index(v) + c - 1
+
+
+def _lowerings(key: Key):
+    """(entry, multiplicity, key with one copy lowered by one) of each distinct
+    positive entry; lowering the last copy keeps the key descending."""
+    for v, c, i in _runs(key):
+        if v:
+            yield v, c, key[:i] + (v - 1,) + key[i + 1 :]
 
 
 # ---------------------------------------------------------------------------
 # genus constants
 
 
+@lru_cache(maxsize=None)
 def b_constant(g: int) -> Fraction:
     """One-point constant of the lambda_g family (Bernoulli closed form)."""
     return b_closed_form(g)
@@ -109,6 +129,7 @@ def c_constant(g: int) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
 def gg_const(g: int) -> Fraction:
     """One-point constant of the lambda_g lambda_{g-1} family:
     |B_{2g}| / (2^{2g-1} (2g-1)!! 2g)."""
@@ -117,6 +138,10 @@ def gg_const(g: int) -> Fraction:
     return abs(bernoulli(2 * g)) / (
         2 ** (2 * g - 1) * double_factorial(2 * g - 1) * 2 * g
     )
+
+
+register_memo(b_constant.cache_clear)
+register_memo(gg_const.cache_clear)
 
 
 def lambda_cube(g: int) -> Fraction:
@@ -136,26 +161,29 @@ def lambda_cube(g: int) -> Fraction:
 
 def lambda_g(g: int, ks: Sequence[int]) -> Fraction:
     """<tau_{k1}...tau_{kn} | lambda_g>_g by the closed multinomial form."""
-    key = _check(g, ks)
+    return _lambda_g(g, _check(g, ks))
+
+
+def _lambda_g(g: int, key: Key) -> Fraction:
     n = len(key)
     if sum(key) != 2 * g - 3 + n:
         return Fraction(0)
     cached = lookup(TAG_LAMBDA_G, (g, key))
     if cached is not None:
         return cached
-    val = Fraction(multinomial(2 * g + n - 3, key)) * b_constant(g)
+    val = multinomial(2 * g + n - 3, key) * b_constant(g)
     return record(TAG_LAMBDA_G, (g, key), val)
 
 
 def lambda_g_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    ks = tuple(ks)
-    n = len(ks)
-    if g < 0 or n < 1 or (g == 0 and n < 3) or any(k < 0 for k in ks):
+    key = _canon(ks)
+    if g < 0 or not key or (g == 0 and len(key) < 3) or key[-1] < 0:
         return Fraction(0)
-    return lambda_g(g, ks)
+    check_points(len(key))
+    return _lambda_g(g, key)
 
 
-_lambda_g_rec: Dict[Tuple[int, Key], Fraction] = {}
+_lambda_g_rec: Dict[Tuple[int, Key], int] = {}
 register_memo(_lambda_g_rec.clear)
 
 
@@ -169,48 +197,36 @@ def lambda_g_solver(g: int, ks: Sequence[int]) -> Fraction:
         <tau_{k+1} tau_{k0} K> = C(k0+k+1, k0) <tau_{k0+k} K>
                                 + sum_i C(k_i+k, k_i-1) <tau_{k0} .. k_i+k .. K>
 
-    for a largest exponent k+1 >= 2.  Never consults the closed form.
+    for a largest exponent k+1 >= 2.  Never consults the closed form.  Every
+    step keeps the genus, so the recursion carries the integer
+    N = value / b_g, with base N = 1 at the one-point key and at (0, 0, 0),
+    and b_g (b_0 = 1) enters once, here.
     """
     key = _check(g, ks)
-    return _lg_rec(g, key)
-
-
-def _lg_rec(g: int, key: Key) -> Fraction:
-    n = len(key)
-    if sum(key) != 2 * g - 3 + n:
+    if sum(key) != 2 * g - 3 + len(key):
         return Fraction(0)
+    return _lg_rec(g, key) * b_constant(g)
+
+
+def _lg_rec(g: int, key: Key) -> int:
+    # key meets the grading, and so do all keys the steps below reach
     cached = _lambda_g_rec.get((g, key))
     if cached is not None:
         return cached
-    if g == 0 and key == (0, 0, 0):
-        val = Fraction(1)
-    elif g > 0 and n == 1:
-        val = b_constant(g)  # base value of the induction, not the closed form
+    if len(key) == 1 or g == 0 and len(key) == 3:  # the base keys
+        val = 1
     elif key[-1] == 0:
-        rest = key[:-1]
-        val = sum(
-            (_lg_rec(g, _lower(rest, i)) for i in range(len(rest)) if rest[i] >= 1),
-            Fraction(0),
-        )
+        val = sum(c * _lg_rec(g, low) for _, c, low in _lowerings(key[:-1]))
     else:
         k = key[0] - 1  # >= 1: an all-ones multiset cannot meet the grading
         k0 = key[1]
         rest = key[2:]
-        val = Fraction(comb(k0 + k + 1, k0)) * _lg_rec(g, _canon((k0 + k,) + rest))
-        for i, ki in enumerate(rest):
-            if ki >= 1:
-                others = rest[:i] + rest[i + 1 :]
-                val += Fraction(comb(ki + k, ki - 1)) * _lg_rec(
-                    g, _canon((k0, ki + k) + others)
-                )
+        val = comb(k0 + k + 1, k0) * _lg_rec(g, (k0 + k,) + rest)
+        for ki, c, i in _runs(rest):
+            others = rest[:i] + rest[i + 1 :]
+            val += c * comb(ki + k, ki - 1) * _lg_rec(g, _canon((k0, ki + k) + others))
     _lambda_g_rec[(g, key)] = val
     return val
-
-
-def _lower(ks: Key, i: int) -> Key:
-    out = list(ks)
-    out[i] -= 1
-    return _canon(out)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +242,18 @@ def lambda_g_gm1(g: int, ks: Sequence[int]) -> Fraction:
 
     zero exponents are removed by the string identity first.
     """
-    key = _check(g, ks, gmin=1)
+    return _lambda_g_gm1(g, _check(g, ks, gmin=1))
+
+
+def _lambda_g_gm1(g: int, key: Key) -> Fraction:
     n = len(key)
     if sum(key) != g - 2 + n:
         return Fraction(0)
     cached = lookup(TAG_LAMBDA_G_GM1, (g, key))
     if cached is not None:
         return cached
-    if key and key[-1] == 0 and n > 1:
-        rest = key[:-1]
-        val = sum(
-            (
-                lambda_g_gm1_or_zero(g, _lower(rest, i))
-                for i in range(len(rest))
-                if rest[i] >= 1
-            ),
-            Fraction(0),
-        )
+    if key[-1] == 0 and n > 1:
+        val = sum(c * _lambda_g_gm1(g, low) for _, c, low in _lowerings(key[:-1]))
     else:
         val = _gg_closed(g, key)
     return record(TAG_LAMBDA_G_GM1, (g, key), val)
@@ -260,13 +271,14 @@ def _gg_closed(g: int, key: Key) -> Fraction:
 
 
 def lambda_g_gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    ks = tuple(ks)
-    if g < 1 or len(ks) < 1 or any(k < 0 for k in ks):
+    key = _canon(ks)
+    if g < 1 or not key or key[-1] < 0:
         return Fraction(0)
-    return lambda_g_gm1(g, ks)
+    check_points(len(key))
+    return _lambda_g_gm1(g, key)
 
 
-_lambda_gg_rec: Dict[Tuple[int, Key], Fraction] = {}
+_lambda_gg_rec: Dict[Tuple[int, Key], int] = {}
 register_memo(_lambda_gg_rec.clear)
 
 
@@ -280,42 +292,42 @@ def lambda_g_gm1_solver(g: int, ks: Sequence[int]) -> Fraction:
         <tau_{k+1} tau_{k0} K> =
             (2k+2k0+1)!! / ((2k+1)!! (2k0-1)!!) <tau_{k0+k} K>
           + sum_i (2k+2k_i-1)!! / ((2k+1)!! (2k_i-3)!!) <tau_{k0} .. k_i+k .. K>.
+
+    Every step keeps the genus and the double-factorial ratios telescope, so
+    the recursion carries the integer M = value * prod (2k_i-1)!! / gg_const(g):
+    base (2g-3)!!; the string step sums (2k_i-1) M(k_i lowered); the dilaton
+    step is (2g-3+n) M(K) for a key (1, K); the top step is
+    (2k+2k0+1) M(k0+k, K) + sum_i (2k_i-1) M(k0, k_i+k, K without k_i).
     """
     key = _check(g, ks, gmin=1)
-    return _gg_rec(g, key)
-
-
-def _gg_rec(g: int, key: Key) -> Fraction:
-    n = len(key)
-    if sum(key) != g - 2 + n:
+    if sum(key) != g - 2 + len(key):
         return Fraction(0)
+    scale = prod(double_factorial(2 * k - 1) for k in key)
+    return Fraction(_gg_rec(g, key), scale) * gg_const(g)
+
+
+def _gg_rec(g: int, key: Key) -> int:
+    # key meets the grading, and so do all keys the steps below reach
     cached = _lambda_gg_rec.get((g, key))
     if cached is not None:
         return cached
+    n = len(key)
     if n == 1:
-        val = gg_const(g)  # key == (g-1,) by the grading
+        val = double_factorial(2 * g - 3)  # key == (g-1,) by the grading
     elif key[-1] == 0:
-        rest = key[:-1]
         val = sum(
-            (_gg_rec(g, _lower(rest, i)) for i in range(len(rest)) if rest[i] >= 1),
-            Fraction(0),
+            c * (2 * v - 1) * _gg_rec(g, low) for v, c, low in _lowerings(key[:-1])
         )
     elif key[0] == 1:
-        val = (2 * g - 2 + n - 1) * _gg_rec(g, key[1:])
+        val = (2 * g - 3 + n) * _gg_rec(g, key[1:])
     else:
         k = key[0] - 1  # >= 1
         k0 = key[1]  # >= 1 after string reduction
         rest = key[2:]
-        val = Fraction(
-            double_factorial(2 * k + 2 * k0 + 1),
-            double_factorial(2 * k + 1) * double_factorial(2 * k0 - 1),
-        ) * _gg_rec(g, _canon((k0 + k,) + rest))
-        for i, ki in enumerate(rest):
+        val = (2 * k + 2 * k0 + 1) * _gg_rec(g, (k0 + k,) + rest)
+        for ki, c, i in _runs(rest):
             others = rest[:i] + rest[i + 1 :]
-            val += Fraction(
-                double_factorial(2 * k + 2 * ki - 1),
-                double_factorial(2 * k + 1) * double_factorial(2 * ki - 3),
-            ) * _gg_rec(g, _canon((k0, ki + k) + others))
+            val += c * (2 * ki - 1) * _gg_rec(g, _canon((k0, ki + k) + others))
     _lambda_gg_rec[(g, key)] = val
     return val
 
@@ -351,11 +363,7 @@ def _gm1(g: int, key: Key) -> Fraction:
     if n == 1:
         val = c_constant(g)  # the grading forces k = 2g-1
     elif key[-1] == 0:
-        rest = key[:-1]
-        val = sum(
-            (_gm1(g, _lower(rest, i)) for i in range(len(rest)) if rest[i] >= 1),
-            Fraction(0),
-        )
+        val = sum(c * _gm1(g, low) for _, c, low in _lowerings(key[:-1]))
     elif key[-1] == 1:
         val = (2 * g - 2 + n - 1) * _gm1(g, key[:-1])
     else:  # key[0] >= key[-1] >= 2
@@ -365,10 +373,10 @@ def _gm1(g: int, key: Key) -> Fraction:
 
 
 def _gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    ks = tuple(sorted(ks, reverse=True))
-    if g < 1 or len(ks) < 1 or any(k < 0 for k in ks):
+    key = _canon(ks)
+    if g < 1 or not key or key[-1] < 0:
         return Fraction(0)
-    return _gm1(g, ks)
+    return _gm1(g, key)
 
 
 def _xcurve_partial(g: int, k: int, derivs: Key) -> Fraction:
@@ -394,10 +402,12 @@ def _xcurve_quadratic(g: int, k: int, derivs: Key) -> Fraction:
         w = Fraction(1, 2) * Fraction(-1) ** (m + 1) * bracket(-m - 1, k, 1)
         if w == 0:
             continue
-        for c, left, right, g1 in graded_splits(derivs, (m,), g, LAMBDA_G_GRADING):
-            total += w * c * lambda_g_or_zero(g1, (m,) + left) * lambda_g_or_zero(
-                g - g1, (k - m - 2,) + right
-            )
+        total += w * sum(
+            c
+            * lambda_g_or_zero(g1, (m,) + left)
+            * lambda_g_or_zero(g - g1, (k - m - 2,) + right)
+            for c, left, right, g1 in graded_splits(derivs, (m,), g, LAMBDA_G_GRADING)
+        )
     return total
 
 
@@ -411,9 +421,9 @@ def lambda_g_gm2_or_none(g: int, ks: Iterable[int]):
     g = 1 gives 0 (lambda_{-1} = 0); g = 2 reduces to the lambda_g family
     (lambda_0 = 1).  No closed form is known beyond that.
     """
-    ks = tuple(sorted(ks, reverse=True))
+    ks = _canon(ks)
     n = len(ks)
-    if g < 1 or n < 1 or any(k < 0 for k in ks):
+    if g < 1 or n < 1 or ks[-1] < 0:
         return Fraction(0)
     if sum(ks) != g - 1 + n:
         return Fraction(0)
@@ -447,30 +457,19 @@ def kappa_lambda_integral(g: int, indices: Sequence[int]) -> Fraction:
     if sum(idx) != g - 2:
         return Fraction(0)
     total = Fraction(0)
-    for part in _set_partitions(len(idx)):
+    for part in _set_partitions(list(range(len(idx)))):
         ks = [sum(idx[i] for i in block) + 1 for block in part]
         total += (-1) ** (len(idx) - len(part)) * lambda_g_gm1_or_zero(g, ks)
     return total
 
 
-def _set_partitions(n: int):
-    if n == 0:
-        yield []
-        return
-    first = 0
-    for sub in _set_partitions_rest(list(range(1, n))):
-        # place element 0 into each block or alone
-        for i in range(len(sub)):
-            yield [sorted([first] + sub[i])] + [b for j, b in enumerate(sub) if j != i]
-        yield [[first]] + sub
-
-
-def _set_partitions_rest(items: List[int]):
+def _set_partitions(items: List[int]):
     if not items:
         yield []
         return
     head, tail = items[0], items[1:]
-    for sub in _set_partitions_rest(tail):
+    for sub in _set_partitions(tail):
+        # place head into each block or alone
         for i in range(len(sub)):
             yield [sorted([head] + sub[i])] + [b for j, b in enumerate(sub) if j != i]
         yield [[head]] + sub

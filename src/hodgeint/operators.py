@@ -21,14 +21,14 @@ Infinite level sums are truncated at a level cap; all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .combinat import bracket
 from .errors import DomainError
-from .phase_space import Caps, Coord, Monomial, TruncatedSeries, monomial_weight
+from .phase_space import Caps, Coord, Monomial, TruncatedSeries
 
 __all__ = [
     "CohomologyData",

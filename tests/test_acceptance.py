@@ -8,7 +8,7 @@ pass/fail line per criterion at the end of every run.
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from hodgeint import store, verify
 from hodgeint.combinat import multinomial, multisets

@@ -38,6 +38,8 @@ def test_reset_empties_every_memo():
             "tables": sum(len(t) for t in store.tables().values()),
             "lambda_g_rec": len(hodge._lambda_g_rec),
             "lambda_gg_rec": len(hodge._lambda_gg_rec),
+            "b_constant": hodge.b_constant.cache_info().currsize,
+            "gg_const": hodge.gg_const.cache_info().currsize,
             "bernoulli": combinat.bernoulli.cache_info().currsize,
             "rising_poly": combinat._rising_poly.cache_info().currsize,
             "square_rules": mumford._square_rules.cache_info().currsize,
@@ -46,6 +48,9 @@ def test_reset_empties_every_memo():
 
     first = compute()
     assert all(sizes().values()), sizes()
+    # the solvers carry integer multiples of their genus constants
+    for memo in (hodge._lambda_g_rec, hodge._lambda_gg_rec):
+        assert all(type(v) is int for v in memo.values())
     store.reset()
     assert not any(sizes().values()), sizes()
     assert store.computed_count() == 0

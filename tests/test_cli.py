@@ -5,13 +5,7 @@ import json
 import pytest
 
 from hodgeint import store
-from hodgeint.cli import (
-    EXIT_DOMAIN,
-    EXIT_OK,
-    EXIT_USAGE,
-    EXIT_VERIFY_FAILED,
-    main,
-)
+from hodgeint.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from hodgeint.errors import MAX_BSEQ_GENUS, MAX_LAMBDA_GENUS, MAX_PSI_GENUS
 
 

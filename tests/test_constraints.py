@@ -6,8 +6,6 @@ exercise the symbolic output of the surface x family, whose lambda_g
 lambda_{g-2} integrals are not all determined.
 """
 
-import itertools
-
 import pytest
 
 from hodgeint.constraints import x_curve, x_surface, y_curve, y_surface

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeint.errors import DomainError, UnderdeterminedError
-from hodgeint.hodge import lambda_cube, lambda_g, lambda_g_gm1
+from hodgeint.hodge import lambda_cube, lambda_g
 from hodgeint.mumford import (
     LambdaRingElem,
     degree0_gw,

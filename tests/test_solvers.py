@@ -1,0 +1,169 @@
+"""The lambda_g and lambda_g lambda_{g-1} recursion solvers.
+
+The solvers recurse on integers and build one Fraction at the end.  They are
+compared here with a test-local Fraction copy of the two recursions in their
+plain form (every value a rational, double-factorial ratios as written, base
+constants from the series expansion and the Bernoulli numbers), and checked
+to stay independent of the closed forms they are the oracle for.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hodgeint import hodge, store
+from hodgeint.combinat import bernoulli, double_factorial, multisets
+from hodgeint.errors import DomainError
+from hodgeint.series1d import b_sequence
+
+F = Fraction
+B = b_sequence(12)
+
+
+def _canon(ks):
+    return tuple(sorted(ks, reverse=True))
+
+
+def _lowered(ks, i):
+    out = list(ks)
+    out[i] -= 1
+    return _canon(out)
+
+
+def _gg_const(g):
+    # |B_2g| / (2^{2g-1} (2g-1)!! 2g)
+    return abs(bernoulli(2 * g)) / (4**g * double_factorial(2 * g - 1) * g)
+
+
+@lru_cache(maxsize=None)
+def ref_lambda_g(g, key):
+    n = len(key)
+    if sum(key) != 2 * g - 3 + n:
+        return F(0)
+    if g == 0 and key == (0, 0, 0):
+        return F(1)
+    if g > 0 and n == 1:
+        return B[g]
+    if key[-1] == 0:
+        rest = key[:-1]
+        lowered = [_lowered(rest, i) for i in range(len(rest)) if rest[i]]
+        return sum((ref_lambda_g(g, low) for low in lowered), F(0))
+    k, k0, rest = key[0] - 1, key[1], key[2:]
+    val = comb(k0 + k + 1, k0) * ref_lambda_g(g, _canon((k0 + k,) + rest))
+    for i, ki in enumerate(rest):
+        others = rest[:i] + rest[i + 1 :]
+        val += comb(ki + k, ki - 1) * ref_lambda_g(g, _canon((k0, ki + k) + others))
+    return val
+
+
+@lru_cache(maxsize=None)
+def ref_lambda_gg(g, key):
+    n = len(key)
+    if sum(key) != g - 2 + n:
+        return F(0)
+    if n == 1:
+        return _gg_const(g)
+    if key[-1] == 0:
+        rest = key[:-1]
+        lowered = [_lowered(rest, i) for i in range(len(rest)) if rest[i]]
+        return sum((ref_lambda_gg(g, low) for low in lowered), F(0))
+    if key[0] == 1:
+        return (2 * g - 3 + n) * ref_lambda_gg(g, key[1:])
+    df = double_factorial
+    k, k0, rest = key[0] - 1, key[1], key[2:]
+    val = F(df(2 * k + 2 * k0 + 1), df(2 * k + 1) * df(2 * k0 - 1)) * ref_lambda_gg(
+        g, _canon((k0 + k,) + rest)
+    )
+    for i, ki in enumerate(rest):
+        others = rest[:i] + rest[i + 1 :]
+        weight = F(df(2 * k + 2 * ki - 1), df(2 * k + 1) * df(2 * ki - 3))
+        val += weight * ref_lambda_gg(g, _canon((k0, ki + k) + others))
+    return val
+
+
+def lambda_g_keys(gmin, gmax, nmax):
+    return [
+        (g, ks)
+        for g in range(gmin, gmax + 1)
+        for n in range(3 if g == 0 else 1, nmax + 1)
+        for ks in multisets(n, 2 * g - 3 + n)
+    ]
+
+
+def lambda_gg_keys(gmin, gmax, nmax):
+    return [
+        (g, ks)
+        for g in range(gmin, gmax + 1)
+        for n in range(1, nmax + 1)
+        for ks in multisets(n, g - 2 + n)
+    ]
+
+
+def test_independent_of_the_closed_forms(monkeypatch):
+    store.reset()
+
+    def forbidden(*args):
+        raise AssertionError("a solver consulted the closed form")
+
+    for name in ("multinomial", "_gg_closed", "lambda_g", "lambda_g_gm1"):
+        monkeypatch.setattr(hodge, name, forbidden)
+    for g, ks in lambda_g_keys(0, 6, 5):
+        assert hodge.lambda_g_solver(g, ks) == ref_lambda_g(g, ks)
+    for g, ks in lambda_gg_keys(1, 6, 5):
+        assert hodge.lambda_g_gm1_solver(g, ks) == ref_lambda_gg(g, ks)
+    assert not any(store.tables().values())
+    store.reset()
+
+
+def test_lambda_g_solver_on_the_sweep_grid():
+    for g, ks in lambda_g_keys(0, 9, 10):
+        value = hodge.lambda_g_solver(g, ks)
+        assert type(value) is Fraction and value == ref_lambda_g(g, ks), (g, ks)
+
+
+def test_lambda_g_gm1_solver_on_the_sweep_grid():
+    for g, ks in lambda_gg_keys(1, 9, 10):
+        value = hodge.lambda_g_gm1_solver(g, ks)
+        assert type(value) is Fraction and value == ref_lambda_gg(g, ks), (g, ks)
+
+
+def test_off_the_grading_is_zero():
+    assert hodge.lambda_g_solver(3, (3, 3)) == 0
+    assert hodge.lambda_g_gm1_solver(3, (3, 2)) == 0
+
+
+@st.composite
+def graded_keys(draw, slope, offset, gmin):
+    """(g, key) with key summing to slope * g + offset + n, unsorted."""
+    g = draw(st.integers(gmin, 12))
+    n = draw(st.integers(3 if g == 0 else 1, 7))
+    total = slope * g + offset + n  # >= 0 on the stable range
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    return g, [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+@given(graded_keys(2, -3, 0))
+@settings(max_examples=40, deadline=None)
+def test_lambda_g_solver_random_keys(gk):
+    g, ks = gk
+    assert hodge.lambda_g_solver(g, ks) == ref_lambda_g(g, _canon(ks))
+
+
+@given(graded_keys(1, -2, 1))
+@settings(max_examples=40, deadline=None)
+def test_lambda_g_gm1_solver_random_keys(gk):
+    g, ks = gk
+    assert hodge.lambda_g_gm1_solver(g, ks) == ref_lambda_gg(g, _canon(ks))
+
+
+@pytest.mark.parametrize(
+    "solver, g, ks",
+    [(hodge.lambda_g_solver, 0, (0, 0)), (hodge.lambda_g_gm1_solver, 0, (1,))],
+)
+def test_domain_errors(solver, g, ks):
+    with pytest.raises(DomainError):
+        solver(g, ks)
