@@ -30,14 +30,12 @@ from .operators import (
     DifferentialOperator,
     apply_operator,
     commutator,
-    curve_operator,
     general_operator,
     p1_data,
     p2_data,
     p3_data,
     point_data,
     point_operator,
-    surface_operator,
 )
 from .psi import point_partition, psi_integral
 from .series1d import Series1D, b_closed_form, b_sequence
@@ -68,8 +66,6 @@ __all__ = [
     "DifferentialOperator",
     "point_operator",
     "general_operator",
-    "curve_operator",
-    "surface_operator",
     "commutator",
     "apply_operator",
     "point_data",

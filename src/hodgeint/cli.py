@@ -6,12 +6,13 @@ the one-point constant table (``bseq``), print obstruction Euler classes
 formats: ``pretty`` (default), ``json`` (rationals as "p/q" strings, stable
 key order), ``csv``.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 flag errors and
-inputs beyond a size limit (more than errors.MAX_POINTS insertions; ``psi
---genus`` above errors.MAX_PSI_GENUS, ``lambda --genus`` above
-errors.MAX_LAMBDA_GENUS, ``bseq --max-genus`` above errors.MAX_BSEQ_GENUS), 3
-domain errors (unstable inputs, underdetermined integrals) and malformed cache
-files.
+Exit codes: 0 success, 1 a verification suite failed, 2 flag errors (such as
+``verify --max-genus`` for a suite without a genus) and inputs beyond a size
+limit (more than errors.MAX_POINTS insertions; ``psi --genus`` and ``verify
+--suite annihilation --max-genus`` above errors.MAX_PSI_GENUS, ``lambda
+--genus`` above errors.MAX_LAMBDA_GENUS, ``bseq --max-genus`` above
+errors.MAX_BSEQ_GENUS), 3 domain errors (unstable inputs, underdetermined
+integrals) and malformed cache files.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 _TARGET_DIMS = {"P1": 1, "P2": 2, "P3": 3}
+
+# the keyword each suite takes --max-genus as; the other suites have no genus
+_GENUS_ARGUMENT = {
+    **dict.fromkeys(
+        ("table", "bseq", "closed-vs-recursion", "mumford", "euler", "cg"), "max_genus"
+    ),
+    "annihilation": "genus_cap",
+}
 
 
 def _rat(x: Fraction) -> str:
@@ -195,11 +204,17 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "verify":
         kwargs = {}
-        genus_suites = {"table", "bseq", "closed-vs-recursion", "mumford", "euler", "cg"}
-        if args.max_genus is not None and args.suite in genus_suites:
-            kwargs["max_genus"] = args.max_genus
+        if args.max_genus is not None:
+            if args.suite not in _GENUS_ARGUMENT:
+                print(
+                    f"error: --max-genus does not apply to --suite {args.suite}",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
+            if args.suite == "annihilation":
+                check_limit("--max-genus", args.max_genus, MAX_PSI_GENUS)
+            kwargs[_GENUS_ARGUMENT[args.suite]] = args.max_genus
         checks = run_suite(args.suite, **kwargs)
-        failed = 0
         for name, ok, detail in checks:
             status = "pass" if ok else "FAIL"
             extra = f"  ({detail})" if detail and not ok else ""

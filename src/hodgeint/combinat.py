@@ -30,8 +30,10 @@ __all__ = [
     "double_factorial",
     "graded_splits",
     "harmonic",
+    "lowerings",
     "multinomial",
     "multisets",
+    "runs",
     "stirling_s2",
 ]
 
@@ -172,3 +174,22 @@ def graded_splits(
         left = tuple(v for (v, _), a in zip(groups, picks) for _ in range(a))
         right = tuple(v for (v, c), a in zip(groups, picks) for _ in range(c - a))
         yield weight, left, right, g1
+
+
+def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
+    """(entry, multiplicity, index of its last copy) of each distinct entry of
+    a descending key.  Equal entries give equal terms in the string and top
+    steps, so those steps visit each once, weighted by its multiplicity."""
+    for v in dict.fromkeys(key):
+        c = key.count(v)
+        yield v, c, key.index(v) + c - 1
+
+
+def lowerings(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
+    """(entry, multiplicity, key with one copy lowered by one) of each distinct
+    positive entry of a descending key; lowering the last copy keeps the key
+    descending.  The string identity sums the integral over these keys,
+    weighted by multiplicity."""
+    for v, c, i in runs(key):
+        if v:
+            yield v, c, key[:i] + (v - 1,) + key[i + 1 :]

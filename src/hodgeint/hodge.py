@@ -31,7 +31,9 @@ from .combinat import (
     double_factorial,
     graded_splits,
     harmonic,
+    lowerings,
     multinomial,
+    runs,
 )
 from .errors import DomainError, check_points
 from .psi import psi_or_zero
@@ -81,23 +83,6 @@ def _check(g: int, ks: Sequence[int], gmin: int = 0) -> Key:
         raise DomainError("exponents must be >= 0")
     check_points(len(key))
     return key
-
-
-def _runs(key: Key):
-    """(entry, multiplicity, index of its last copy) of each distinct entry of
-    a descending key.  Equal entries give equal terms in the string and top
-    steps, so those steps visit each once, weighted by its multiplicity."""
-    for v in dict.fromkeys(key):
-        c = key.count(v)
-        yield v, c, key.index(v) + c - 1
-
-
-def _lowerings(key: Key):
-    """(entry, multiplicity, key with one copy lowered by one) of each distinct
-    positive entry; lowering the last copy keeps the key descending."""
-    for v, c, i in _runs(key):
-        if v:
-            yield v, c, key[:i] + (v - 1,) + key[i + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +201,13 @@ def _lg_rec(g: int, key: Key) -> int:
     if len(key) == 1 or g == 0 and len(key) == 3:  # the base keys
         val = 1
     elif key[-1] == 0:
-        val = sum(c * _lg_rec(g, low) for _, c, low in _lowerings(key[:-1]))
+        val = sum(c * _lg_rec(g, low) for _, c, low in lowerings(key[:-1]))
     else:
         k = key[0] - 1  # >= 1: an all-ones multiset cannot meet the grading
         k0 = key[1]
         rest = key[2:]
         val = comb(k0 + k + 1, k0) * _lg_rec(g, (k0 + k,) + rest)
-        for ki, c, i in _runs(rest):
+        for ki, c, i in runs(rest):
             others = rest[:i] + rest[i + 1 :]
             val += c * comb(ki + k, ki - 1) * _lg_rec(g, _canon((k0, ki + k) + others))
     _lambda_g_rec[(g, key)] = val
@@ -253,7 +238,7 @@ def _lambda_g_gm1(g: int, key: Key) -> Fraction:
     if cached is not None:
         return cached
     if key[-1] == 0 and n > 1:
-        val = sum(c * _lambda_g_gm1(g, low) for _, c, low in _lowerings(key[:-1]))
+        val = sum(c * _lambda_g_gm1(g, low) for _, c, low in lowerings(key[:-1]))
     else:
         val = _gg_closed(g, key)
     return record(TAG_LAMBDA_G_GM1, (g, key), val)
@@ -316,7 +301,7 @@ def _gg_rec(g: int, key: Key) -> int:
         val = double_factorial(2 * g - 3)  # key == (g-1,) by the grading
     elif key[-1] == 0:
         val = sum(
-            c * (2 * v - 1) * _gg_rec(g, low) for v, c, low in _lowerings(key[:-1])
+            c * (2 * v - 1) * _gg_rec(g, low) for v, c, low in lowerings(key[:-1])
         )
     elif key[0] == 1:
         val = (2 * g - 3 + n) * _gg_rec(g, key[1:])
@@ -325,7 +310,7 @@ def _gg_rec(g: int, key: Key) -> int:
         k0 = key[1]  # >= 1 after string reduction
         rest = key[2:]
         val = (2 * k + 2 * k0 + 1) * _gg_rec(g, (k0 + k,) + rest)
-        for ki, c, i in _runs(rest):
+        for ki, c, i in runs(rest):
             others = rest[:i] + rest[i + 1 :]
             val += c * (2 * ki - 1) * _gg_rec(g, _canon((k0, ki + k) + others))
     _lambda_gg_rec[(g, key)] = val
@@ -363,7 +348,7 @@ def _gm1(g: int, key: Key) -> Fraction:
     if n == 1:
         val = c_constant(g)  # the grading forces k = 2g-1
     elif key[-1] == 0:
-        val = sum(c * _gm1(g, low) for _, c, low in _lowerings(key[:-1]))
+        val = sum(c * _gm1(g, low) for _, c, low in lowerings(key[:-1]))
     elif key[-1] == 1:
         val = (2 * g - 2 + n - 1) * _gm1(g, key[:-1])
     else:  # key[0] >= key[-1] >= 2

@@ -27,6 +27,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Sequence, Tuple
 
+from .combinat import lowerings
 from .errors import DomainError, UnderdeterminedError
 from .hodge import (
     lambda_cube,
@@ -238,23 +239,20 @@ def _chern_monomial_degree_and_value(r: int, ck: ChernKey) -> Tuple[int, int]:
 
 def _top_triple(g: int, ks: Tuple[int, ...]) -> Fraction:
     """<tau_{ks} | lambda_g lambda_{g-1} lambda_{g-2}> (lambda_2 lambda_1 for
-    g = 2), assuming the dimension constraint sum(ks) = len(ks).
+    g = 2) for a descending key, assuming the dimension constraint
+    sum(ks) = len(ks).
 
     The lambda part already has top degree, so every exponent pattern reduces
     to the unpointed integral by the string and dilaton identities alone.
     """
     if not ks:
         return lambda_cube(g) / 2
-    if 0 in ks:  # string: lower each positive exponent in turn
-        rest = tuple(k for i, k in enumerate(ks) if i != ks.index(0))
-        total = Fraction(0)
-        for i, k in enumerate(rest):
-            if k >= 1:
-                total += _top_triple(g, rest[:i] + (k - 1,) + rest[i + 1 :])
-        return total
+    if ks[-1] == 0:
+        return sum(
+            (c * _top_triple(g, low) for _, c, low in lowerings(ks[:-1])), Fraction(0)
+        )
     # no zeros and sum(ks) = len(ks) forces all exponents equal to 1
-    n = len(ks)
-    return (2 * g - 2 + n - 1) * _top_triple(g, ks[1:])
+    return (2 * g - 2 + len(ks) - 1) * _top_triple(g, ks[1:])
 
 
 def _moduli_integral(g: int, lam: LamKey, ks: Tuple[int, ...]) -> Fraction:

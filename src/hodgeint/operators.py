@@ -5,16 +5,13 @@ A :class:`DifferentialOperator` is a finite normal-ordered sum of terms
     coefficient * hbar^h * (product of coordinates) * (product of derivatives),
 
 with coordinates labelled ``(class index, descendent level)`` as in
-:mod:`hodgeint.phase_space`.  Builders are provided for
+:mod:`hodgeint.phase_space`.
 
-* the point operators (half-integer coefficients, levels -1 and up);
-* the general construction from target cohomology data
-  (:class:`CohomologyData`): bracket coefficients, first-Chern-class
-  multiplication matrix insertions, the quadratic zero mode, and the level-0
-  constant;
-* the curve and surface specializations written directly from their displayed
-  coordinate forms (including odd classes for a positive-genus curve target,
-  treated as commuting coordinates since the displays only ever pair them).
+One builder, :func:`general_operator`, makes the level-k operator of any
+target from its even cohomology (:class:`CohomologyData`): bracket
+coefficients, first-Chern-class multiplication matrices, the dilaton shift,
+the quadratic zero mode and the level-0 constant.  The data of a point, P^1,
+P^2 and P^3 are built in; :func:`point_operator` is the point case.
 
 Infinite level sums are truncated at a level cap; all arithmetic is exact.
 """
@@ -39,8 +36,6 @@ __all__ = [
     "p3_data",
     "point_operator",
     "general_operator",
-    "curve_operator",
-    "surface_operator",
     "commutator",
     "apply_operator",
     "enumerate_keys",
@@ -374,36 +369,9 @@ def commutator(
 
 
 def point_operator(k: int, level_cap: int) -> DifferentialOperator:
-    """The point constraint operator of level k >= -1, truncated by level.
-
-    Level -1: sum (t_m - d_{m1}) d_{m-1} + t_0^2 / 2 hbar;
-    level 0:  sum (m + 1/2)(t_m - d_{m1}) d_m + 1/16;
-    level k:  sum [m+1/2]^k_0 (t_m - d_{m1}) d_{m+k}
-              + (hbar/2) sum_{m<k} (-1)^{m+1} [-m-1/2]^k_0 d_m d_{k-m-1},
-    the Gamma-function ratios written as half-integer rising products.
-    """
-    if k < -1:
-        raise DomainError("level must be >= -1")
-    op = DifferentialOperator()
-    if k == -1:
-        for m in range(1, level_cap + 1):
-            op.add_term(Fraction(1), mult=[(0, m)], diff=[(0, m - 1)])
-        op.add_term(Fraction(-1), diff=[(0, 0)])
-        op.add_term(Half, hbar=-1, mult=[(0, 0), (0, 0)])
-        return op
-    for m in range(level_cap + 1):
-        if m + k > level_cap:
-            break
-        c = bracket(m + Half, k, 0)  # equals m + 1/2 when k = 0
-        op.add_term(c, mult=[(0, m)], diff=[(0, m + k)])
-        if m == 1:
-            op.add_term(-c, diff=[(0, m + k)])
-    if k == 0:
-        op.add_term(Fraction(1, 16))
-    for m in range(k):
-        c = Half * Fraction(-1) ** (m + 1) * bracket(-m - Half, k, 0)
-        op.add_term(c, hbar=1, diff=[(0, m), (0, k - m - 1)])
-    return op
+    """The point constraint operator of level k >= -1, truncated by level: the
+    point case of :func:`general_operator`, with half-integer weights."""
+    return general_operator(k, point_data(), level_cap)
 
 
 def general_operator(
@@ -412,17 +380,17 @@ def general_operator(
     """The constraint operator of level k >= -1 for even-cohomology data.
 
     Assembled from the four displayed blocks: the linear block with bracket
-    coefficients [b_a + m]^k_i and i-fold first-Chern multiplications, the
-    order-hbar double-derivative block with coefficients [b_c - m - 1]^k_i
-    (index c before the Chern multiplication, paired through eta), the
-    1/(2 hbar) zero mode with the (k+1)-st Chern power, and the level-0
-    constant.
+    coefficients [b_a + m]^k_i and i-fold first-Chern multiplications, in the
+    dilaton-shifted coordinate t_{0,1} - 1; the order-hbar double-derivative
+    block with coefficients [b_c - m - 1]^k_i (index c before the Chern
+    multiplication, paired through eta); the 1/(2 hbar) zero mode with the
+    (k+1)-st Chern power; and the level-0 constant.
     """
     if k < -1:
         raise DomainError("level must be >= -1")
     n = data.size
     eta_inv = data.eta_inverse()
-    powers = [data.c1_power(i) for i in range(max(k + 2, 1))]
+    powers = [data.c1_power(i) for i in range(k + 2)]
     op = DifferentialOperator()
 
     for i in range(k + 2):
@@ -439,8 +407,12 @@ def general_operator(
                         continue
                     c = coeff_base * ci[b][a]
                     op.add_term(c, mult=[(a, m)], diff=[(b, m + k - i)])
-                    if a == 0 and m == 1:
-                        op.add_term(-c, diff=[(b, m + k - i)])
+        # the dilaton shift t_{0,1} -> t_{0,1} - 1: its term touches level
+        # 1 + k - i only, so it is kept at caps (0) that drop t_{0,1} itself
+        if 1 + k - i <= level_cap:
+            shift = bracket(data.weight(0) + 1, k, i)
+            for b in range(n):
+                op.add_term(-shift * ci[b][0], diff=[(b, 1 + k - i)])
 
     for i in range(k + 2):
         ci = powers[i]
@@ -465,169 +437,15 @@ def general_operator(
                             diff=[(a, m), (b, k - m - i - 1)],
                         )
 
-    ck1 = powers[k + 1] if k + 1 >= 0 else None
-    if ck1 is not None:
-        for a in range(n):
-            for b in range(n):
-                c = Half * sum(data.eta[a][cc] * ck1[cc][b] for cc in range(n))
-                if c:
-                    op.add_term(c, hbar=-1, mult=[(a, 0), (b, 0)])
+    ck1 = powers[k + 1]
+    for a in range(n):
+        for b in range(n):
+            c = Half * sum(data.eta[a][cc] * ck1[cc][b] for cc in range(n))
+            if c:
+                op.add_term(c, hbar=-1, mult=[(a, 0), (b, 0)])
 
     if k == 0:
         op.add_term(data.constant())
-    return op
-
-
-# curve coordinates: class 0 = identity (t), class 1 = point class (s),
-# classes 2..1+gamma = odd alpha block, 2+gamma..1+2*gamma = odd beta block
-def curve_operator(k: int, gamma: int, level_cap: int) -> DifferentialOperator:
-    """Level-k (k >= 1) operator for a genus-gamma curve target, written in
-    the displayed t/s/alpha/beta coordinates with the Euler-characteristic
-    prefactor (2 - 2 gamma) on its block.  Odd coordinates commute here; the
-    display only ever pairs each alpha with a beta."""
-    if k < 1:
-        raise DomainError("level must be >= 1")
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
-    op = DifferentialOperator()
-    alphas = [2 + i for i in range(gamma)]
-    betas = [2 + gamma + i for i in range(gamma)]
-
-    op.add_term(-bracket(1, k, 0), diff=[(0, k + 1)])
-    for m in range(level_cap + 1):
-        if m + k <= level_cap:
-            c0 = bracket(m, k, 0)
-            op.add_term(c0, mult=[(0, m)], diff=[(0, m + k)])
-            for a in alphas:
-                op.add_term(c0, mult=[(a, m)], diff=[(a, m + k)])
-            c1 = bracket(m + 1, k, 0)
-            op.add_term(c1, mult=[(1, m)], diff=[(1, m + k)])
-            for b in betas:
-                op.add_term(c1, mult=[(b, m)], diff=[(b, m + k)])
-
-    chi = Fraction(2 - 2 * gamma)
-    if chi != 0:
-        op.add_term(-chi * bracket(1, k, 1), diff=[(1, k)])
-        for m in range(level_cap + 1):
-            if 0 <= m + k - 1 <= level_cap:
-                op.add_term(
-                    chi * bracket(m, k, 1), mult=[(0, m)], diff=[(1, m + k - 1)]
-                )
-        for m in range(k - 1):
-            op.add_term(
-                chi * Half * Fraction(-1) ** (m + 1) * bracket(-m - 1, k, 1),
-                hbar=1,
-                diff=[(1, m), (1, k - m - 2)],
-            )
-    return op
-
-
-# surface coordinates: class 0 = identity (t), classes 1..d = (1,1)-block (s),
-# class d+1 = point class (r), then odd a/b blocks of size p each
-def surface_operator(
-    k: int,
-    cvec: Sequence[Fraction],
-    gram: Sequence[Sequence[Fraction]],
-    level_cap: int,
-    odd_pairs: int = 0,
-) -> DifferentialOperator:
-    """Level-k (k >= 1) operator for a simply-connected surface target.
-
-    ``cvec`` expands the first Chern class over the chosen (1,1) basis;
-    ``gram`` is that basis's intersection matrix, so |c|^2 = c^t G c.  The
-    scalar c-block derivatives contract the vector index through the basis.
-    """
-    if k < 1:
-        raise DomainError("level must be >= 1")
-    d = len(cvec)
-    if len(gram) != d or any(len(row) != d for row in gram):
-        raise DomainError("gram must be square of the (1,1)-basis size")
-    cvec = [Fraction(x) for x in cvec]
-    csq = sum(
-        cvec[i] * gram[i][j] * cvec[j] for i in range(d) for j in range(d)
-    )
-    t_cls = 0
-    s_cls = list(range(1, d + 1))
-    r_cls = d + 1
-    a_cls = [d + 2 + i for i in range(odd_pairs)]
-    b_cls = [d + 2 + odd_pairs + i for i in range(odd_pairs)]
-    op = DifferentialOperator()
-
-    op.add_term(-bracket(Half, k, 0), diff=[(t_cls, k + 1)])
-    for m in range(level_cap + 1):
-        if m + k <= level_cap:
-            cm = bracket(m - Half, k, 0)
-            op.add_term(cm, mult=[(t_cls, m)], diff=[(t_cls, m + k)])
-            for b in b_cls:
-                op.add_term(cm, mult=[(b, m)], diff=[(b, m + k)])
-            cs = bracket(m + Half, k, 0)
-            for s in s_cls:
-                op.add_term(cs, mult=[(s, m)], diff=[(s, m + k)])
-            cr = bracket(m + Half + 1, k, 0)
-            op.add_term(cr, mult=[(r_cls, m)], diff=[(r_cls, m + k)])
-            for a in a_cls:
-                op.add_term(cr, mult=[(a, m)], diff=[(a, m + k)])
-    # the s-block double derivative contracts through the inverse Gram
-    ginv = _invert(gram)
-    for m in range(k):
-        sign = Fraction(-1) ** (m + 1)
-        op.add_term(
-            sign * bracket(-m - Half - 1, k, 0),
-            hbar=1,
-            diff=[(r_cls, m), (t_cls, k - m - 1)],
-        )
-        w = Half * sign * bracket(-m - Half, k, 0)
-        for i in range(d):
-            for j in range(d):
-                if ginv[i][j]:
-                    op.add_term(
-                        w * ginv[i][j],
-                        hbar=1,
-                        diff=[(s_cls[i], m), (s_cls[j], k - m - 1)],
-                    )
-
-    for i in range(d):
-        ci = cvec[i]
-        if ci == 0:
-            continue
-        op.add_term(-ci * bracket(Half, k, 1), diff=[(s_cls[i], k)])
-        for m in range(level_cap + 1):
-            if 0 <= m + k - 1 <= level_cap:
-                op.add_term(
-                    ci * bracket(m - Half, k, 1),
-                    mult=[(t_cls, m)],
-                    diff=[(s_cls[i], m + k - 1)],
-                )
-                op.add_term(
-                    ci * bracket(m + Half, k, 1),
-                    mult=[(s_cls[i], m)],
-                    diff=[(r_cls, m + k - 1)],
-                )
-        for m in range(k - 1):
-            op.add_term(
-                ci * Fraction(-1) ** (m + 1) * bracket(-m - Half - 1, k, 1),
-                hbar=1,
-                diff=[(r_cls, m), (s_cls[i], k - m - 2)],
-            )
-
-    if csq != 0:
-        if k - 1 <= level_cap:
-            op.add_term(-csq * bracket(Half, k, 2), diff=[(r_cls, k - 1)])
-        for m in range(level_cap + 1):
-            if 0 <= m + k - 2 <= level_cap:
-                op.add_term(
-                    csq * bracket(m - Half, k, 2),
-                    mult=[(t_cls, m)],
-                    diff=[(r_cls, m + k - 2)],
-                )
-        for m in range(k - 2):
-            op.add_term(
-                csq * Half * Fraction(-1) ** (m + 1) * bracket(-m - Half - 1, k, 2),
-                hbar=1,
-                diff=[(r_cls, m), (r_cls, k - m - 3)],
-            )
-        if k == 1:
-            op.add_term(csq * Half, hbar=-1, mult=[(t_cls, 0), (t_cls, 0)])
     return op
 
 

@@ -21,18 +21,14 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Sequence, Tuple
 
-from .combinat import PSI_GRADING, bracket, graded_splits, multisets
+from .combinat import PSI_GRADING, bracket, graded_splits, lowerings, multisets
 from .errors import DomainError, check_points
 from .phase_space import Caps, TruncatedSeries
 from .store import TAG_PSI, lookup, record
 
-__all__ = ["psi_integral", "psi_or_zero", "point_partition", "canonical_key"]
+__all__ = ["psi_integral", "psi_or_zero", "point_partition"]
 
 Half = Fraction(1, 2)
-
-
-def canonical_key(g: int, ks: Sequence[int]) -> Tuple[int, Tuple[int, ...]]:
-    return g, tuple(sorted(ks, reverse=True))
 
 
 def _check_stable(g: int, n: int) -> None:
@@ -83,23 +79,12 @@ def _psi(g: int, ks: Tuple[int, ...]) -> Fraction:
     if g == 1 and ks == (1,):
         return record(TAG_PSI, key, _one_point_genus_one())
     if ks[-1] == 0:
-        rest = ks[:-1]
-        val = sum(
-            (_psi(g, _lowered(rest, i)) for i in range(len(rest)) if rest[i] >= 1),
-            Fraction(0),
-        )
+        val = sum((c * _psi(g, low) for _, c, low in lowerings(ks[:-1])), Fraction(0))
     elif ks[-1] == 1:
-        rest = ks[:-1]
-        val = (2 * g - 2 + n - 1) * _psi(g, tuple(sorted(rest, reverse=True)))
+        val = (2 * g - 2 + n - 1) * _psi(g, ks[:-1])
     else:
         val = _top_reduction(g, ks)
     return record(TAG_PSI, key, val)
-
-
-def _lowered(ks: Tuple[int, ...], i: int) -> Tuple[int, ...]:
-    out = list(ks)
-    out[i] -= 1
-    return tuple(sorted(out, reverse=True))
 
 
 def _one_point_genus_one() -> Fraction:
@@ -142,14 +127,20 @@ def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:
 
     Monomials are kept up to the given descendent weight and with hbar powers
     in [-(weight_cap // 3), genus_cap - 1].  Within these caps the result is
-    exact: a free-energy term of genus g carries weight at least 3g - 1, so
-    genera beyond (weight_cap + 1) // 3 cannot touch any stored monomial.
+    exact.  A free-energy term of genus g carries weight at least 3g - 1, and
+    above genus_cap it reaches the hbar window only through g - genus_cap
+    genus-0 factors (hbar^{-1}, weight at least 3 each).  So genus g is kept
+    when 3g - 1 + 3 max(0, g - genus_cap) <= weight_cap, on a window wide
+    enough to hold it until the exponential is taken.
     """
     caps = Caps(weight_cap, -(weight_cap // 3), genus_cap - 1)
-    g_eff = min(genus_cap, (weight_cap + 1) // 3)
-    free = TruncatedSeries(caps)
+    genera = [
+        g
+        for g in range(weight_cap + 1)
+        if 3 * g - 1 + 3 * max(0, g - genus_cap) <= weight_cap
+    ]
     terms = {}
-    for g in range(g_eff + 1):
+    for g in genera:
         n = 3 if g == 0 else 1
         while 3 * g - 3 + 2 * n <= weight_cap:
             d = 3 * g - 3 + n
@@ -164,5 +155,5 @@ def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:
                     )
                     terms[(g - 1, mono)] = val / sym
             n += 1
-    free = TruncatedSeries(caps, terms)
-    return free.exp()
+    wide = Caps(weight_cap, caps.hbar_min, max([genus_cap, *genera]) - 1)
+    return TruncatedSeries(caps, TruncatedSeries(wide, terms).exp().terms)

@@ -103,6 +103,20 @@ class TestVerify:
         assert code == EXIT_OK
         assert "5/5 checks passed" in out
 
+    def test_max_genus_is_the_annihilation_genus_cap(self, capsys):
+        argv = ["verify", "--suite", "annihilation", "--max-genus", "1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert "genus<=1" in out and "genus<=3" not in out
+        assert "4/4 checks passed" in out
+
+    @pytest.mark.parametrize("suite", ["commutators", "string-dilaton"])
+    def test_max_genus_rejected_without_genus(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-genus", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "--max-genus" in err
+
 
 class TestFailures:
     def test_unstable_input(self, capsys):
@@ -132,6 +146,7 @@ class TestFailures:
             ["lambda", "--class", "g", "--genus", "1000", "--exponents", "1998"],
             ["bseq", "--max-genus", str(MAX_BSEQ_GENUS + 1)],
             ["bseq", "--max-genus", "1000000"],
+            ["verify", "--suite", "annihilation", "--max-genus", str(MAX_PSI_GENUS + 1)],
         ],
     )
     def test_genus_beyond_cap(self, capsys, argv):

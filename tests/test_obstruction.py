@@ -234,6 +234,13 @@ class TestDegreeZeroGW:
     def test_threefold_higher_genus(self):
         assert degree0_gw(3, 4, [(0, 1)]) == F(1, 2) * (4 - 24) * 6 * lambda_cube(4)
 
+    def test_threefold_string_step_counts_repeated_exponents(self):
+        # <tau_2^2 tau_0^2> = 2 <tau_2 tau_1 tau_0> = 2 (<tau_1^2> + <tau_2 tau_0>)
+        # = 2 (2g - 1 + 1) <tau_1> against the top lambda triple
+        for g in (2, 3, 4):
+            ins = [(0, 2), (0, 2), (0, 0), (0, 0)]
+            assert degree0_gw(3, g, ins) == 4 * g * degree0_gw(3, g, [(0, 1)])
+
     def test_dimension_mismatch_vanishes(self):
         assert degree0_gw(3, 2, [(3, 0)]) == 0
         assert degree0_gw(2, 2, [(0, 0)]) == 0

@@ -13,14 +13,12 @@ from hodgeint.operators import (
     DifferentialOperator,
     apply_operator,
     commutator,
-    curve_operator,
     general_operator,
     p1_data,
     p2_data,
     p3_data,
     point_data,
     point_operator,
-    surface_operator,
 )
 from hodgeint.phase_space import Caps, TruncatedSeries
 
@@ -56,25 +54,118 @@ class TestPointOperator:
             point_operator(-2, CAP)
 
 
+# The displayed coordinate forms of the operators, written out term by term
+# as references for general_operator.  Dilaton shifts and order-hbar terms are
+# emitted whatever the cap, so the comparisons filter both sides by level.
+
+
+def _point_form(k, cap):
+    """sum [m+1/2]^k_0 (t_m - delta_{m,1}) d_{m+k} + t_0^2 / 2hbar (k = -1)
+    + (hbar/2) sum_{m<k} (-1)^{m+1} [-m-1/2]^k_0 d_m d_{k-m-1} + 1/16 (k = 0)."""
+    op = DifferentialOperator()
+    op.add_term(-bracket(1 + H, k, 0), diff=[(0, k + 1)])
+    for m in range(max(0, -k), cap - k + 1):
+        op.add_term(bracket(m + H, k, 0), mult=[(0, m)], diff=[(0, m + k)])
+    for m in range(k):
+        c = H * (-1) ** (m + 1) * bracket(-m - H, k, 0)
+        op.add_term(c, hbar=1, diff=[(0, m), (0, k - m - 1)])
+    if k == -1:
+        op.add_term(H, hbar=-1, mult=[(0, 0), (0, 0)])
+    if k == 0:
+        op.add_term(F(1, 16))
+    return op
+
+
+def _curve_form(k, cap):
+    """Genus-0 curve, k >= 1: identity t (class 0) and point class s
+    (class 1), with the Euler characteristic 2 on the c_1 block."""
+    op = DifferentialOperator()
+    op.add_term(-bracket(1, k, 0), diff=[(0, k + 1)])
+    op.add_term(-2 * bracket(1, k, 1), diff=[(1, k)])
+    for m in range(cap - k + 1):
+        op.add_term(bracket(m, k, 0), mult=[(0, m)], diff=[(0, m + k)])
+        op.add_term(bracket(m + 1, k, 0), mult=[(1, m)], diff=[(1, m + k)])
+    for m in range(cap - k + 2):
+        op.add_term(2 * bracket(m, k, 1), mult=[(0, m)], diff=[(1, m + k - 1)])
+    for m in range(k - 1):
+        c = 2 * H * (-1) ** (m + 1) * bracket(-m - 1, k, 1)
+        op.add_term(c, hbar=1, diff=[(1, m), (1, k - m - 2)])
+    return op
+
+
+def _surface_form(k, cap):
+    """Surface, k >= 1, with one (1,1) class s (class 1) of self-intersection
+    gram and c_1 = c s, no odd classes: identity t (class 0), point r (class 2)."""
+    c, gram = F(3), F(1)  # the hyperplane class of P^2
+    csq = c * gram * c
+    op = DifferentialOperator()
+    op.add_term(-bracket(H, k, 0), diff=[(0, k + 1)])
+    op.add_term(-c * bracket(H, k, 1), diff=[(1, k)])
+    op.add_term(-csq * bracket(H, k, 2), diff=[(2, k - 1)])
+    for m in range(cap - k + 1):
+        op.add_term(bracket(m - H, k, 0), mult=[(0, m)], diff=[(0, m + k)])
+        op.add_term(bracket(m + H, k, 0), mult=[(1, m)], diff=[(1, m + k)])
+        op.add_term(bracket(m + H + 1, k, 0), mult=[(2, m)], diff=[(2, m + k)])
+    for m in range(cap - k + 2):
+        op.add_term(c * bracket(m - H, k, 1), mult=[(0, m)], diff=[(1, m + k - 1)])
+        op.add_term(c * bracket(m + H, k, 1), mult=[(1, m)], diff=[(2, m + k - 1)])
+    for m in range(max(0, 2 - k), cap - k + 3):
+        op.add_term(csq * bracket(m - H, k, 2), mult=[(0, m)], diff=[(2, m + k - 2)])
+    for m in range(k):
+        sign = (-1) ** (m + 1)
+        op.add_term(
+            sign * bracket(-m - H - 1, k, 0), hbar=1, diff=[(2, m), (0, k - m - 1)]
+        )
+        op.add_term(
+            H * sign * bracket(-m - H, k, 0) / gram,
+            hbar=1,
+            diff=[(1, m), (1, k - m - 1)],
+        )
+    for m in range(k - 1):
+        c1 = c * (-1) ** (m + 1) * bracket(-m - H - 1, k, 1)
+        op.add_term(c1, hbar=1, diff=[(2, m), (1, k - m - 2)])
+    for m in range(k - 2):
+        c2 = csq * H * (-1) ** (m + 1) * bracket(-m - H - 1, k, 2)
+        op.add_term(c2, hbar=1, diff=[(2, m), (2, k - m - 3)])
+    if k == 1:
+        op.add_term(csq * H, hbar=-1, mult=[(0, 0), (0, 0)])
+    return op
+
+
+def _agree(form, k, data, caps=range(9)):
+    for cap in caps:
+        want = form(k, cap).level_filter(cap)
+        got = general_operator(k, data, cap).level_filter(cap)
+        assert got.terms == want.terms, cap
+
+
 class TestSpecializations:
     @pytest.mark.parametrize("k", range(-1, 4))
     def test_point_matches_general(self, k):
-        direct = point_operator(k, CAP)
-        generic = general_operator(k, point_data(), CAP)
-        assert (direct - generic).is_zero()
+        _agree(_point_form, k, point_data())
+        for cap in range(9):
+            assert point_operator(k, cap).terms == general_operator(
+                k, point_data(), cap
+            ).terms
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_curve_matches_general_p1(self, k):
-        direct = curve_operator(k, 0, CAP)
-        generic = general_operator(k, p1_data(), CAP)
-        assert (direct - generic).is_zero()
+        _agree(_curve_form, k, p1_data())
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_surface_matches_general_p2(self, k):
-        data = p2_data()
-        direct = surface_operator(k, [F(3)], [[F(1)]], CAP)
-        generic = general_operator(k, data, CAP)
-        assert (direct - generic).is_zero()
+        _agree(_surface_form, k, p2_data())
+
+    @pytest.mark.parametrize("maker", [point_data, p1_data, p2_data, p3_data])
+    def test_low_cap_is_the_filtered_high_cap(self, maker):
+        # the dilaton shift -[b_0+1]^k_i (c_1^i)_{b0} d_{(b, 1+k-i)} touches
+        # level 1+k-i only, so a cap-0 build, which has no t_{0,1}, keeps it
+        data = maker()
+        for k in range(-1, 4):
+            full = general_operator(k, data, 16)
+            for cap in range(9):
+                got = general_operator(k, data, cap).level_filter(cap)
+                assert got.terms == full.level_filter(cap).terms, (k, cap)
 
 
 class TestAlgebra:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hodgeint.combinat import multinomial
 from hodgeint.errors import MAX_POINTS, DomainError
 from hodgeint.hodge import lambda_gm1
-from hodgeint.psi import psi_integral, psi_or_zero
+from hodgeint.psi import point_partition, psi_integral, psi_or_zero
+from hodgeint.verify import suite_annihilation
 
 F = Fraction
 
@@ -84,6 +85,29 @@ class TestStructure:
         assert psi_or_zero(0, (0,)) == 0
         assert psi_or_zero(0, (-1, 0, 0, 0)) == 0
         assert psi_or_zero(1, (1,)) == F(1, 24)
+
+
+class TestPointPartition:
+    def test_low_genus_cap_keeps_higher_genera(self):
+        # genera above the cap reach its hbar window through hbar^{-1} genus-0
+        # factors: at (11, 1) the t_0^3 t_4 coefficient has <tau_4>_2 <tau_0^3>_0 / 3!
+        for weight_cap in range(12):
+            full = point_partition(weight_cap, weight_cap // 3 + 1)
+            for genus_cap in range(4):
+                low = point_partition(weight_cap, genus_cap)
+                want = {k: c for k, c in full.terms.items() if low.caps.admits(*k)}
+                assert low.terms == want, (weight_cap, genus_cap)
+
+    def test_annihilation_at_low_genus_cap(self):
+        checks = suite_annihilation(11, 1)
+        assert all(ok for _, ok, _ in checks), checks
+
+    def test_vacuous_annihilation_check_fails(self):
+        # at (8, 0) the caps determine no coefficient that L_2 Z may carry
+        checks = suite_annihilation(8, 0)
+        assert [ok for _, ok, _ in checks] == [True, True, True, False]
+        assert checks[0][2] == "0 nonzero of 2 determined coefficients"
+        assert checks[3][2] == "0 nonzero of 0 determined coefficients"
 
 
 @st.composite
