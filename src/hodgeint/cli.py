@@ -8,11 +8,11 @@ key order), ``csv``.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 flag errors (such as
 ``verify --max-genus`` for a suite without a genus) and inputs beyond a size
-limit (more than errors.MAX_POINTS insertions; ``psi --genus`` and ``verify
---suite annihilation --max-genus`` above errors.MAX_PSI_GENUS, ``lambda
---genus`` above errors.MAX_LAMBDA_GENUS, ``bseq --max-genus`` above
-errors.MAX_BSEQ_GENUS), 3 domain errors (unstable inputs, underdetermined
-integrals) and malformed cache files.
+limit (more than errors.MAX_POINTS insertions; ``psi --genus`` above
+errors.MAX_PSI_GENUS, ``lambda --genus`` above errors.MAX_LAMBDA_GENUS,
+``bseq --max-genus`` above errors.MAX_BSEQ_GENUS, ``verify --max-genus`` above
+the suite's errors.MAX_VERIFY_GENUS), 3 domain errors (unstable inputs,
+underdetermined integrals) and malformed cache files.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     MAX_BSEQ_GENUS,
     MAX_LAMBDA_GENUS,
     MAX_PSI_GENUS,
+    MAX_VERIFY_GENUS,
     DomainError,
     LimitError,
     UnderdeterminedError,
@@ -53,10 +54,8 @@ _TARGET_DIMS = {"P1": 1, "P2": 2, "P3": 3}
 
 # the keyword each suite takes --max-genus as; the other suites have no genus
 _GENUS_ARGUMENT = {
-    **dict.fromkeys(
-        ("table", "bseq", "closed-vs-recursion", "mumford", "euler", "cg"), "max_genus"
-    ),
-    "annihilation": "genus_cap",
+    suite: "genus_cap" if suite == "annihilation" else "max_genus"
+    for suite in MAX_VERIFY_GENUS
 }
 
 
@@ -211,8 +210,7 @@ def _run(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
-            if args.suite == "annihilation":
-                check_limit("--max-genus", args.max_genus, MAX_PSI_GENUS)
+            check_limit("--max-genus", args.max_genus, MAX_VERIFY_GENUS[args.suite])
             kwargs[_GENUS_ARGUMENT[args.suite]] = args.max_genus
         checks = run_suite(args.suite, **kwargs)
         for name, ok, detail in checks:

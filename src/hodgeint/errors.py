@@ -5,6 +5,7 @@ __all__ = [
     "MAX_PSI_GENUS",
     "MAX_LAMBDA_GENUS",
     "MAX_BSEQ_GENUS",
+    "MAX_VERIFY_GENUS",
     "DomainError",
     "LimitError",
     "UnderdeterminedError",
@@ -24,10 +25,16 @@ MAX_POINTS = 200
 # or short solvers (c_g and the lambda_{g-1}^3 constant together 0.015 s at
 # g = 50, 0.64 s at 200; lambda_{g-1} with ten balanced points 1.0 s at
 # g = 50); b_0..b_G takes 0.17 s at G = 100, 1.0 s at 200 and 3.8 s at 300.
-# The point annihilation suite grows linearly in its genus cap, 0.1 s at 14.
+# verify --max-genus, per suite, as whole cold commands: annihilation 0.1 s at
+# 14 (linear); bseq 2.0 s at 200 (5.5 s at 300); closed-vs-recursion 3.0 s at
+# 40 (15 s at 60); mumford 2.9 s at 80 (22 s at 160); euler 2.8 s at 128 (23 s
+# at 256); cg 3.2 s at 200 (15 s at 320); table stops at the published g = 5.
 MAX_PSI_GENUS = 14
 MAX_LAMBDA_GENUS = 50
 MAX_BSEQ_GENUS = 200
+MAX_VERIFY_GENUS = {"table": 5, "bseq": MAX_BSEQ_GENUS, "closed-vs-recursion": 40,
+                    "annihilation": MAX_PSI_GENUS, "mumford": 80, "euler": 128,
+                    "cg": 200}
 
 
 class DomainError(ValueError):

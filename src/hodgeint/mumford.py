@@ -21,11 +21,10 @@ descendent insertions gives the degree-zero Gromov-Witten evaluator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from .combinat import lowerings
 from .errors import DomainError, UnderdeterminedError
@@ -113,8 +112,7 @@ register_memo(_square_rules.cache_clear)
 register_memo(reduce_lambda_monomial.cache_clear)
 
 
-@dataclass(frozen=True)
-class LambdaRingElem:
+class LambdaRingElem(NamedTuple):
     """A reduced element: {lambda monomial: {chern monomial: coefficient}}."""
 
     g: int

@@ -18,14 +18,13 @@ Infinite level sums are truncated at a level cap; all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .combinat import bracket
 from .errors import DomainError
-from .phase_space import Caps, Coord, Monomial, TruncatedSeries
+from .phase_space import Caps, Coord, Monomial, TruncatedSeries, monomial_weight
 
 __all__ = [
     "CohomologyData",
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 Half = Fraction(1, 2)
+_ZERO = Fraction(0)
 
 TermKey = Tuple[int, Tuple[Coord, ...], Tuple[Coord, ...]]  # (hbar, mult, diff)
 
@@ -50,16 +50,7 @@ TermKey = Tuple[int, Tuple[Coord, ...], Tuple[Coord, ...]]  # (hbar, mult, diff)
 # target cohomology data
 
 
-@dataclass(frozen=True)
-class CohomologyData:
-    """Even-degree cohomology of the target, in a fixed homogeneous basis.
-
-    ``index 0 must be the identity class``.  ``c1`` is the matrix of
-    multiplication by the first Chern class of the target: column ``a`` holds
-    the expansion of ``c1 . basis[a]``.  ``chern_top`` and ``chern_mixed`` are
-    the integrals of c_r and c_1 c_{r-1} over the target.
-    """
-
+class _CohomologyFields(NamedTuple):
     name: str
     dim: int  # complex dimension r
     p: Tuple[int, ...]  # holomorphic degrees p_a (= q_a)
@@ -68,7 +59,20 @@ class CohomologyData:
     chern_top: Fraction
     chern_mixed: Fraction
 
-    def __post_init__(self):
+
+class CohomologyData(_CohomologyFields):
+    """Even-degree cohomology of the target, in a fixed homogeneous basis.
+
+    ``index 0 must be the identity class``.  ``c1`` is the matrix of
+    multiplication by the first Chern class of the target: column ``a`` holds
+    the expansion of ``c1 . basis[a]``.  ``chern_top`` and ``chern_mixed`` are
+    the integrals of c_r and c_1 c_{r-1} over the target.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = len(self.p)
         if len(self.eta) != n or any(len(row) != n for row in self.eta):
             raise DomainError("eta must be square of basis size")
@@ -85,6 +89,7 @@ class CohomologyData:
                 rhs = sum(self.eta[i][k] * self.c1[k][j] for k in range(n))
                 if lhs != rhs:
                     raise DomainError("c1 multiplication must be eta-self-adjoint")
+        return self
 
     @property
     def size(self) -> int:
@@ -189,22 +194,25 @@ def p3_data() -> CohomologyData:
 
 
 class DifferentialOperator:
-    """Normal-ordered operator: {(hbar, mult, diff): coefficient}."""
+    """Normal-ordered operator: {(hbar, mult, diff): coefficient}, on
+    canonical keys (``mult`` and ``diff`` sorted).  Only the constructor and
+    :meth:`add_term` sort; derived keys go in unsorted through :meth:`_put`."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Dict[TermKey, Fraction]] = None):
         self.terms: Dict[TermKey, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                self._add(key, c)
+        for (h, mult, diff), c in (terms or {}).items():
+            self.add_term(c, h, mult, diff)
 
-    def _add(self, key: TermKey, c: Fraction) -> None:
-        if c == 0:
-            return
-        h, mult, diff = key
-        key = (h, tuple(sorted(mult)), tuple(sorted(diff)))
-        new = self.terms.get(key, Fraction(0)) + c
+    @staticmethod
+    def _from_canonical(terms: Dict[TermKey, Fraction]) -> "DifferentialOperator":
+        out = DifferentialOperator()
+        out.terms = terms
+        return out
+
+    def _put(self, key: TermKey, c: Fraction) -> None:
+        new = self.terms.get(key, _ZERO) + c
         if new == 0:
             self.terms.pop(key, None)
         else:
@@ -217,30 +225,33 @@ class DifferentialOperator:
         mult: Iterable[Coord] = (),
         diff: Iterable[Coord] = (),
     ) -> None:
-        self._add((hbar, tuple(mult), tuple(diff)), coeff)
+        self._put((hbar, tuple(sorted(mult)), tuple(sorted(diff))), coeff)
 
     def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        out = DifferentialOperator(dict(self.terms))
+        out = DifferentialOperator._from_canonical(dict(self.terms))
         for key, c in other.terms.items():
-            out._add(key, c)
+            out._put(key, c)
         return out
 
     def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
         return self + other.scale(Fraction(-1))
 
     def scale(self, c: Fraction) -> "DifferentialOperator":
-        return DifferentialOperator({k: v * c for k, v in self.terms.items()})
+        terms = {k: v * c for k, v in self.terms.items()} if c else {}
+        return DifferentialOperator._from_canonical(terms)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def level_filter(self, level_cap: int) -> "DifferentialOperator":
         """Drop terms touching any coordinate of level above the cap."""
-        out = DifferentialOperator()
-        for (h, mult, diff), c in self.terms.items():
-            if all(k <= level_cap for _, k in mult + diff):
-                out._add((h, mult, diff), c)
-        return out
+        return DifferentialOperator._from_canonical(
+            {
+                (h, mult, diff): c
+                for (h, mult, diff), c in self.terms.items()
+                if all(k <= level_cap for _, k in mult + diff)
+            }
+        )
 
     def __mul__(self, other: "DifferentialOperator") -> "DifferentialOperator":
         """Normal-ordered composition self . other.
@@ -252,9 +263,9 @@ class DifferentialOperator:
         out = DifferentialOperator()
         for (h1, m1, d1), c1 in self.terms.items():
             for (h2, m2, d2), c2 in other.terms.items():
-                out._add((h1 + h2, m1 + m2, d1 + d2), c1 * c2)
+                out.add_term(c1 * c2, h1 + h2, m1 + m2, d1 + d2)
         for key, c in _contracted(self, other):
-            out._add(key, c)
+            out._put(key, c)
         return out
 
     def pretty(self) -> str:
@@ -358,9 +369,9 @@ def commutator(
     """
     out = DifferentialOperator()
     for key, c in _contracted(a, b):
-        out._add(key, c)
+        out._put(key, c)
     for key, c in _contracted(b, a):
-        out._add(key, -c)
+        out._put(key, -c)
     return out
 
 
@@ -467,11 +478,25 @@ def apply_operator(
     value cannot be trusted.  ``source_vanishes(hbar, monomial)``, when given,
     certifies sources known to be zero on structural grounds (e.g. a grading),
     which removes them from the taint analysis.
+
+    Boundary rule: a term ``(dh, mult, diff)`` reads the key ``(h, mono)``
+    from ``(h - dh, mono / mult * diff)``, of weight ``w(mono) + w(diff) -
+    w(mult)``, when ``mult`` divides ``mono``.  So only keys in the top weight
+    layers or near the ends of the hbar window can be tainted.
     """
-    caps = series.caps
+    weight, lo, hi = caps = series.caps
+    terms = [
+        (dh, mult, diff, c, sum(k + 1 for _, k in diff) - sum(k + 1 for _, k in mult))
+        for (dh, mult, diff), c in op.terms.items()
+    ]
+    # a term with derivatives meets only the series terms holding diff[0]
+    by_coord: Dict[Coord, List[Tuple[Tuple[int, Monomial], Fraction]]] = {}
+    for entry in series.terms.items():
+        for coord, _ in entry[0][1]:
+            by_coord.setdefault(coord, []).append(entry)
     out = TruncatedSeries(caps)
-    for (h, mono), coeff in series.terms.items():
-        for (dh, mult, diff), c in op.terms.items():
+    for dh, mult, diff, c, _ in terms:
+        for (h, mono), coeff in by_coord.get(diff[0], ()) if diff else series.terms.items():
             src, factor = _differentiate(mono, diff)
             if src is None:
                 continue
@@ -481,18 +506,26 @@ def apply_operator(
             out._add((h + dh, tuple(sorted(d.items()))), coeff * c * factor)
 
     tainted: Set[Tuple[int, Monomial]] = set()
-    for h, mono in enumerate_keys(caps, basis_size):
-        for (dh, mult, diff), _ in op.terms.items():
-            src = _source_key(mono, mult, diff)
-            if src is None:
-                continue
-            key = (h - dh, src)
-            if caps.admits(*key):
-                continue
-            if source_vanishes is not None and source_vanishes(*key):
-                continue
-            tainted.add((h, mono))
-            break
+    layers: Dict[int, List[Monomial]] = {}
+    for _, mono in enumerate_keys(Caps(weight, 0, 0), basis_size):
+        layers.setdefault(monomial_weight(mono), []).append(mono)
+    for h in range(lo, hi + 1):
+        for w, monos in layers.items():
+            # the terms whose source leaves the caps, by first multiplied coordinate
+            live: Dict[Optional[Coord], List[TermKey]] = {}
+            for dh, mult, diff, _, dw in terms:
+                if w + dw > weight or not lo <= h - dh <= hi:
+                    live.setdefault(mult[0] if mult else None, []).append((dh, mult, diff))
+            for mono in monos if live else ():
+                held = dict(mono)
+                sources = (
+                    (h - dh, _source_key(held, mult, diff))
+                    for first in (None, *held)
+                    for dh, mult, diff in live.get(first, ())
+                    if all(held.get(x, 0) >= mult.count(x) for x in mult)
+                )
+                if any(source_vanishes is None or not source_vanishes(*s) for s in sources):
+                    tainted.add((h, mono))
     return out, tainted
 
 
@@ -511,18 +544,15 @@ def _differentiate(mono: Monomial, diff: Tuple[Coord, ...]):
     return tuple(sorted(d.items())), factor
 
 
-def _source_key(result: Monomial, mult, diff):
+def _source_key(held: Dict[Coord, int], mult, diff) -> Monomial:
     """The monomial whose coefficient an operator term reads to produce the
-    given result monomial, or None when the shapes do not match."""
-    d = dict(result)
+    result monomial with exponents ``held``, which ``mult`` divides."""
+    d = dict(held)
     for coord in mult:
-        e = d.get(coord, 0)
-        if e == 0:
-            return None
-        if e == 1:
+        if d[coord] == 1:
             del d[coord]
         else:
-            d[coord] = e - 1
+            d[coord] -= 1
     for coord in diff:
         d[coord] = d.get(coord, 0) + 1
     return tuple(sorted(d.items()))

@@ -13,9 +13,8 @@ fabricate coefficients beyond those caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 __all__ = ["Caps", "TruncatedSeries", "monomial_weight"]
 
@@ -23,8 +22,7 @@ Coord = Tuple[int, int]
 Monomial = Tuple[Tuple[Coord, int], ...]  # sorted ((a,k), exponent) pairs
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     weight: int
     hbar_min: int
     hbar_max: int
@@ -83,13 +81,22 @@ class TruncatedSeries:
         return TruncatedSeries(self.caps, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Product within self's caps, pruned by hbar window and weight room."""
+        weight, lo, hi = self.caps
+        right: Dict[int, List[Tuple[int, Monomial, Fraction]]] = {}
+        for w, h, m, c in sorted((monomial_weight(m), h, m, c) for h, m, c in other):
+            right.setdefault(h, []).append((w, m, c))
         out = TruncatedSeries(self.caps)
         for (h1, m1), c1 in self.terms.items():
-            for (h2, m2), c2 in other.terms.items():
-                d = dict(m1)
-                for coord, e in m2:
-                    d[coord] = d.get(coord, 0) + e
-                out._add((h1 + h2, tuple(sorted(d.items()))), c1 * c2)
+            room = weight - monomial_weight(m1)
+            for h2, group in right.items():
+                for w2, m2, c2 in group if lo <= h1 + h2 <= hi else ():
+                    if w2 > room:
+                        break
+                    d = dict(m1)
+                    for coord, e in m2:
+                        d[coord] = d.get(coord, 0) + e
+                    out._add((h1 + h2, tuple(sorted(d.items()))), c1 * c2)
         return out
 
     def exp(self) -> "TruncatedSeries":

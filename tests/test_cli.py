@@ -6,7 +6,12 @@ import pytest
 
 from hodgeint import store
 from hodgeint.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from hodgeint.errors import MAX_BSEQ_GENUS, MAX_LAMBDA_GENUS, MAX_PSI_GENUS
+from hodgeint.errors import (
+    MAX_BSEQ_GENUS,
+    MAX_LAMBDA_GENUS,
+    MAX_PSI_GENUS,
+    MAX_VERIFY_GENUS,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -154,6 +159,17 @@ class TestFailures:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and "is at most" in err
+
+    @pytest.mark.parametrize(
+        "suite", ["table", "bseq", "closed-vs-recursion", "mumford", "euler", "cg"]
+    )
+    def test_verify_genus_beyond_suite_cap(self, capsys, suite):
+        limit = MAX_VERIFY_GENUS[suite]
+        argv = ["verify", "--suite", suite, "--max-genus", str(limit + 1)]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --max-genus is at most {limit}, got {limit + 1}\n"
 
     def test_genus_at_cap(self, capsys):
         argv = ["lambda", "--class", "c", "--genus", str(MAX_LAMBDA_GENUS)]

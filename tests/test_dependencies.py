@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone: no process imports sympy."""
+"""The package runs on the standard library alone: no process imports sympy,
+and importing it stays cheap."""
 
 import os
 import re
@@ -26,6 +27,12 @@ def _run(code):
 
 def test_import_loads_no_sympy():
     assert _run(f"import sys, hodgeint; {_LOADED}") == "[]\n"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize at import time
+    code = "import hodgeint, sys; print('dataclasses' in sys.modules or 'inspect' in sys.modules)"
+    assert _run(code) == "False\n"
 
 
 def test_euler_command_loads_no_sympy():

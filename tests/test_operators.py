@@ -1,6 +1,7 @@
 """Constraint operators: construction, algebra, specializations, application."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hodgeint.combinat import bracket
 from hodgeint.errors import DomainError
 from hodgeint.operators import (
     DifferentialOperator,
+    _contracted,
     apply_operator,
     commutator,
     general_operator,
@@ -20,7 +22,8 @@ from hodgeint.operators import (
     point_data,
     point_operator,
 )
-from hodgeint.phase_space import Caps, TruncatedSeries
+from hodgeint.phase_space import Caps, TruncatedSeries, monomial_weight
+from hodgeint.psi import point_partition
 
 F = Fraction
 H = F(1, 2)
@@ -221,6 +224,29 @@ _terms = st.tuples(
 )
 
 
+# Random series for the product: coordinates of two classes and two levels,
+# hbar powers on both sides of zero, windows as narrow as one power.
+_series_terms = st.tuples(
+    st.tuples(
+        st.integers(-3, 3),
+        st.sampled_from(
+            [
+                tuple(sorted((x, m.count(x)) for x in set(m)))
+                for m in _MONOMIALS
+                if len(m) <= 3
+            ]
+        ),
+    ),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+_windows = st.builds(
+    lambda w, lo, width: Caps(w, lo, lo + width),
+    st.integers(0, 7),
+    st.integers(-3, 1),
+    st.integers(0, 2),
+)
+
+
 def _operator(terms):
     op = DifferentialOperator()
     for c, h, mult, diff in terms:
@@ -309,3 +335,233 @@ class TestApply:
         op.add_term(F(1), diff=[(0, 3)])
         _, tainted = apply_operator(op, series, source_vanishes=lambda h, m: True)
         assert tainted == set()
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the ungraded loops the operator layer used
+# before it pruned by weight and hbar.  They visit every pair and let the
+# caps drop what falls outside, so they share no pruning logic with the
+# package.
+
+
+def _sorting_sum(*parts):
+    """Sum {(hbar, mult, diff): c} items, sorting every key on insertion."""
+    terms = {}
+    for items in parts:
+        for (h, mult, diff), c in items:
+            if c == 0:
+                continue
+            key = (h, tuple(sorted(mult)), tuple(sorted(diff)))
+            new = terms.get(key, F(0)) + c
+            if new == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = new
+    return terms
+
+
+def _rebuild(*parts):
+    """The same items put in one by one through add_term."""
+    op = DifferentialOperator()
+    for items in parts:
+        for (h, mult, diff), c in items:
+            op.add_term(c, h, mult, diff)
+    return op.terms
+
+
+def _reference_product(a, b):
+    """Every plain product, then every contraction, through the sorting sum."""
+    plain = [
+        ((h1 + h2, m1 + m2, d1 + d2), c1 * c2)
+        for (h1, m1, d1), c1 in a.terms.items()
+        for (h2, m2, d2), c2 in b.terms.items()
+    ]
+    return _sorting_sum(plain, _contracted(a, b))
+
+
+def _reference_series_mul(self, other):
+    out = TruncatedSeries(self.caps)
+    for (h1, m1), c1 in self.terms.items():
+        for (h2, m2), c2 in other.terms.items():
+            d = dict(m1)
+            for coord, e in m2:
+                d[coord] = d.get(coord, 0) + e
+            out._add((h1 + h2, tuple(sorted(d.items()))), c1 * c2)
+    return out
+
+
+def _reference_keys(caps, basis_size):
+    coords = [(a, lvl) for a in range(basis_size) for lvl in range(caps.weight)]
+    monos = []
+
+    def rec(idx, budget, acc):
+        if idx == len(coords):
+            monos.append(tuple(sorted(acc)))
+            return
+        w = coords[idx][1] + 1
+        rec(idx + 1, budget, acc)
+        e = 1
+        while e * w <= budget:
+            acc.append((coords[idx], e))
+            rec(idx + 1, budget - e * w, acc)
+            acc.pop()
+            e += 1
+
+    rec(0, caps.weight, [])
+    return [(h, m) for h in range(caps.hbar_min, caps.hbar_max + 1) for m in monos]
+
+
+def _reference_apply(op, series, source_vanishes=None, basis_size=1):
+    """Every series term against every operator term, then every admitted
+    key against every operator term for taint."""
+    caps = series.caps
+    out = TruncatedSeries(caps)
+    for (h, mono), coeff in series.terms.items():
+        for (dh, mult, diff), c in op.terms.items():
+            d, factor = dict(mono), 1
+            for coord in diff:
+                factor *= d.get(coord, 0)
+                if not factor:
+                    break
+                d[coord] -= 1
+            else:
+                for coord in mult:
+                    d[coord] = d.get(coord, 0) + 1
+                src = tuple(sorted((x, e) for x, e in d.items() if e))
+                out._add((h + dh, src), coeff * c * factor)
+    tainted = set()
+    for h, mono in _reference_keys(caps, basis_size):
+        for dh, mult, diff in op.terms:
+            d = dict(mono)
+            if any(d.get(x, 0) < mult.count(x) for x in mult):
+                continue
+            for coord in mult:
+                d[coord] -= 1
+            for coord in diff:
+                d[coord] = d.get(coord, 0) + 1
+            key = (h - dh, tuple(sorted((x, e) for x, e in d.items() if e)))
+            if caps.admits(*key):
+                continue
+            if source_vanishes is not None and source_vanishes(*key):
+                continue
+            tainted.add((h, mono))
+            break
+    return out, tainted
+
+
+def _point_grading_vanishes(h, mono):
+    return monomial_weight(mono) != 3 * h + 2 * sum(e for _, e in mono)
+
+
+def _mod3_vanishes(h, mono):
+    # a structural-looking predicate that clears some sources and not others
+    return (monomial_weight(mono) + h) % 3 != 0
+
+
+def _random_series(caps, basis_size, seed, size=40):
+    rng = random.Random(seed)
+    keys = _reference_keys(caps, basis_size)
+    picked = rng.sample(keys, min(size, len(keys)))
+    return TruncatedSeries(
+        caps, {key: F(rng.randint(-9, 9), rng.randint(1, 5)) for key in picked}
+    )
+
+
+_APPLY_CASES = [
+    ("point", point_data, 6, None),
+    ("point", point_data, 8, None),
+    ("point", point_data, 11, None),
+    ("P1", p1_data, 4, Caps(4, 0, 0)),
+    ("P1", p1_data, 6, Caps(6, -1, 1)),
+    ("P2", p2_data, 5, Caps(5, -1, 1)),
+    ("P3", p3_data, 4, Caps(4, 0, 1)),
+]
+
+
+class TestGradedKernels:
+    @pytest.mark.parametrize("name,maker,weight,caps", _APPLY_CASES)
+    def test_apply_matches_reference(self, name, maker, weight, caps):
+        data = maker()
+        if caps is None:
+            series, basis, vanishes = point_partition(weight, 3), 1, _point_grading_vanishes
+        else:
+            series, basis, vanishes = _random_series(caps, data.size, weight), data.size, _mod3_vanishes
+        for k in range(-1, 3):
+            op = general_operator(k, data, weight)
+            for sv in (None, vanishes):
+                got, got_taint = apply_operator(op, series, sv, basis)
+                want, want_taint = _reference_apply(op, series, sv, basis)
+                assert got.terms == want.terms, (name, k, sv)
+                assert got_taint == want_taint, (name, k, sv)
+
+    def test_apply_taints_only_boundary_layers(self):
+        # the terms of L_1 raise the source weight by at most 3 (the dilaton
+        # shift d/dt_2) and the hbar power by at most 1 (hbar d d), so only
+        # the top three weight layers and the lowest hbar can be tainted
+        z = point_partition(8, 2)
+        _, tainted = apply_operator(point_operator(1, 8), z)
+        assert tainted
+        assert all(
+            monomial_weight(m) >= 6 or h == z.caps.hbar_min for h, m in tainted
+        )
+        assert any(monomial_weight(m) == 8 and h > z.caps.hbar_min for h, m in tainted)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(_series_terms, max_size=8),
+        st.lists(_series_terms, max_size=8),
+        _windows,
+        _windows,
+    )
+    def test_series_product_matches_reference(self, ta, tb, ca, cb):
+        a, b = TruncatedSeries(ca, dict(ta)), TruncatedSeries(cb, dict(tb))
+        got, want = a * b, _reference_series_mul(a, b)
+        assert got.caps == want.caps == ca
+        assert got.terms == want.terms
+
+    @pytest.mark.parametrize("weight,genus", [(8, 2), (11, 1), (11, 4)])
+    def test_point_partition_matches_reference_product(self, monkeypatch, weight, genus):
+        got = point_partition(weight, genus)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", _reference_series_mul)
+        want = point_partition(weight, genus)
+        assert got.caps == want.caps
+        assert got.terms == want.terms
+
+
+class TestCanonicalKeys:
+    def test_constructor_sorts_keys(self):
+        op = DifferentialOperator({(1, ((0, 2), (0, 1)), ((1, 0), (0, 3))): F(2)})
+        assert op.terms == {(1, ((0, 1), (0, 2)), ((0, 3), (1, 0))): F(2)}
+
+    def test_unsorted_duplicates_combine_and_cancel(self):
+        op = DifferentialOperator(
+            {(0, ((0, 2), (0, 1)), ()): F(1), (0, ((0, 1), (0, 2)), ()): F(-1)}
+        )
+        assert op.is_zero()
+        op.add_term(F(3), mult=[(1, 1), (0, 0)])
+        op.add_term(F(-3), mult=[(0, 0), (1, 1)])
+        assert op.terms == {}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(_terms, max_size=6),
+        st.lists(_terms, max_size=6),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.integers(0, 1),
+    )
+    @example(_REPEATED, _REPEATED, F(0), 1)
+    def test_sums_equal_sorting_rebuilds(self, ta, tb, c, cap):
+        a, b = _operator(ta), _operator(tb)
+        items_a, items_b = list(a.terms.items()), list(b.terms.items())
+        scaled = [(k, v * c) for k, v in items_a]
+        negated = [(k, -v) for k, v in items_b]
+        kept = [(k, v) for k, v in items_a if all(l <= cap for _, l in k[1] + k[2])]
+        for got, parts in [
+            (a.scale(c), [scaled]),
+            (a + b, [items_a, items_b]),
+            (a - b, [items_a, negated]),
+            (a.level_filter(cap), [kept]),
+        ]:
+            assert got.terms == _sorting_sum(*parts) == _rebuild(*parts)
+        assert (a - a).is_zero() and (a + a.scale(F(-1))).is_zero()
+        assert (a * b).terms == _reference_product(a, b)
