@@ -8,6 +8,13 @@ coefficient
 
 which also packages ratios of Gamma functions at half-integers as rising
 products, keeping all operator coefficients rational.
+
+Every evaluator reads a coefficient of L_k acting on a partition function.
+L_k is built from two blocks in the shifted class weight b, written once here:
+the linear block (:func:`linear_block`) and the order-hbar split block
+(:func:`split_weights`, :func:`split_block`).  :func:`family_key` is the one
+gate every integral family's entries pass: canonical key, stability,
+insertion limit and grading.
 """
 
 from __future__ import annotations
@@ -17,23 +24,30 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .errors import DomainError, check_points
 from .store import register_memo
 
 __all__ = [
     "LAMBDA_GG_GRADING",
+    "LAMBDA_GM1_GRADING",
+    "LAMBDA_GM2_GRADING",
     "LAMBDA_G_GRADING",
     "PSI_GRADING",
     "bernoulli",
     "bracket",
     "double_factorial",
+    "family_key",
     "graded_splits",
     "harmonic",
+    "linear_block",
     "lowerings",
     "multinomial",
     "multisets",
     "runs",
+    "split_block",
+    "split_weights",
     "stirling_s2",
 ]
 
@@ -41,7 +55,42 @@ __all__ = [
 # summing to d is nonzero only if d - n = slope * h + offset.
 PSI_GRADING = (3, -3)  # d = 3h - 3 + n
 LAMBDA_G_GRADING = (2, -3)  # lambda_g: d = 2h - 3 + n
+LAMBDA_GM1_GRADING = (2, -2)  # lambda_{h-1}: d = 2h - 2 + n
 LAMBDA_GG_GRADING = (1, -2)  # lambda_h lambda_{h-1}: d = h - 2 + n
+LAMBDA_GM2_GRADING = (1, -1)  # lambda_h lambda_{h-2}: d = h - 1 + n
+
+
+def family_key(
+    g: int,
+    ks: Iterable[int],
+    grading: Tuple[int, int],
+    gmin: int = 0,
+    nmin: int = 0,
+    strict: bool = False,
+) -> Optional[Tuple[int, ...]]:
+    """The canonical (descending) key of a family's genus-g integral with
+    insertions ks, or None when the integral is zero.
+
+    A genus below gmin, fewer than nmin insertions, an unstable (g, n) or a
+    negative exponent raise DomainError in strict mode and give None
+    otherwise; more than MAX_POINTS insertions raise LimitError in both modes;
+    a key off the family's grading gives None.
+    """
+    key = tuple(sorted(ks, reverse=True))
+    n = len(key)
+    if g < gmin or n < nmin or 2 * g - 2 + n <= 0 or n and key[-1] < 0:
+        if not strict:
+            return None
+        if g < gmin:
+            raise DomainError(f"genus must be >= {gmin}")
+        if n < nmin:
+            raise DomainError("need at least one insertion")
+        if 2 * g - 2 + n <= 0:
+            raise DomainError(f"(g, n) = ({g}, {n}) is unstable")
+        raise DomainError("exponents must be >= 0")
+    check_points(n)
+    slope, offset = grading
+    return key if sum(key) - n == slope * g + offset else None
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +223,59 @@ def graded_splits(
         left = tuple(v for (v, _), a in zip(groups, picks) for _ in range(a))
         right = tuple(v for (v, c), a in zip(groups, picks) for _ in range(c - a))
         yield weight, left, right, g1
+
+
+def linear_block(
+    k: int, i: int, b, derivs: Tuple[int, ...], head: Tuple[int, ...] = ()
+) -> Iterator[Tuple[Fraction, Tuple[int, ...]]]:
+    """The linear block sum_j [b + j]^k_i t_j d/dt_{j+k-i} of L_k, with the
+    dilaton shift t_1 -> t_1 - 1, differentiated at the origin by ``derivs``.
+
+    Yields (coefficient, insertions): first the dilaton term
+    (-[b + 1]^k_i, (k + 1 - i,) + head + derivs), then ([b + j]^k_i, with j
+    raised to j + k - i) for each position j of ``derivs``.  ``head`` holds
+    insertions the block carries along without raising them.
+    """
+    yield -bracket(b + 1, k, i), (k + 1 - i,) + head + derivs
+    for p, j in enumerate(derivs):
+        yield bracket(b + j, k, i), (k + j - i,) + head + derivs[:p] + derivs[p + 1 :]
+
+
+@lru_cache(maxsize=None)
+def split_weights(k: int, i: int, b) -> Tuple[Tuple[int, Fraction], ...]:
+    """(m, 1/2 (-1)^{m+1} [b - m - 1]^k_i) for m = 0..k-i-1, zero weights
+    left out: the order-hbar block of L_k, which pairs tau_m with
+    tau_{k-m-i-1}."""
+    weights = ((m, bracket(b - m - 1, k, i) / 2) for m in range(k - i))
+    return tuple((m, w if m % 2 else -w) for m, w in weights if w)
+
+
+register_memo(split_weights.cache_clear)
+
+
+def split_block(
+    k: int,
+    i: int,
+    b,
+    derivs: Sequence[int],
+    genus: int,
+    grading: Tuple[int, int],
+    lhead: Tuple[int, ...] = (),
+    rhead: Tuple[int, ...] = (),
+) -> Iterator[Tuple[Fraction, Tuple[int, ...], Tuple[int, ...], int]]:
+    """The order-hbar block of L_k on a genus-split product, differentiated
+    at the origin by ``derivs``.
+
+    Yields (weight, left, right, g1): left = (m,) + lhead + I and
+    right = (k-m-i-1,) + rhead + J over the :func:`split_weights` and the
+    :func:`graded_splits` I + J of ``derivs``, the weight their product, g1
+    the genus the grading leaves the left factor.
+    """
+    for m, w in split_weights(k, i, b):
+        left_head = (m,) + lhead
+        right_head = (k - m - i - 1,) + rhead
+        for c, left, right, g1 in graded_splits(derivs, left_head, genus, grading):
+            yield w * c, left_head + left, right_head + right, g1
 
 
 def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:

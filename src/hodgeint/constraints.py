@@ -29,7 +29,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from .combinat import LAMBDA_GG_GRADING, PSI_GRADING, bracket, graded_splits
+from .combinat import (
+    LAMBDA_GG_GRADING,
+    PSI_GRADING,
+    bracket,
+    linear_block,
+    split_block,
+)
 from .errors import DomainError
 from .hodge import (
     lambda_g_gm1_or_zero,
@@ -50,10 +56,6 @@ Atom = Tuple[int, Tuple[int, ...]]
 Symbolic = Dict[Tuple[Atom, ...], Fraction]
 
 
-def _drop(derivs: Sequence[int], i: int) -> Tuple[int, ...]:
-    return tuple(derivs[:i]) + tuple(derivs[i + 1 :])
-
-
 def _check_k(k: int) -> None:
     if k < 1:
         raise DomainError("constraint level k must be >= 1")
@@ -69,9 +71,8 @@ def x_curve(k: int, g: int, derivs: Sequence[int] = ()) -> Fraction:
               sum_{I+J=D} <tau_m I | l_{g1}> <tau_{k-m-2} J | l_{g2}>.
     """
     _check_k(k)
-    derivs = tuple(derivs)
-    leading = -bracket(1, k, 0) * _lambda_gm1_or_zero(g, (k + 1,) + derivs)
-    return leading + _xcurve_partial(g, k, derivs)
+    (c, lead), partial = _xcurve_partial(g, k, tuple(derivs))
+    return c * _lambda_gm1_or_zero(g, lead) + partial
 
 
 def y_curve(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
@@ -87,47 +88,35 @@ def y_curve(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
     if ell < 0:
         raise DomainError("ell must be >= 0")
     derivs = tuple(derivs)
-    total = -bracket(1, k, 0) * lambda_g_or_zero(g, (k + 1, ell) + derivs)
-    for i, j in enumerate(derivs):
-        total += bracket(j, k, 0) * lambda_g_or_zero(
-            g, (k + j, ell) + _drop(derivs, i)
-        )
-    total += bracket(ell + 1, k, 0) * lambda_g_or_zero(g, (k + ell,) + derivs)
+    total = bracket(ell + 1, k, 0) * lambda_g_or_zero(g, (k + ell,) + derivs)
+    for c, key in linear_block(k, 0, 0, derivs, (ell,)):
+        total += c * lambda_g_or_zero(g, key)
     return total
 
 
-def _sym_add(sym: Symbolic, atom: Atom, c: Fraction) -> None:
+def _gm2_term(sym: Symbolic, g: int, ks: Tuple[int, ...], c: Fraction) -> Fraction:
+    """c * <tau_ks | l_g l_{g-2}> as a scalar; an undetermined integral goes
+    into sym instead and counts 0 here."""
     if c == 0:
-        return
-    new = sym.get(atom, Fraction(0)) + c
-    if new == 0:
-        sym.pop(atom, None)
-    else:
-        sym[atom] = new
-
-
-def _gm2_term(
-    scalar_sym: Tuple[Fraction, Symbolic], g: int, ks: Tuple[int, ...], c: Fraction
-) -> Tuple[Fraction, Symbolic]:
-    """Accumulate c * <tau_ks | l_g l_{g-2}> into (scalar, symbolic)."""
-    scalar, sym = scalar_sym
-    if c == 0:
-        return scalar, sym
+        return Fraction(0)
     if g == 1:
         # the genus-1 slot of the family is not a lambda pair (lambda_{-1} = 0
         # kills that) but twice the pure-descendent genus-1 series: the
         # Noether relation c_1^2 + c_2 = 12 chi(O) folds the genus-1 Euler
         # block of the partition function into the squared-Chern coefficient.
         # With this value the family vanishes identically at genus 1 as well.
-        return scalar + c * 2 * psi_or_zero(1, ks), sym
+        return c * 2 * psi_or_zero(1, ks)
     val = lambda_g_gm2_or_none(g, ks)
-    if val is None:
-        key = tuple(sorted(ks, reverse=True))
-        # respect the grading so undeterminable-but-zero terms do not pollute
-        if sum(key) == g - 1 + len(key):
-            _sym_add(sym, (g, key), c)
-        return scalar, sym
-    return scalar + c * val, sym
+    if val is not None:
+        return c * val
+    # None means the key is on the grading but not determined
+    atom = (g, tuple(sorted(ks, reverse=True)))
+    new = sym.get(atom, Fraction(0)) + c
+    if new:
+        sym[atom] = new
+    else:
+        sym.pop(atom)
+    return Fraction(0)
 
 
 def x_surface(
@@ -150,6 +139,9 @@ def x_surface(
         - sum_{m=0}^{k-2} (-1)^{m+1} [-m-3/2]^k_1
               sum_{I+J} <tau_m I>_0 <tau_{k-m-2} J | l_g l_{g-1}>.
 
+    The cross terms of a genus-0 factor with a lambda-pair factor appear
+    twice in the double derivative, so they carry twice the split weight.
+
     Returns ``(scalar, symbolic)``: the evaluated part plus the unevaluated
     lambda_g lambda_{g-2} contributions, as a mapping from unknown integrals
     (genus, exponents) to rational coefficients.  The constraint asserts
@@ -164,40 +156,21 @@ def x_surface(
     scalar, sym = Fraction(0), {}
 
     # lambda_g lambda_{g-2} block
-    scalar, sym = _gm2_term(
-        (scalar, sym), g, (k + 1,) + derivs, -bracket(Half, k, 0)
-    )
-    for i, j in enumerate(derivs):
-        scalar, sym = _gm2_term(
-            (scalar, sym), g, (k + j,) + _drop(derivs, i), bracket(j - Half, k, 0)
-        )
-    for m in range(k):
-        sign = Fraction(-1) ** (m + 1)
-        w1 = sign * bracket(-m - Half - 1, k, 0)  # [-m-3/2]^k_0
-        for c, left, right, _ in graded_splits(derivs, (m,), 0, PSI_GRADING):
-            psi0 = psi_or_zero(0, (m,) + left)
-            scalar, sym = _gm2_term((scalar, sym), g, (k - m - 1,) + right, w1 * c * psi0)
-        # double derivative on the (1,1) block squares the lambda_g
-        # lambda_{g-1} part of the exponent
-        w2 = Half * sign * bracket(-m - Half, k, 0)
-        for c, left, right, g1 in graded_splits(derivs, (m,), g, LAMBDA_GG_GRADING):
-            gg = lambda_g_gm1_or_zero(g1, (m,) + left)
-            scalar += w2 * c * gg * lambda_g_gm1_or_zero(g - g1, (k - m - 1,) + right)
+    for c, key in linear_block(k, 0, -Half, derivs):
+        scalar += _gm2_term(sym, g, key, c)
+    for w, left, right, _ in split_block(k, 0, -Half, derivs, 0, PSI_GRADING):
+        scalar += _gm2_term(sym, g, right, 2 * w * psi_or_zero(0, left))
+    # double derivative on the (1,1) block squares the lambda_g
+    # lambda_{g-1} part of the exponent
+    for w, left, right, g1 in split_block(k, 0, Half, derivs, g, LAMBDA_GG_GRADING):
+        scalar += w * lambda_g_gm1_or_zero(g1, left) * lambda_g_gm1_or_zero(g - g1, right)
 
     # lambda_g lambda_{g-1} block (its exponent block carries a minus sign,
     # so the shifted-coordinate pair comes out +constant, -t_m)
-    scalar += bracket(Half, k, 1) * lambda_g_gm1_or_zero(g, (k,) + derivs)
-    for i, j in enumerate(derivs):
-        scalar -= bracket(j - Half, k, 1) * lambda_g_gm1_or_zero(
-            g, (k + j - 1,) + _drop(derivs, i)
-        )
-    for m in range(k - 1):
-        w = Fraction(-1) ** (m + 1) * bracket(-m - Half - 1, k, 1)
-        if w == 0:
-            continue
-        for c, left, right, _ in graded_splits(derivs, (m,), 0, PSI_GRADING):
-            psi0 = psi_or_zero(0, (m,) + left)
-            scalar -= w * c * psi0 * lambda_g_gm1_or_zero(g, (k - m - 2,) + right)
+    for c, key in linear_block(k, 1, -Half, derivs):
+        scalar -= c * lambda_g_gm1_or_zero(g, key)
+    for w, left, right, _ in split_block(k, 1, -Half, derivs, 0, PSI_GRADING):
+        scalar -= 2 * w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
     return scalar, sym
 
 
@@ -217,20 +190,12 @@ def y_surface(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
     if ell < 0:
         raise DomainError("ell must be >= 0")
     derivs = tuple(derivs)
-    total = -bracket(Half, k, 0) * lambda_g_gm1_or_zero(g, (k + 1, ell) + derivs)
-    for i, j in enumerate(derivs):
-        total += bracket(j - Half, k, 0) * lambda_g_gm1_or_zero(
-            g, (k + j, ell) + _drop(derivs, i)
-        )
-    total += bracket(ell + Half, k, 0) * lambda_g_gm1_or_zero(g, (k + ell,) + derivs)
-    for m in range(k):
-        sign = Fraction(-1) ** (m + 1)
-        w1 = sign * bracket(-m - Half - 1, k, 0)
-        w2 = sign * bracket(-m - Half, k, 0)
-        for c, left, right, _ in graded_splits(derivs, (m,), 0, PSI_GRADING):
-            psi0 = psi_or_zero(0, (m,) + left)
-            total += w1 * c * psi0 * lambda_g_gm1_or_zero(g, (k - m - 1, ell) + right)
-        for c, left, right, _ in graded_splits(derivs, (m, ell), 0, PSI_GRADING):
-            psi0 = psi_or_zero(0, (m, ell) + left)
-            total += w2 * c * psi0 * lambda_g_gm1_or_zero(g, (k - m - 1,) + right)
+    total = bracket(ell + Half, k, 0) * lambda_g_gm1_or_zero(g, (k + ell,) + derivs)
+    for c, key in linear_block(k, 0, -Half, derivs, (ell,)):
+        total += c * lambda_g_gm1_or_zero(g, key)
+    for b, lhead, rhead in ((-Half, (), (ell,)), (Half, (ell,), ())):
+        for w, left, right, _ in split_block(
+            k, 0, b, derivs, 0, PSI_GRADING, lhead, rhead
+        ):
+            total += 2 * w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
     return total

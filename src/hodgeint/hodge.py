@@ -26,16 +26,20 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .combinat import (
     LAMBDA_G_GRADING,
+    LAMBDA_GG_GRADING,
+    LAMBDA_GM1_GRADING,
+    LAMBDA_GM2_GRADING,
     bernoulli,
-    bracket,
     double_factorial,
-    graded_splits,
+    family_key,
     harmonic,
+    linear_block,
     lowerings,
     multinomial,
     runs,
+    split_block,
 )
-from .errors import DomainError, check_points
+from .errors import DomainError
 from .psi import psi_or_zero
 from .series1d import b_closed_form
 from .store import (
@@ -69,20 +73,6 @@ Key = Tuple[int, ...]
 
 def _canon(ks: Sequence[int]) -> Key:
     return tuple(sorted(ks, reverse=True))
-
-
-def _check(g: int, ks: Sequence[int], gmin: int = 0) -> Key:
-    if g < gmin:
-        raise DomainError(f"genus must be >= {gmin}")
-    key = _canon(ks)
-    if not key:
-        raise DomainError("need at least one insertion")
-    if g == 0 and len(key) < 3:
-        raise DomainError(f"(g, n) = (0, {len(key)}) is unstable")
-    if key[-1] < 0:
-        raise DomainError("exponents must be >= 0")
-    check_points(len(key))
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +136,12 @@ def lambda_cube(g: int) -> Fraction:
 
 def lambda_g(g: int, ks: Sequence[int]) -> Fraction:
     """<tau_{k1}...tau_{kn} | lambda_g>_g by the closed multinomial form."""
-    return _lambda_g(g, _check(g, ks))
+    key = family_key(g, ks, LAMBDA_G_GRADING, nmin=1, strict=True)
+    return Fraction(0) if key is None else _lambda_g(g, key)
 
 
 def _lambda_g(g: int, key: Key) -> Fraction:
     n = len(key)
-    if sum(key) != 2 * g - 3 + n:
-        return Fraction(0)
     cached = lookup(TAG_LAMBDA_G, (g, key))
     if cached is not None:
         return cached
@@ -161,11 +150,8 @@ def _lambda_g(g: int, key: Key) -> Fraction:
 
 
 def lambda_g_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    key = _canon(ks)
-    if g < 0 or not key or (g == 0 and len(key) < 3) or key[-1] < 0:
-        return Fraction(0)
-    check_points(len(key))
-    return _lambda_g(g, key)
+    key = family_key(g, ks, LAMBDA_G_GRADING, nmin=1)
+    return Fraction(0) if key is None else _lambda_g(g, key)
 
 
 _lambda_g_rec: Dict[Tuple[int, Key], int] = {}
@@ -187,10 +173,8 @@ def lambda_g_solver(g: int, ks: Sequence[int]) -> Fraction:
     N = value / b_g, with base N = 1 at the one-point key and at (0, 0, 0),
     and b_g (b_0 = 1) enters once, here.
     """
-    key = _check(g, ks)
-    if sum(key) != 2 * g - 3 + len(key):
-        return Fraction(0)
-    return _lg_rec(g, key) * b_constant(g)
+    key = family_key(g, ks, LAMBDA_G_GRADING, nmin=1, strict=True)
+    return Fraction(0) if key is None else _lg_rec(g, key) * b_constant(g)
 
 
 def _lg_rec(g: int, key: Key) -> int:
@@ -227,13 +211,12 @@ def lambda_g_gm1(g: int, ks: Sequence[int]) -> Fraction:
 
     zero exponents are removed by the string identity first.
     """
-    return _lambda_g_gm1(g, _check(g, ks, gmin=1))
+    key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1, strict=True)
+    return Fraction(0) if key is None else _lambda_g_gm1(g, key)
 
 
 def _lambda_g_gm1(g: int, key: Key) -> Fraction:
     n = len(key)
-    if sum(key) != g - 2 + n:
-        return Fraction(0)
     cached = lookup(TAG_LAMBDA_G_GM1, (g, key))
     if cached is not None:
         return cached
@@ -256,11 +239,8 @@ def _gg_closed(g: int, key: Key) -> Fraction:
 
 
 def lambda_g_gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    key = _canon(ks)
-    if g < 1 or not key or key[-1] < 0:
-        return Fraction(0)
-    check_points(len(key))
-    return _lambda_g_gm1(g, key)
+    key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1)
+    return Fraction(0) if key is None else _lambda_g_gm1(g, key)
 
 
 _lambda_gg_rec: Dict[Tuple[int, Key], int] = {}
@@ -284,8 +264,8 @@ def lambda_g_gm1_solver(g: int, ks: Sequence[int]) -> Fraction:
     step is (2g-3+n) M(K) for a key (1, K); the top step is
     (2k+2k0+1) M(k0+k, K) + sum_i (2k_i-1) M(k0, k_i+k, K without k_i).
     """
-    key = _check(g, ks, gmin=1)
-    if sum(key) != g - 2 + len(key):
+    key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1, strict=True)
+    if key is None:
         return Fraction(0)
     scale = prod(double_factorial(2 * k - 1) for k in key)
     return Fraction(_gg_rec(g, key), scale) * gg_const(g)
@@ -331,14 +311,12 @@ def lambda_gm1(g: int, ks: Sequence[int]) -> Fraction:
     known lambda_g values.  One of these always applies: once no exponent is
     0 or 1, the top one is at least 2.
     """
-    key = _check(g, ks, gmin=1)
-    return _gm1(g, key)
+    key = family_key(g, ks, LAMBDA_GM1_GRADING, gmin=1, nmin=1, strict=True)
+    return Fraction(0) if key is None else _gm1(g, key)
 
 
 def _gm1(g: int, key: Key) -> Fraction:
     n = len(key)
-    if sum(key) != 2 * g - 2 + n:
-        return Fraction(0)
     if g == 1:
         # lambda_0 = 1: these are pure psi integrals (same grading)
         return psi_or_zero(1, key)
@@ -352,48 +330,32 @@ def _gm1(g: int, key: Key) -> Fraction:
     elif key[-1] == 1:
         val = (2 * g - 2 + n - 1) * _gm1(g, key[:-1])
     else:  # key[0] >= key[-1] >= 2
-        k = key[0] - 1
-        val = _xcurve_partial(g, k, key[1:]) / bracket(1, k, 0)
+        (lead, _), partial = _xcurve_partial(g, key[0] - 1, key[1:])
+        val = partial / -lead
     return record(TAG_LAMBDA_GM1, (g, key), val)
 
 
 def _gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    key = _canon(ks)
-    if g < 1 or not key or key[-1] < 0:
-        return Fraction(0)
-    return _gm1(g, key)
+    key = family_key(g, ks, LAMBDA_GM1_GRADING, gmin=1, nmin=1)
+    return Fraction(0) if key is None else _gm1(g, key)
 
 
-def _xcurve_partial(g: int, k: int, derivs: Key) -> Fraction:
-    """All terms of the derivative of the curve x-constraint except the
-    leading -[1]^k_0 <tau_{k+1} derivs | lambda_{g-1}> one: _gm1 solves x = 0
-    for that term, and constraints.x_curve (which shows the full expression)
-    adds it back."""
+def _xcurve_partial(
+    g: int, k: int, derivs: Key
+) -> Tuple[Tuple[Fraction, Key], Fraction]:
+    """The derivative of the curve x-constraint split into its leading term
+    -[1]^k_0 <tau_{k+1} derivs | lambda_{g-1}>, as (coefficient, key), and
+    the sum of all other terms: _gm1 solves x = 0 for the leading integral,
+    and constraints.x_curve adds the two back together."""
+    lead, *linear = linear_block(k, 0, 0, derivs)
     total = Fraction(0)
-    for i, m in enumerate(derivs):
-        others = derivs[:i] + derivs[i + 1 :]
-        total += bracket(m, k, 0) * _gm1_or_zero(g, (k + m,) + others)
-    total += bracket(1, k, 1) * lambda_g_or_zero(g, (k,) + derivs)
-    for i, m in enumerate(derivs):
-        others = derivs[:i] + derivs[i + 1 :]
-        total -= bracket(m, k, 1) * lambda_g_or_zero(g, (k + m - 1,) + others)
-    total -= _xcurve_quadratic(g, k, derivs)
-    return total
-
-
-def _xcurve_quadratic(g: int, k: int, derivs: Key) -> Fraction:
-    total = Fraction(0)
-    for m in range(k - 1):
-        w = Fraction(1, 2) * Fraction(-1) ** (m + 1) * bracket(-m - 1, k, 1)
-        if w == 0:
-            continue
-        total += w * sum(
-            c
-            * lambda_g_or_zero(g1, (m,) + left)
-            * lambda_g_or_zero(g - g1, (k - m - 2,) + right)
-            for c, left, right, g1 in graded_splits(derivs, (m,), g, LAMBDA_G_GRADING)
-        )
-    return total
+    for c, key in linear:
+        total += c * _gm1_or_zero(g, key)
+    for c, key in linear_block(k, 1, 0, derivs):
+        total -= c * lambda_g_or_zero(g, key)
+    for w, left, right, g1 in split_block(k, 1, 0, derivs, g, LAMBDA_G_GRADING):
+        total -= w * lambda_g_or_zero(g1, left) * lambda_g_or_zero(g - g1, right)
+    return lead, total
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +368,11 @@ def lambda_g_gm2_or_none(g: int, ks: Iterable[int]):
     g = 1 gives 0 (lambda_{-1} = 0); g = 2 reduces to the lambda_g family
     (lambda_0 = 1).  No closed form is known beyond that.
     """
-    ks = _canon(ks)
-    n = len(ks)
-    if g < 1 or n < 1 or ks[-1] < 0:
-        return Fraction(0)
-    if sum(ks) != g - 1 + n:
-        return Fraction(0)
-    if g == 1:
+    key = family_key(g, ks, LAMBDA_GM2_GRADING, gmin=1, nmin=1)
+    if key is None or g == 1:
         return Fraction(0)
     if g == 2:
-        return lambda_g_or_zero(2, ks)
+        return lambda_g_or_zero(2, key)
     return None
 
 

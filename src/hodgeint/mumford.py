@@ -26,8 +26,8 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from .combinat import lowerings
-from .errors import DomainError, UnderdeterminedError
+from .combinat import PSI_GRADING, family_key, lowerings
+from .errors import DomainError, UnderdeterminedError, check_points
 from .hodge import (
     lambda_cube,
     lambda_g_gm1_or_zero,
@@ -253,28 +253,30 @@ def _top_triple(g: int, ks: Tuple[int, ...]) -> Fraction:
     return (2 * g - 2 + len(ks) - 1) * _top_triple(g, ks[1:])
 
 
-def _moduli_integral(g: int, lam: LamKey, ks: Tuple[int, ...]) -> Fraction:
+def _moduli_integral(g: int, lam: LamKey, ks: Sequence[int]) -> Fraction:
     """Integral of psi^{ks} times the lambda monomial over the pointed moduli
     space, dispatched to the known families."""
-    n = len(ks)
-    if sum(ks) + sum(lam) != 3 * g - 3 + n:
+    slope, offset = PSI_GRADING
+    key = family_key(g, ks, (slope, offset - sum(lam)))
+    if key is None:
         return Fraction(0)
+    n = len(key)
     top = (2, 1) if g == 2 else tuple(range(g, g - 3, -1))
     if g >= 2 and lam == top:
-        return _top_triple(g, ks)
+        return _top_triple(g, key)
     if n == 0:
         # only the top lambda monomial has a nonzero unpointed integral
         return Fraction(0)
     if lam == ():
-        return psi_or_zero(g, ks)
+        return psi_or_zero(g, key)
     if lam == (g,):
-        return lambda_g_or_zero(g, ks)
+        return lambda_g_or_zero(g, key)
     if g >= 2 and lam == (g, g - 1):
-        return lambda_g_gm1_or_zero(g, ks)
+        return lambda_g_gm1_or_zero(g, key)
     if g >= 2 and lam == (g - 1,):
-        return lambda_gm1(g, ks)
+        return lambda_gm1(g, key)
     if g >= 3 and lam == (g, g - 2):
-        val = lambda_g_gm2_or_none(g, ks)
+        val = lambda_g_gm2_or_none(g, key)
         if val is None:
             raise UnderdeterminedError(
                 f"no evaluation known for lambda pattern {lam} at genus {g}"
@@ -291,7 +293,7 @@ def degree0_gw(r: int, g: int, insertions: Sequence[Tuple[int, int]]) -> Fractio
     Pairs the obstruction Euler class against the inserted classes on the
     target side and the matching psi-lambda integral on the moduli side.
     Raises UnderdeterminedError when a required lambda integral is outside the
-    solvable families.
+    solvable families, and LimitError for more than MAX_POINTS insertions.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
@@ -300,10 +302,11 @@ def degree0_gw(r: int, g: int, insertions: Sequence[Tuple[int, int]]) -> Fractio
     for a, k in insertions:
         if not (0 <= a <= r) or k < 0:
             raise DomainError("insertions must be (class power 0..r, level >= 0)")
+    check_points(len(insertions))
     if g >= 2 and r > 3:
         return Fraction(0)  # the virtual class vanishes
     e = euler_class_genus1(r) if g == 1 else euler_class(r, g)
-    ks = tuple(sorted((k for _, k in insertions), reverse=True))
+    ks = [k for _, k in insertions]
     adeg = sum(a for a, _ in insertions)
     total = Fraction(0)
     for lam, cpoly in e.terms:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, perm
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .combinat import bracket
+from .combinat import bracket, split_weights
 from .errors import DomainError
 from .phase_space import Caps, Coord, Monomial, TruncatedSeries, monomial_weight
 
@@ -427,15 +427,8 @@ def general_operator(
 
     for i in range(k + 2):
         ci = powers[i]
-        for m in range(k - i):
-            for cc in range(n):
-                w = (
-                    Half
-                    * Fraction(-1) ** (m + 1)
-                    * bracket(data.weight(cc) - m - 1, k, i)
-                )
-                if w == 0:
-                    continue
+        for cc in range(n):
+            for m, w in split_weights(k, i, data.weight(cc)):
                 for b in range(n):
                     if ci[b][cc] == 0:
                         continue

@@ -21,8 +21,16 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Sequence, Tuple
 
-from .combinat import PSI_GRADING, bracket, graded_splits, lowerings, multisets
-from .errors import DomainError, check_points
+from .combinat import (
+    PSI_GRADING,
+    bracket,
+    family_key,
+    linear_block,
+    lowerings,
+    multisets,
+    split_block,
+    split_weights,
+)
 from .phase_space import Caps, TruncatedSeries
 from .store import TAG_PSI, lookup, record
 
@@ -31,45 +39,26 @@ __all__ = ["psi_integral", "psi_or_zero", "point_partition"]
 Half = Fraction(1, 2)
 
 
-def _check_stable(g: int, n: int) -> None:
-    if g < 0:
-        raise DomainError("genus must be >= 0")
-    if g == 0 and n < 3:
-        raise DomainError(f"(g, n) = (0, {n}) is unstable")
-    if g == 1 and n == 0:
-        raise DomainError("(g, n) = (1, 0) is unstable")
-
-
-def _is_stable(g: int, n: int) -> bool:
-    return g >= 0 and not (g == 0 and n < 3) and not (g == 1 and n == 0)
-
-
 def psi_integral(g: int, ks: Sequence[int]) -> Fraction:
     """<tau_{k1} ... tau_{kn}>_g, exact.
 
     Returns 0 on dimension mismatch (sum k != 3g - 3 + n); raises DomainError
     for unstable (g, n) and LimitError for more than MAX_POINTS insertions.
     """
-    ks = list(ks)
-    _check_stable(g, len(ks))
-    check_points(len(ks))
-    if any(k < 0 for k in ks):
-        raise DomainError("exponents must be >= 0")
-    return _psi(g, tuple(sorted(ks, reverse=True)))
+    key = family_key(g, ks, PSI_GRADING, strict=True)
+    return Fraction(0) if key is None else _psi(g, key)
 
 
 def psi_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    """Like psi_integral but unstable inputs count as 0 (used inside sums)."""
-    ks = tuple(sorted(ks, reverse=True))
-    if not _is_stable(g, len(ks)) or any(k < 0 for k in ks):
-        return Fraction(0)
-    return _psi(g, ks)
+    """Like psi_integral but unstable inputs count as 0 (used inside sums);
+    more than MAX_POINTS insertions still raise LimitError."""
+    key = family_key(g, ks, PSI_GRADING)
+    return Fraction(0) if key is None else _psi(g, key)
 
 
 def _psi(g: int, ks: Tuple[int, ...]) -> Fraction:
+    # ks is a canonical key on the grading; the steps below keep both
     n = len(ks)
-    if sum(ks) != 3 * g - 3 + n:
-        return Fraction(0)
     key = (g, ks)
     cached = lookup(TAG_PSI, key)
     if cached is not None:
@@ -98,28 +87,18 @@ def _one_point_genus_one() -> Fraction:
 
 
 def _top_reduction(g: int, ks: Tuple[int, ...]) -> Fraction:
+    # the level-k constraint solved for its dilaton term -[3/2]^k_0 <tau_{k+1} rest>
     k = ks[0] - 1  # >= 1 here
     rest = ks[1:]
+    (lead, _), *linear = linear_block(k, 0, Half, rest)
     total = Fraction(0)
-    for i, m in enumerate(rest):
-        total += bracket(m + Half, k, 0) * _psi(g, _raised_drop(rest, i, k))
-    for m in range(k):
-        w = Fraction(1, 2) * Fraction(-1) ** (m + 1) * bracket(-m - Half, k, 0)
-        if w == 0:
-            continue
-        if g >= 1:
-            total += w * psi_or_zero(g - 1, rest + (m, k - m - 1))
-        for c, left, right, g1 in graded_splits(rest, (m,), g, PSI_GRADING):
-            total += w * c * psi_or_zero(g1, (m,) + left) * psi_or_zero(
-                g - g1, (k - m - 1,) + right
-            )
-    return total / bracket(1 + Half, k, 0)
-
-
-def _raised_drop(rest: Tuple[int, ...], i: int, k: int) -> Tuple[int, ...]:
-    out = list(rest)
-    out[i] += k
-    return tuple(sorted(out, reverse=True))
+    for c, key in linear:
+        total += c * psi_or_zero(g, key)
+    for m, w in split_weights(k, 0, Half):
+        total += w * psi_or_zero(g - 1, rest + (m, k - m - 1))
+    for w, left, right, g1 in split_block(k, 0, Half, rest, g, PSI_GRADING):
+        total += w * psi_or_zero(g1, left) * psi_or_zero(g - g1, right)
+    return total / -lead
 
 
 def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:

@@ -29,32 +29,6 @@ class Series1D:
         self.coeffs: List[Fraction] = cs
         self.cap = cap
 
-    @classmethod
-    def zero(cls, cap: int) -> "Series1D":
-        return cls([], cap)
-
-    @classmethod
-    def one(cls, cap: int) -> "Series1D":
-        return cls([Fraction(1)], cap)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Series1D)
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.cap, tuple(self.coeffs)))
-
-    def __add__(self, other: "Series1D") -> "Series1D":
-        cap = min(self.cap, other.cap)
-        return Series1D([a + b for a, b in zip(self.coeffs, other.coeffs)], cap)
-
-    def __sub__(self, other: "Series1D") -> "Series1D":
-        cap = min(self.cap, other.cap)
-        return Series1D([a - b for a, b in zip(self.coeffs, other.coeffs)], cap)
-
     def __mul__(self, other: "Series1D") -> "Series1D":
         cap = min(self.cap, other.cap)
         out = [Fraction(0)] * (cap + 1)
@@ -81,19 +55,6 @@ class Series1D:
                 s += self.coeffs[k] * out[m - k]
             out[m] = -inv0 * s
         return Series1D(out, cap)
-
-    def compose(self, inner: "Series1D") -> "Series1D":
-        """self(inner(t)); requires inner to have zero constant term."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("inner series must have zero constant term")
-        cap = min(self.cap, inner.cap)
-        acc = Series1D.zero(cap)
-        power = Series1D.one(cap)
-        for c in self.coeffs[: cap + 1]:
-            if c:
-                acc = acc + Series1D([c * x for x in power.coeffs], cap)
-            power = power * inner
-        return acc
 
     def __repr__(self):
         return f"Series1D({self.coeffs!r}, cap={self.cap})"

@@ -9,6 +9,7 @@ from hodgeint.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from hodgeint.errors import (
     MAX_BSEQ_GENUS,
     MAX_LAMBDA_GENUS,
+    MAX_POINTS,
     MAX_PSI_GENUS,
     MAX_VERIFY_GENUS,
 )
@@ -141,6 +142,18 @@ class TestFailures:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1 and "at most" in err
+
+    @pytest.mark.parametrize("pairs", [MAX_POINTS + 1, 400, 1500])
+    def test_gw0_too_many_points(self, capsys, pairs):
+        # gw0 used to print a value up to a few hundred pairs and a
+        # RecursionError traceback beyond
+        insertions = ",".join(["0:1"] * pairs)
+        code, out, err = run(
+            capsys, "gw0", "--target", "P3", "--genus", "2", "--insertions", insertions
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: at most {MAX_POINTS} insertions are supported, got {pairs}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -6,10 +6,14 @@ exercise the symbolic output of the surface x family, whose lambda_g
 lambda_{g-2} integrals are not all determined.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from hodgeint.constraints import x_curve, x_surface, y_curve, y_surface
 from hodgeint.errors import DomainError
+
+F = Fraction
 
 DERIV_PATTERNS = [
     (),
@@ -62,6 +66,38 @@ class TestSurfaceFamilies:
             assert coeff != 0
             # unknowns respect the dimension grading of the pair family
             assert sum(key) == g - 1 + len(key)
+
+    @pytest.mark.parametrize(
+        "k,g,derivs,scalar,symbolic",
+        [
+            (2, 3, (), F(41, 774144), {(3, (3,)): F(-15, 8)}),
+            (1, 3, (2,), F(103, 1935360), {(3, (2, 2)): F(-3, 4), (3, (3,)): F(15, 4)}),
+            (3, 3, (0,), F(41, 193536), {(3, (4, 0)): F(-105, 16), (3, (3,)): F(-15, 16)}),
+            (3, 4, (), F(127, 17694720), {(4, (4,)): F(-105, 16)}),
+            (
+                2,
+                4,
+                (2, 1),
+                F(11, 98304),
+                {(4, (3, 2, 1)): F(-15, 8), (4, (4, 1)): F(105, 8), (4, (3, 2)): F(15, 8)},
+            ),
+            (1, 4, (2, 2), F(2309, 77414400), {(4, (2, 2, 2)): F(-3, 4), (4, (3, 2)): F(15, 2)}),
+            (4, 5, (1,), F(49, 3604480), {(5, (5, 1)): F(-945, 32), (5, (5,)): F(945, 32)}),
+            (2, 5, (3,), F(1861, 1362493440), {(5, (3, 3)): F(-15, 8), (5, (5,)): F(315, 8)}),
+            (
+                5,
+                5,
+                (0,),
+                F(147, 14417920),
+                {(5, (6, 0)): F(-10395, 64), (5, (5,)): F(-945, 64)},
+            ),
+            (3, 5, (2, 0), F(0), {}),
+        ],
+    )
+    def test_x_surface_values_beyond_genus_two(self, k, g, derivs, scalar, symbolic):
+        # exact values, lambda_g lambda_{g-2} unknowns included; the tests
+        # above only check vanishing at genus <= 2 and the unknowns' grading
+        assert x_surface(k, g, derivs) == (scalar, symbolic)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("g", [1, 2, 3])

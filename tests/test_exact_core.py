@@ -2,17 +2,22 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeint.combinat import (
+    LAMBDA_G_GRADING,
+    PSI_GRADING,
     bernoulli,
     bracket,
     double_factorial,
+    family_key,
     harmonic,
     multinomial,
     stirling_s2,
 )
+from hodgeint.errors import MAX_POINTS, DomainError, LimitError
 from hodgeint.series1d import Series1D, b_closed_form, b_sequence
 
 F = Fraction
@@ -111,19 +116,48 @@ class TestCombinatorics:
         assert stirling_s2(6) == 274
 
 
+class TestFamilyKey:
+    def test_canonical_key_on_the_grading(self):
+        assert family_key(2, [2, 3], PSI_GRADING) == (3, 2)
+        assert family_key(2, (4,), PSI_GRADING, strict=True) == (4,)
+        assert family_key(2, [1, 1], PSI_GRADING, strict=True) is None
+        # an empty key is a key, not a zero: the top lambda triple has n = 0
+        assert family_key(2, [], (0, 0)) == ()
+
+    @pytest.mark.parametrize(
+        "g,ks,gmin,nmin,message",
+        [
+            (0, [0, 0, 0], 1, 0, "genus must be >= 1"),
+            (2, [], 0, 1, "need at least one insertion"),
+            (0, [0, 0], 0, 0, "(g, n) = (0, 2) is unstable"),
+            (1, [], 0, 0, "(g, n) = (1, 0) is unstable"),
+            (1, [-1, 2], 0, 0, "exponents must be >= 0"),
+        ],
+    )
+    def test_domain_errors_only_in_strict_mode(self, g, ks, gmin, nmin, message):
+        grading = LAMBDA_G_GRADING
+        assert family_key(g, ks, grading, gmin, nmin) is None
+        with pytest.raises(DomainError) as exc:
+            family_key(g, ks, grading, gmin, nmin, strict=True)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_limit_in_both_modes(self, strict):
+        n = MAX_POINTS
+        assert family_key(0, [n - 3] + [0] * (n - 1), PSI_GRADING, strict=strict)
+        with pytest.raises(LimitError):
+            family_key(0, [n - 2] + [0] * n, PSI_GRADING, strict=strict)
+        # the limit is checked before the grading
+        with pytest.raises(LimitError):
+            family_key(0, [0] * (n + 1), PSI_GRADING, strict=strict)
+
+
 class TestSeries1D:
     def test_inverse_round_trip(self):
         s = Series1D([F(1), F(3), F(-2), F(7)], cap=3)
         prod = s * s.inverse()
         assert prod.coeffs[0] == 1
         assert all(c == 0 for c in prod.coeffs[1:4])
-
-    def test_compose(self):
-        # geometric series composed with 2t: 1/(1-2t)
-        geo = Series1D([F(1)] * 5, cap=4)
-        double = Series1D([F(0), F(2)], cap=4)
-        got = geo.compose(double)
-        assert got.coeffs == [F(1), F(2), F(4), F(8), F(16)]
 
     def test_b_sequence_matches_bernoulli_closed_form(self):
         seq = b_sequence(10)

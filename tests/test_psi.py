@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeint.combinat import multinomial
-from hodgeint.errors import MAX_POINTS, DomainError
+from hodgeint.constraints import x_curve, x_surface
+from hodgeint.errors import MAX_POINTS, DomainError, LimitError
 from hodgeint.hodge import lambda_gm1
+from hodgeint.mumford import degree0_gw
 from hodgeint.psi import point_partition, psi_integral, psi_or_zero
 from hodgeint.verify import suite_annihilation
 
@@ -80,6 +82,21 @@ class TestStructure:
             lambda_gm1(2, [602] + [0] * 599)
         n = MAX_POINTS
         assert psi_integral(0, [n - 3] + [0] * (n - 1)) == 1
+
+    def test_sum_entries_enforce_the_limit(self):
+        # these entries never counted insertions and recursed until
+        # RecursionError
+        with pytest.raises(LimitError):
+            psi_or_zero(0, (1,) * 1500 + (0, 0, 0))
+        with pytest.raises(LimitError):
+            x_curve(1, 1, [1] * 1499 + [0])
+        with pytest.raises(LimitError):
+            x_surface(1, 1, [1] * 1500 + [0])
+        with pytest.raises(LimitError):
+            degree0_gw(3, 2, [(0, 1)] * 1500)
+        with pytest.raises(LimitError):
+            degree0_gw(3, 2, [(0, 1)] * (MAX_POINTS + 1))
+        assert degree0_gw(3, 2, [(0, 1)] * 3) == degree0_gw(3, 2, []) * 2 * 3 * 4
 
     def test_psi_or_zero_silences_domain_errors(self):
         assert psi_or_zero(0, (0,)) == 0

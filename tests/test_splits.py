@@ -1,8 +1,10 @@
-"""The split helper and the integer bracket kernel against brute references.
+"""The split helper, the L_k block kernels and the integer bracket kernel
+against brute references.
 
 The references here are the loops the recursions were first written with:
-every subset of the insertions as a bitmask, against every genus split, and
-the bracket as a product of ``Fraction`` linear factors.
+every subset of the insertions as a bitmask, against every genus split, the
+split weights as displayed, and the bracket as a product of ``Fraction``
+linear factors.
 """
 
 from collections import Counter
@@ -12,14 +14,17 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeint import hodge, psi
+from hodgeint import psi
 from hodgeint.combinat import (
     LAMBDA_G_GRADING,
     LAMBDA_GG_GRADING,
     PSI_GRADING,
     bracket,
     graded_splits,
+    linear_block,
     multisets,
+    split_block,
+    split_weights,
 )
 from hodgeint.hodge import lambda_g_or_zero
 from hodgeint.psi import psi_integral, psi_or_zero
@@ -112,9 +117,69 @@ def test_xcurve_quadratic_matches_bitmask_loop():
                     continue
                 derivs = tuple(derivs)
                 want = _brute_xcurve_quadratic(g, top - 1, derivs)
-                assert hodge._xcurve_quadratic(g, top - 1, derivs) == want
+                got = sum(
+                    w * lambda_g_or_zero(g1, left) * lambda_g_or_zero(g - g1, right)
+                    for w, left, right, g1 in split_block(
+                        top - 1, 1, 0, derivs, g, LAMBDA_G_GRADING
+                    )
+                )
+                assert got == want, (g, top, derivs)
                 count += 1
     assert count > 50
+
+
+def test_split_weights_are_the_displayed_weights():
+    for k in range(-1, 9):
+        for i in range(k + 2):
+            for b in (F(h, 2) for h in range(-7, 8)):
+                want = {
+                    m: HALF * (-1) ** (m + 1) * _br(b - m - 1, k, i)
+                    for m in range(k - i)
+                }
+                got = dict(split_weights(k, i, b))
+                assert got == {m: w for m, w in want.items() if w}, (k, i, b)
+
+
+@given(
+    items=st.lists(st.integers(0, 4), max_size=5),
+    k=st.integers(0, 6),
+    i=st.integers(0, 2),
+    b=st.sampled_from([F(-1, 2), F(0), F(1, 2), F(1)]),
+    genus=st.integers(0, 4),
+    grading=st.sampled_from([PSI_GRADING, LAMBDA_G_GRADING, LAMBDA_GG_GRADING]),
+    lhead=st.lists(st.integers(0, 3), max_size=1),
+    rhead=st.lists(st.integers(0, 3), max_size=1),
+)
+@settings(max_examples=200, deadline=None)
+def test_split_block_is_the_bitmask_block(items, k, i, b, genus, grading, lhead, rhead):
+    slope, offset = grading
+    want = Counter()
+    for m in range(k - i):
+        w = HALF * (-1) ** (m + 1) * _br(b - m - 1, k, i)
+        for left, right in _bitmask_splits(items):
+            left = (m, *lhead) + _desc(left)
+            right = (k - m - i - 1, *rhead) + _desc(right)
+            for g1 in range(genus + 1):
+                if sum(left) - len(left) == slope * g1 + offset:
+                    want[left, right, g1] += w
+    got = Counter()
+    for w, left, right, g1 in split_block(
+        k, i, b, tuple(items), genus, grading, tuple(lhead), tuple(rhead)
+    ):
+        got[left, right, g1] += w
+    assert {key: w for key, w in got.items() if w} == {
+        key: w for key, w in want.items() if w
+    }
+
+
+def test_linear_block_terms():
+    # dilaton term first, then one raised insertion per derivative position
+    got = list(linear_block(2, 1, HALF, (3, 0), (5,)))
+    assert got == [
+        (-_br(HALF + 1, 2, 1), (2, 5, 3, 0)),
+        (_br(HALF + 3, 2, 1), (4, 5, 0)),
+        (_br(HALF, 2, 1), (1, 5, 3)),
+    ]
 
 
 def test_multisets_small_cases():
