@@ -38,7 +38,7 @@ from .operators import (
     point_operator,
 )
 from .psi import point_partition, psi_integral
-from .series1d import Series1D, b_closed_form, b_sequence
+from .series1d import b_closed_form, b_sequence
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "euler_class",
     "euler_class_genus1",
     "degree0_gw",
-    "Series1D",
     "b_sequence",
     "b_closed_form",
 ]

@@ -9,7 +9,8 @@ key order), ``csv``.
 Exit codes: 0 success, 1 a verification suite failed, 2 flag errors (such as
 ``verify --max-genus`` for a suite without a genus) and inputs beyond a size
 limit (more than errors.MAX_POINTS insertions; ``psi --genus`` above
-errors.MAX_PSI_GENUS, ``lambda --genus`` above errors.MAX_LAMBDA_GENUS,
+errors.MAX_PSI_GENUS, ``lambda --genus`` and ``gw0 --genus`` above
+errors.MAX_LAMBDA_GENUS, ``euler --genus`` above errors.MAX_EULER_GENUS,
 ``bseq --max-genus`` above errors.MAX_BSEQ_GENUS, ``verify --max-genus`` above
 the suite's errors.MAX_VERIFY_GENUS), 3 domain errors (unstable inputs,
 underdetermined integrals) and malformed cache files.
@@ -29,6 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from . import cache, store
 from .errors import (
     MAX_BSEQ_GENUS,
+    MAX_EULER_GENUS,
     MAX_LAMBDA_GENUS,
     MAX_PSI_GENUS,
     MAX_VERIFY_GENUS,
@@ -180,11 +182,15 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "euler":
         g = args.genus
+        if g < 1:
+            raise DomainError("--genus must be >= 1")
+        check_limit("--genus", g, MAX_EULER_GENUS)
         elem = euler_class_genus1(args.dim) if g == 1 else euler_class(args.dim, g)
         print(_emit({"dim": args.dim, "genus": g, "class": elem.pretty()}, fmt))
         return EXIT_OK
 
     if args.command == "gw0":
+        check_limit("--genus", args.genus, MAX_LAMBDA_GENUS)
         pairs = []
         for part in args.insertions.split(","):
             try:

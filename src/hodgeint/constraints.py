@@ -36,7 +36,7 @@ from .combinat import (
     linear_block,
     split_block,
 )
-from .errors import DomainError
+from .errors import MAX_POINTS, DomainError, check_limit
 from .hodge import (
     lambda_g_gm1_or_zero,
     lambda_g_gm2_or_none,
@@ -56,9 +56,14 @@ Atom = Tuple[int, Tuple[int, ...]]
 Symbolic = Dict[Tuple[Atom, ...], Fraction]
 
 
-def _check_k(k: int) -> None:
+def _check(k: int, derivs: Sequence[int], heads: int) -> Tuple[int, ...]:
+    """The derivatives as a tuple, once k and their count are checked; the
+    evaluator adds `heads` insertions to them (tau_k, and tau_l for y)."""
     if k < 1:
         raise DomainError("constraint level k must be >= 1")
+    derivs = tuple(derivs)
+    check_limit("the number of derivatives", len(derivs), MAX_POINTS - heads)
+    return derivs
 
 
 def x_curve(k: int, g: int, derivs: Sequence[int] = ()) -> Fraction:
@@ -70,8 +75,7 @@ def x_curve(k: int, g: int, derivs: Sequence[int] = ()) -> Fraction:
         - 1/2 sum_{m=0}^{k-2} sum_{g1+g2=g} (-1)^{m+1} [-m-1]^k_1
               sum_{I+J=D} <tau_m I | l_{g1}> <tau_{k-m-2} J | l_{g2}>.
     """
-    _check_k(k)
-    (c, lead), partial = _xcurve_partial(g, k, tuple(derivs))
+    (c, lead), partial = _xcurve_partial(g, k, _check(k, derivs, 1))
     return c * _lambda_gm1_or_zero(g, lead) + partial
 
 
@@ -84,10 +88,9 @@ def y_curve(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
 
     Vanishes identically by the multinomial closed form.
     """
-    _check_k(k)
+    derivs = _check(k, derivs, 2)
     if ell < 0:
         raise DomainError("ell must be >= 0")
-    derivs = tuple(derivs)
     total = bracket(ell + 1, k, 0) * lambda_g_or_zero(g, (k + ell,) + derivs)
     for c, key in linear_block(k, 0, 0, derivs, (ell,)):
         total += c * lambda_g_or_zero(g, key)
@@ -151,8 +154,7 @@ def x_surface(
     filled by twice the genus-1 pure-descendent series instead (see
     :func:`_gm2_term`), which makes the family vanish there too.
     """
-    _check_k(k)
-    derivs = tuple(derivs)
+    derivs = _check(k, derivs, 1)
     scalar, sym = Fraction(0), {}
 
     # lambda_g lambda_{g-2} block
@@ -186,10 +188,9 @@ def y_surface(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
 
     Vanishes identically by the double-factorial closed form.
     """
-    _check_k(k)
+    derivs = _check(k, derivs, 2)
     if ell < 0:
         raise DomainError("ell must be >= 0")
-    derivs = tuple(derivs)
     total = bracket(ell + Half, k, 0) * lambda_g_gm1_or_zero(g, (k + ell,) + derivs)
     for c, key in linear_block(k, 0, -Half, derivs, (ell,)):
         total += c * lambda_g_gm1_or_zero(g, key)

@@ -5,6 +5,7 @@ __all__ = [
     "MAX_PSI_GENUS",
     "MAX_LAMBDA_GENUS",
     "MAX_BSEQ_GENUS",
+    "MAX_EULER_GENUS",
     "MAX_VERIFY_GENUS",
     "DomainError",
     "LimitError",
@@ -31,14 +32,18 @@ MAX_POINTS = 200
 # and 11 s at 16 (about 1.6x per genus); the lambda families are closed forms
 # or short solvers (c_g and the lambda_{g-1}^3 constant together 0.015 s at
 # g = 50, 0.64 s at 200; lambda_{g-1} with ten balanced points 1.0 s at
-# g = 50); b_0..b_G takes 0.17 s at G = 100, 1.0 s at 200 and 3.8 s at 300.
+# g = 50), and gw0 reaches only them (and psi at g = 1); b_0..b_G takes 0.04 s
+# at G = 100, 0.34 s at 200 and 1.4 s at 300; the Euler class of a
+# dimension-3 target, as a whole cold command, 1.6 s at g = 1000 (92 MB;
+# 0.3 s at 400, 6 s and 330 MB at 2000).
 # verify --max-genus, per suite, as whole cold commands: annihilation 0.1 s at
-# 14 (linear); bseq 2.0 s at 200 (5.5 s at 300); closed-vs-recursion 3.0 s at
+# 14 (linear); bseq 0.7 s at 200 (2.4 s at 300); closed-vs-recursion 3.0 s at
 # 40 (15 s at 60); mumford 2.9 s at 80 (22 s at 160); euler 2.8 s at 128 (23 s
 # at 256); cg 3.2 s at 200 (15 s at 320); table stops at the published g = 5.
 MAX_PSI_GENUS = 14
 MAX_LAMBDA_GENUS = 50
 MAX_BSEQ_GENUS = 200
+MAX_EULER_GENUS = 1000
 MAX_VERIFY_GENUS = {"table": 5, "bseq": MAX_BSEQ_GENUS, "closed-vs-recursion": 40,
                     "annihilation": MAX_PSI_GENUS, "mumford": 80, "euler": 128,
                     "cg": 200}

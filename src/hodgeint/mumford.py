@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from .combinat import PSI_GRADING, family_key, lowerings
+from .combinat import family_key, lowerings
 from .errors import DomainError, UnderdeterminedError, check_points
 from .hodge import (
     lambda_cube,
@@ -222,19 +222,6 @@ def euler_class_genus1(r: int) -> LambdaRingElem:
 # degree-zero descendents for projective-space targets
 
 
-def _proj_integral(r: int, h_degree: int) -> Fraction:
-    return Fraction(1) if h_degree == r else Fraction(0)
-
-
-def _chern_monomial_degree_and_value(r: int, ck: ChernKey) -> Tuple[int, int]:
-    """For P^r: c_i = binom(r+1, i) h^i; returns (h-degree, integer factor)."""
-    deg = sum(ck)
-    val = 1
-    for i in ck:
-        val *= comb(r + 1, i)
-    return deg, val
-
-
 def _top_triple(g: int, ks: Tuple[int, ...]) -> Fraction:
     """<tau_{ks} | lambda_g lambda_{g-1} lambda_{g-2}> (lambda_2 lambda_1 for
     g = 2) for a descending key, assuming the dimension constraint
@@ -253,38 +240,37 @@ def _top_triple(g: int, ks: Tuple[int, ...]) -> Fraction:
     return (2 * g - 2 + len(ks) - 1) * _top_triple(g, ks[1:])
 
 
+# the integral family of each lambda monomial lambda_{g-j_1} lambda_{g-j_2} ...
+# below the top triple, keyed by its offsets (j_1, j_2, ...); a family
+# returning None could not determine the value
+_FAMILIES = {
+    (): psi_or_zero,
+    (0,): lambda_g_or_zero,
+    (1,): lambda_gm1,
+    (0, 1): lambda_g_gm1_or_zero,
+    (0, 2): lambda_g_gm2_or_none,
+}
+
+
 def _moduli_integral(g: int, lam: LamKey, ks: Sequence[int]) -> Fraction:
     """Integral of psi^{ks} times the lambda monomial over the pointed moduli
-    space, dispatched to the known families."""
-    slope, offset = PSI_GRADING
-    key = family_key(g, ks, (slope, offset - sum(lam)))
+    space, looked up in the known families."""
+    key = family_key(g, ks, (3, -3 - sum(lam)))
     if key is None:
         return Fraction(0)
-    n = len(key)
     top = (2, 1) if g == 2 else tuple(range(g, g - 3, -1))
     if g >= 2 and lam == top:
         return _top_triple(g, key)
-    if n == 0:
+    if not key:
         # only the top lambda monomial has a nonzero unpointed integral
         return Fraction(0)
-    if lam == ():
-        return psi_or_zero(g, key)
-    if lam == (g,):
-        return lambda_g_or_zero(g, key)
-    if g >= 2 and lam == (g, g - 1):
-        return lambda_g_gm1_or_zero(g, key)
-    if g >= 2 and lam == (g - 1,):
-        return lambda_gm1(g, key)
-    if g >= 3 and lam == (g, g - 2):
-        val = lambda_g_gm2_or_none(g, key)
-        if val is None:
-            raise UnderdeterminedError(
-                f"no evaluation known for lambda pattern {lam} at genus {g}"
-            )
-        return val
-    raise UnderdeterminedError(
-        f"no evaluation known for lambda pattern {lam} at genus {g}"
-    )
+    family = _FAMILIES.get(tuple(g - i for i in lam))
+    value = None if family is None else family(g, key)
+    if value is None:
+        raise UnderdeterminedError(
+            f"no evaluation known for lambda pattern {lam} at genus {g}"
+        )
+    return value
 
 
 def degree0_gw(r: int, g: int, insertions: Sequence[Tuple[int, int]]) -> Fraction:
@@ -311,9 +297,8 @@ def degree0_gw(r: int, g: int, insertions: Sequence[Tuple[int, int]]) -> Fractio
     total = Fraction(0)
     for lam, cpoly in e.terms:
         for ck, coeff in cpoly:
-            hdeg, factor = _chern_monomial_degree_and_value(r, ck)
-            xside = coeff * factor * _proj_integral(r, adeg + hdeg)
-            if xside == 0:
-                continue
-            total += xside * _moduli_integral(g, lam, ks)
+            # c_i = C(r+1, i) h^i on P^r, and only h^r integrates to 1
+            if adeg + sum(ck) == r:
+                xside = coeff * prod(comb(r + 1, i) for i in ck)
+                total += xside * _moduli_integral(g, lam, ks)
     return total

@@ -268,24 +268,6 @@ class DifferentialOperator:
             out._put(key, c)
         return out
 
-    def pretty(self) -> str:
-        """Canonical text form, one term per line, for golden comparisons."""
-
-        def fmt_coord(c: Coord) -> str:
-            a, k = c
-            return f"t[{a},{k}]"
-
-        lines = []
-        for (h, mult, diff) in sorted(self.terms):
-            c = self.terms[(h, mult, diff)]
-            parts = [str(c)]
-            if h:
-                parts.append(f"hbar^{h}")
-            parts.extend(fmt_coord(x) for x in mult)
-            parts.extend("d/d" + fmt_coord(x) for x in diff)
-            lines.append(" * ".join(parts))
-        return "\n".join(lines)
-
     def __repr__(self):
         return f"DifferentialOperator<{len(self.terms)} terms>"
 

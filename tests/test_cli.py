@@ -8,6 +8,7 @@ from hodgeint import store
 from hodgeint.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from hodgeint.errors import (
     MAX_BSEQ_GENUS,
+    MAX_EULER_GENUS,
     MAX_LAMBDA_GENUS,
     MAX_POINTS,
     MAX_PSI_GENUS,
@@ -130,6 +131,13 @@ class TestFailures:
         assert code == EXIT_DOMAIN
         assert "unstable" in err
 
+    @pytest.mark.parametrize("genus", ["0", "-1"])
+    def test_euler_genus_below_one(self, capsys, genus):
+        code, out, err = run(capsys, "euler", "--dim", "2", "--genus", genus)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == "error: --genus must be >= 1\n"
+
     def test_underdetermined(self, capsys):
         code, _, err = run(
             capsys, "gw0", "--target", "P2", "--genus", "3", "--insertions", "0:3"
@@ -164,6 +172,9 @@ class TestFailures:
             ["lambda", "--class", "g", "--genus", "1000", "--exponents", "1998"],
             ["bseq", "--max-genus", str(MAX_BSEQ_GENUS + 1)],
             ["bseq", "--max-genus", "1000000"],
+            ["euler", "--dim", "3", "--genus", str(MAX_EULER_GENUS + 1)],
+            ["gw0", "--target", "P3", "--genus", str(MAX_LAMBDA_GENUS + 1),
+             "--insertions", "0:1"],
             ["verify", "--suite", "annihilation", "--max-genus", str(MAX_PSI_GENUS + 1)],
         ],
     )

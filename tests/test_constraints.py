@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from hodgeint.constraints import x_curve, x_surface, y_curve, y_surface
-from hodgeint.errors import DomainError
+from hodgeint.errors import MAX_POINTS, DomainError, LimitError
 
 F = Fraction
 
@@ -117,6 +117,25 @@ class TestDomain:
             x_surface(0, 2)
         with pytest.raises(DomainError):
             y_surface(0, 2, 1)
+
+    @pytest.mark.parametrize(
+        "evaluator, args, cap",
+        [
+            (x_curve, (1, 2), MAX_POINTS - 1),
+            (x_surface, (1, 2), MAX_POINTS - 1),
+            (y_curve, (1, 2, 0), MAX_POINTS - 2),
+            (y_surface, (1, 2, 0), MAX_POINTS - 2),
+        ],
+    )
+    def test_derivative_limit(self, evaluator, args, cap):
+        # the evaluators add tau_k (and tau_l for y) to the derivatives; the
+        # limit used to name that total, which the caller never passed
+        evaluator(*args, [0] * cap)
+        with pytest.raises(LimitError) as exc:
+            evaluator(*args, [0] * (cap + 1))
+        assert str(exc.value) == (
+            f"the number of derivatives is at most {cap}, got {cap + 1}"
+        )
 
     def test_negative_ell(self):
         with pytest.raises(DomainError):

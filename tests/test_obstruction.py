@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeint.errors import DomainError, UnderdeterminedError
-from hodgeint.hodge import lambda_cube, lambda_g
+from hodgeint.hodge import lambda_cube, lambda_g, lambda_g_gm1
 from hodgeint.mumford import (
     LambdaRingElem,
     degree0_gw,
@@ -240,6 +240,20 @@ class TestDegreeZeroGW:
         for g in (2, 3, 4):
             ins = [(0, 2), (0, 2), (0, 0), (0, 0)]
             assert degree0_gw(3, g, ins) == 4 * g * degree0_gw(3, g, [(0, 1)])
+
+    def test_surface_values(self):
+        # the class-1 insertion pairs with the -c1 l_g l_{g-1} term of the
+        # Euler class, and int c_1 h = 3 on the dimension-2 target; at g = 2
+        # that term is the top lambda triple l_2 l_1
+        cases = [
+            (3, [(1, 2)], F(-1, 40320)),
+            (4, [(1, 3)], F(-1, 1075200)),
+            (3, [(1, 1), (0, 2)], F(-1, 8064)),
+        ]
+        for g, ins, want in cases:
+            ks = [k for _, k in ins]
+            assert degree0_gw(2, g, ins) == want == -3 * lambda_g_gm1(g, ks)
+        assert degree0_gw(2, 2, [(1, 1)]) == F(-1, 960)
 
     def test_dimension_mismatch_vanishes(self):
         assert degree0_gw(3, 2, [(3, 0)]) == 0
