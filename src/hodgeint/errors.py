@@ -33,13 +33,12 @@ MAX_POINTS = 200
 # or short solvers (c_g and the lambda_{g-1}^3 constant together 0.015 s at
 # g = 50, 0.64 s at 200; lambda_{g-1} with ten balanced points 1.0 s at
 # g = 50), and gw0 reaches only them (and psi at g = 1); b_0..b_G takes 0.04 s
-# at G = 100, 0.34 s at 200 and 1.4 s at 300; the Euler class of a
-# dimension-3 target, as a whole cold command, 1.6 s at g = 1000 (92 MB;
-# 0.3 s at 400, 6 s and 330 MB at 2000).
+# at G = 100, 0.34 s at 200 and 1.4 s at 300; euler --dim 2 or 3, as a whole
+# cold command, 0.14 s and 16 MB at g = 1000 (the class alone is under 1 ms).
 # verify --max-genus, per suite, as whole cold commands: annihilation 0.1 s at
 # 14 (linear); bseq 0.7 s at 200 (2.4 s at 300); closed-vs-recursion 3.0 s at
-# 40 (15 s at 60); mumford 2.9 s at 80 (22 s at 160); euler 2.8 s at 128 (23 s
-# at 256); cg 3.2 s at 200 (15 s at 320); table stops at the published g = 5.
+# 40 (15 s at 60); mumford 2.9 s at 80 (22 s at 160); euler 0.23 s at 128;
+# cg 3.2 s at 200 (15 s at 320); table stops at the published g = 5.
 MAX_PSI_GENUS = 14
 MAX_LAMBDA_GENUS = 50
 MAX_BSEQ_GENUS = 200

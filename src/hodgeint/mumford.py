@@ -74,13 +74,16 @@ def mumford_relations(g: int) -> Tuple[LamPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _square_rules(g: int) -> Tuple[Tuple[Tuple[Fraction, LamKey], ...], ...]:
-    """For m = 1..g, lambda_m^2 - (-1)^m rel_m, the rewrite of the leading
-    monomial lambda_m^2 of the m-th relation, as ((coeff, key), ...)."""
-    return tuple(
-        tuple((-(-1) ** m * c, key) for key, c in rel.items() if key != (m, m))
-        for m, rel in enumerate(mumford_relations(g), start=1)
-    )
+def _square_rule(g: int, m: int) -> Tuple[Tuple[Fraction, LamKey], ...]:
+    """lambda_m^2 - (-1)^m rel_m, the rewrite of the leading monomial
+    lambda_m^2 of the m-th relation sum_{i+j=2m} (-1)^i lambda_i lambda_j,
+    as ((coeff, key), ...); built alone, without the other relations."""
+    rule: LamPoly = {}
+    for i in range(max(0, 2 * m - g), min(2 * m, g) + 1):
+        key = _lam_key((i, 2 * m - i))
+        if key != (m, m):
+            rule[key] = rule.get(key, Fraction(0)) - (-1) ** (m + i)
+    return tuple((c, key) for key, c in rule.items())
 
 
 @lru_cache(maxsize=None)
@@ -102,13 +105,13 @@ def reduce_lambda_monomial(g: int, key: LamKey) -> Tuple[Tuple[Fraction, LamKey]
         return ((Fraction(1), key),)
     rest = key[:p] + key[p + 2 :]
     acc: LamPoly = {}
-    for coeff, tail in _square_rules(g)[key[p] - 1]:
+    for coeff, tail in _square_rule(g, key[p]):
         for c, red in reduce_lambda_monomial(g, _lam_key(rest + tail)):
             acc[red] = acc.get(red, Fraction(0)) + coeff * c
     return tuple((c, k) for k, c in sorted(acc.items()) if c)
 
 
-register_memo(_square_rules.cache_clear)
+register_memo(_square_rule.cache_clear)
 register_memo(reduce_lambda_monomial.cache_clear)
 
 

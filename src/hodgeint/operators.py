@@ -19,7 +19,7 @@ Infinite level sums are truncated at a level cap; all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, perm
+from math import comb, lcm, perm
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .combinat import bracket, split_weights
@@ -103,16 +103,20 @@ class CohomologyData(_CohomologyFields):
         return _invert(self.eta)
 
     def c1_power(self, i: int) -> List[List[Fraction]]:
+        return self._c1_powers(i + 1)[i]
+
+    def _c1_powers(self, count: int) -> List[List[List[Fraction]]]:
+        """c_1^0, ..., c_1^(count-1), each from the one before."""
         n = self.size
-        out = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-        for _ in range(i):
-            out = [
+        out = [[[Fraction(int(r == c)) for c in range(n)] for r in range(n)]]
+        while len(out) < count:
+            prev = out[-1]
+            out.append(
                 [
-                    sum(self.c1[r][m] * out[m][c] for m in range(n))
-                    for c in range(n)
+                    [sum(self.c1[r][m] * prev[m][c] for m in range(n)) for c in range(n)]
+                    for r in range(n)
                 ]
-                for r in range(n)
-            ]
+            )
         return out
 
     def constant(self) -> Fraction:
@@ -258,18 +262,39 @@ class DifferentialOperator:
 
         Each pair of terms gives its plain product, in which no derivative of
         the left factor acts on the right factor, plus the terms of
-        :func:`_contracted`, in which at least one does (Leibniz).
+        :func:`_contracted`, in which at least one does (Leibniz).  Both are
+        summed as integer numerators over the product of the two common
+        denominators.
         """
-        out = DifferentialOperator()
-        for (h1, m1, d1), c1 in self.terms.items():
-            for (h2, m2, d2), c2 in other.terms.items():
-                out.add_term(c1 * c2, h1 + h2, m1 + m2, d1 + d2)
-        for key, c in _contracted(self, other):
-            out._put(key, c)
-        return out
+        (da, left), (db, right) = _numerators(self.terms), _numerators(other.terms)
+        plain = (
+            ((h1 + h2, tuple(sorted(m1 + m2)), tuple(sorted(d1 + d2))), c1 * c2)
+            for (h1, m1, d1), c1 in left
+            for (h2, m2, d2), c2 in right
+        )
+        return _over(da * db, plain, _contracted(left, right))
 
     def __repr__(self):
         return f"DifferentialOperator<{len(self.terms)} terms>"
+
+
+def _numerators(terms: Dict) -> Tuple[int, List[Tuple]]:
+    """Nonzero Fraction values as integer numerators over their common
+    denominator D, the lcm of their denominators: ``(D, [(key, n), ...])``."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(key, c.numerator * (d // c.denominator)) for key, c in terms.items()]
+
+
+def _over(d: int, *parts: Iterable[Tuple[TermKey, int]]) -> DifferentialOperator:
+    """The sum of ``(key, numerator)`` items over the denominator d, with one
+    Fraction per nonzero key."""
+    acc: Dict[TermKey, int] = {}
+    for items in parts:
+        for key, n in items:
+            acc[key] = acc.get(key, 0) + n
+    return DifferentialOperator._from_canonical(
+        {key: Fraction(n, d) for key, n in acc.items() if n}
+    )
 
 
 def _counts(coords: Tuple[Coord, ...]) -> Dict[Coord, int]:
@@ -289,29 +314,31 @@ def _expand(base: Dict[Coord, int], extra: Dict[Coord, int]) -> Tuple[Coord, ...
     return tuple(out)
 
 
-def _contracted(left: DifferentialOperator, right: DifferentialOperator):
-    """The terms of left . right with at least one contraction.
+def _contracted(left: List[Tuple[TermKey, int]], right: List[Tuple[TermKey, int]]):
+    """The terms of left . right with at least one contraction, for the
+    integer views (:func:`_numerators`) of two operators.
 
     A contraction is a derivative of a left term acting on a coordinate of a
     right term.  When a coordinate carries d derivatives on the left and m
     factors on the right, s contractions on it can be chosen in
-    comb(d, s) * perm(m, s) ways.  Yields one ``(key, coefficient)`` pair per
+    comb(d, s) * perm(m, s) ways.  Yields one ``(key, numerator)`` pair per
     choice, not yet combined.  Right terms are indexed by coordinate, so a
     left term only meets the right terms that carry one of its derivative
     coordinates.
     """
     rights = []
     by_coord: Dict[Coord, List[int]] = {}
-    for (h2, m2, d2), c2 in right.terms.items():
+    for (h2, m2, d2), c2 in right:
         mcounts = _counts(m2)
         for coord in mcounts:
             by_coord.setdefault(coord, []).append(len(rights))
         rights.append((h2, mcounts, _counts(d2), c2))
-    for (h1, m1, d1), c1 in left.terms.items():
+    for (h1, m1, d1), c1 in left:
         dcounts = _counts(d1)
         base = _counts(m1)
         for i in {i for coord in dcounts for i in by_coord.get(coord, ())}:
             h2, mcounts, d2counts, c2 = rights[i]
+            c = c1 * c2
             shared = [coord for coord in dcounts if coord in mcounts]
             for choice in _contractions(shared, dcounts, mcounts):
                 if not choice:
@@ -325,7 +352,7 @@ def _contracted(left: DifferentialOperator, right: DifferentialOperator):
                     newd[coord] -= s
                 mult = _expand(base, newm)
                 diff = _expand(d2counts, newd)
-                yield (h1 + h2, mult, diff), c1 * c2 * ways
+                yield (h1 + h2, mult, diff), c * ways
 
 
 def _contractions(shared, dcounts, mcounts):
@@ -347,14 +374,12 @@ def commutator(
     """[a, b] = a . b - b . a.
 
     The plain products of a . b and b . a are equal term by term and
-    cancel, so only the contracted terms of each order are summed.
+    cancel, so only the contracted terms of each order are summed, as integer
+    numerators over the product of the two common denominators.
     """
-    out = DifferentialOperator()
-    for key, c in _contracted(a, b):
-        out._put(key, c)
-    for key, c in _contracted(b, a):
-        out._put(key, -c)
-    return out
+    (da, ia), (db, ib) = _numerators(a.terms), _numerators(b.terms)
+    negated = ((key, -n) for key, n in _contracted(ib, ia))
+    return _over(da * db, _contracted(ia, ib), negated)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +408,8 @@ def general_operator(
         raise DomainError("level must be >= -1")
     n = data.size
     eta_inv = data.eta_inverse()
-    powers = [data.c1_power(i) for i in range(k + 2)]
+    powers = data._c1_powers(k + 2)
+    weights = [data.weight(a) for a in range(n)]
     op = DifferentialOperator()
 
     for i in range(k + 2):
@@ -392,7 +418,7 @@ def general_operator(
             if m + k - i > level_cap:
                 break
             for a in range(n):
-                coeff_base = bracket(data.weight(a) + m, k, i)
+                coeff_base = bracket(weights[a] + m, k, i)
                 if coeff_base == 0:
                     continue
                 for b in range(n):
@@ -403,14 +429,14 @@ def general_operator(
         # the dilaton shift t_{0,1} -> t_{0,1} - 1: its term touches level
         # 1 + k - i only, so it is kept at caps (0) that drop t_{0,1} itself
         if 1 + k - i <= level_cap:
-            shift = bracket(data.weight(0) + 1, k, i)
+            shift = bracket(weights[0] + 1, k, i)
             for b in range(n):
                 op.add_term(-shift * ci[b][0], diff=[(b, 1 + k - i)])
 
     for i in range(k + 2):
         ci = powers[i]
         for cc in range(n):
-            for m, w in split_weights(k, i, data.weight(cc)):
+            for m, w in split_weights(k, i, weights[cc]):
                 for b in range(n):
                     if ci[b][cc] == 0:
                         continue
@@ -460,25 +486,33 @@ def apply_operator(
     layers or near the ends of the hbar window can be tainted.
     """
     weight, lo, hi = caps = series.caps
+    dop, op_items = _numerators(op.terms)
     terms = [
         (dh, mult, diff, c, sum(k + 1 for _, k in diff) - sum(k + 1 for _, k in mult))
-        for (dh, mult, diff), c in op.terms.items()
+        for (dh, mult, diff), c in op_items
     ]
+    # the product sums integer numerators over the two common denominators;
     # a term with derivatives meets only the series terms holding diff[0]
-    by_coord: Dict[Coord, List[Tuple[Tuple[int, Monomial], Fraction]]] = {}
-    for entry in series.terms.items():
+    dseries, series_items = _numerators(series.terms)
+    by_coord: Dict[Coord, List[Tuple[Tuple[int, Monomial], int]]] = {}
+    for entry in series_items:
         for coord, _ in entry[0][1]:
             by_coord.setdefault(coord, []).append(entry)
-    out = TruncatedSeries(caps)
+    acc: Dict[Tuple[int, Monomial], int] = {}
     for dh, mult, diff, c, _ in terms:
-        for (h, mono), coeff in by_coord.get(diff[0], ()) if diff else series.terms.items():
-            src, factor = _differentiate(mono, diff)
-            if src is None:
+        for (h, mono), coeff in by_coord.get(diff[0], ()) if diff else series_items:
+            d, factor = _differentiate(mono, diff)
+            if not factor:
                 continue
-            d = dict(src)
             for coord in mult:
                 d[coord] = d.get(coord, 0) + 1
-            out._add((h + dh, tuple(sorted(d.items()))), coeff * c * factor)
+            key = (h + dh, tuple(sorted(d.items())))
+            acc[key] = acc.get(key, 0) + coeff * c * factor
+    out = TruncatedSeries(caps)
+    denominator = dop * dseries
+    out.terms = {
+        key: Fraction(n, denominator) for key, n in acc.items() if n and caps.admits(*key)
+    }
 
     tainted: Set[Tuple[int, Monomial]] = set()
     layers: Dict[int, List[Monomial]] = {}
@@ -505,18 +539,20 @@ def apply_operator(
 
 
 def _differentiate(mono: Monomial, diff: Tuple[Coord, ...]):
+    """The exponents of diff applied to mono, and the factor it brings down
+    (0 when some derivative finds no factor)."""
     d = dict(mono)
     factor = 1
     for coord in diff:
         e = d.get(coord, 0)
         if e == 0:
-            return None, 0
+            return d, 0
         factor *= e
         if e == 1:
             del d[coord]
         else:
             d[coord] = e - 1
-    return tuple(sorted(d.items())), factor
+    return d, factor
 
 
 def _source_key(held: Dict[Coord, int], mult, diff) -> Monomial:

@@ -42,7 +42,7 @@ def test_reset_empties_every_memo():
             "gg_const": hodge.gg_const.cache_info().currsize,
             "bernoulli": combinat.bernoulli.cache_info().currsize,
             "rising_poly": combinat._rising_poly.cache_info().currsize,
-            "square_rules": mumford._square_rules.cache_info().currsize,
+            "square_rule": mumford._square_rule.cache_info().currsize,
             "reduce": mumford.reduce_lambda_monomial.cache_info().currsize,
         }
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgeint import mumford, store
 from hodgeint.errors import DomainError, UnderdeterminedError
 from hodgeint.hodge import lambda_cube, lambda_g, lambda_g_gm1
 from hodgeint.mumford import (
@@ -205,6 +206,26 @@ class TestEulerClasses:
     def test_high_dim_rejected(self):
         with pytest.raises(DomainError):
             euler_class(4, 2)
+
+    def test_high_genus_needs_no_full_relation_list(self, monkeypatch):
+        # an Euler class rewrites only lambda_g^2 and lambda_{g-1}^2, so it
+        # must not build all g relations; the expected normal forms are the
+        # closed forms above, written out square-free
+        def refuse(g):
+            raise AssertionError(f"mumford_relations({g}) called")
+
+        store.reset()
+        monkeypatch.setattr(mumford, "mumford_relations", refuse)
+        g = 60
+        sgn = F((-1) ** g)
+        want = {
+            1: {(g - 1,): {(1,): -sgn}, (g,): {(): sgn}},
+            2: {(g, g - 2): {(1, 1): F(1)}, (g, g - 1): {(1,): F(-1)}},
+            # lambda_{g-1}^3 = 2 lambda_g lambda_{g-1} lambda_{g-2}
+            3: {(g, g - 1, g - 2): {(1, 2): -sgn, (3,): sgn}},
+        }
+        for r, terms in want.items():
+            assert euler_class(r, g).as_dict() == terms, r
 
 
 class TestDegreeZeroGW:

@@ -1,8 +1,10 @@
 """Constraint operators: construction, algebra, specializations, application."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,6 @@ from hodgeint.combinat import bracket
 from hodgeint.errors import DomainError
 from hodgeint.operators import (
     DifferentialOperator,
-    _contracted,
     apply_operator,
     commutator,
     general_operator,
@@ -369,14 +370,36 @@ def _rebuild(*parts):
     return op.terms
 
 
+@lru_cache(maxsize=None)
+def _normal_order(word):
+    """{(mult, diff): multiplicity} of a word of ("x", coord) factors and
+    ("d", coord) derivatives, moving one derivative at a time past one
+    factor: d_x . x = x . d_x + 1, and d_x . y = y . d_x for y != x."""
+    for i in range(len(word) - 1):
+        (first, x), (second, y) = word[i], word[i + 1]
+        if first == "d" and second == "x":
+            out = dict(_normal_order(word[:i] + (word[i + 1], word[i]) + word[i + 2 :]))
+            if x == y:
+                for key, n in _normal_order(word[:i] + word[i + 2 :]).items():
+                    out[key] = out.get(key, 0) + n
+            return out
+    mult = tuple(sorted(c for kind, c in word if kind == "x"))
+    diff = tuple(sorted(c for kind, c in word if kind == "d"))
+    return {(mult, diff): 1}
+
+
 def _reference_product(a, b):
-    """Every plain product, then every contraction, through the sorting sum."""
-    plain = [
-        ((h1 + h2, m1 + m2, d1 + d2), c1 * c2)
-        for (h1, m1, d1), c1 in a.terms.items()
-        for (h2, m2, d2), c2 in b.terms.items()
-    ]
-    return _sorting_sum(plain, _contracted(a, b))
+    """a . b by normal ordering the word of every pair of terms."""
+    parts = []
+    for (h1, m1, d1), c1 in a.terms.items():
+        for (h2, m2, d2), c2 in b.terms.items():
+            word = tuple(
+                [("x", c) for c in m1] + [("d", c) for c in d1]
+                + [("x", c) for c in m2] + [("d", c) for c in d2]
+            )
+            for (mult, diff), n in _normal_order(word).items():
+                parts.append(((h1 + h2, mult, diff), c1 * c2 * n))
+    return _sorting_sum(parts)
 
 
 def _reference_series_mul(self, other):
@@ -565,3 +588,156 @@ class TestCanonicalKeys:
             assert got.terms == _sorting_sum(*parts) == _rebuild(*parts)
         assert (a - a).is_zero() and (a + a.scale(F(-1))).is_zero()
         assert (a * b).terms == _reference_product(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The operator kernels as they were when they summed Fractions term by term,
+# kept here so that the integer kernels of the package are compared with code
+# they share nothing with.  The contraction loop visits every pair of terms;
+# the package's index by coordinate skips only pairs with nothing to contract.
+
+
+def _fraction_counts(coords):
+    out = {}
+    for c in coords:
+        out[c] = out.get(c, 0) + 1
+    return out
+
+
+def _fraction_expand(base, extra):
+    total = dict(base)
+    for c, n in extra.items():
+        total[c] = total.get(c, 0) + n
+    return tuple(c for c, n in sorted(total.items()) for _ in range(n))
+
+
+def _fraction_choices(shared, dcounts, mcounts):
+    if not shared:
+        yield {}
+        return
+    head, rest = shared[0], shared[1:]
+    for sub in _fraction_choices(rest, dcounts, mcounts):
+        yield sub
+        for s in range(1, min(dcounts[head], mcounts[head]) + 1):
+            yield {**sub, head: s}
+
+
+def _fraction_contracted(left, right):
+    for (h1, m1, d1), c1 in left.terms.items():
+        dcounts, base = _fraction_counts(d1), _fraction_counts(m1)
+        for (h2, m2, d2), c2 in right.terms.items():
+            mcounts, d2counts = _fraction_counts(m2), _fraction_counts(d2)
+            shared = [coord for coord in dcounts if coord in mcounts]
+            for choice in _fraction_choices(shared, dcounts, mcounts):
+                if not choice:
+                    continue
+                ways, newm, newd = 1, dict(mcounts), dict(dcounts)
+                for coord, s in choice.items():
+                    ways *= math.comb(dcounts[coord], s) * math.perm(mcounts[coord], s)
+                    newm[coord] -= s
+                    newd[coord] -= s
+                mult = _fraction_expand(base, newm)
+                diff = _fraction_expand(d2counts, newd)
+                yield (h1 + h2, mult, diff), c1 * c2 * ways
+
+
+def _fraction_commutator(a, b):
+    negated = [(key, -c) for key, c in _fraction_contracted(b, a)]
+    return _sorting_sum(_fraction_contracted(a, b), negated)
+
+
+def _fraction_product(a, b):
+    plain = [
+        ((h1 + h2, m1 + m2, d1 + d2), c1 * c2)
+        for (h1, m1, d1), c1 in a.terms.items()
+        for (h2, m2, d2), c2 in b.terms.items()
+    ]
+    return _sorting_sum(plain, _fraction_contracted(a, b))
+
+
+def _fraction_apply(op, series):
+    """The product loop of apply_operator, summing Fractions in the series."""
+    by_coord = {}
+    for entry in series.terms.items():
+        for coord, _ in entry[0][1]:
+            by_coord.setdefault(coord, []).append(entry)
+    out = TruncatedSeries(series.caps)
+    for (dh, mult, diff), c in op.terms.items():
+        for (h, mono), coeff in by_coord.get(diff[0], ()) if diff else series.terms.items():
+            d, factor = dict(mono), 1
+            for coord in diff:
+                factor *= d.get(coord, 0)
+                if not factor:
+                    break
+                d[coord] -= 1
+            else:
+                for coord in mult:
+                    d[coord] = d.get(coord, 0) + 1
+                key = (h + dh, tuple(sorted((x, e) for x, e in d.items() if e)))
+                out._add(key, coeff * c * factor)
+    return out.terms
+
+
+def _stored_exactly(terms):
+    return all(type(c) is Fraction and c != 0 for c in terms.values())
+
+
+# coefficients with unrelated denominators, so the common denominators of the
+# integer views are true lcms and results reduce by a nontrivial gcd
+_mixed = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+_mixed_terms = st.tuples(_mixed, st.integers(-1, 2), _coords, _coords)
+_mixed_series = st.tuples(_series_terms.map(lambda t: t[0]), _mixed)
+
+# d_x/3 times (3/5 x d_x - 3/5): the contracted d_x/5 cancels the plain -d_x/5
+_CANCEL_A = [(F(1, 3), 0, [], [(0, 0)])]
+_CANCEL_B = [(F(3, 5), 0, [(0, 0)], [(0, 0)]), (F(-3, 5), 0, [], [])]
+# (d_x - x d_x d_x) / 7 kills x^2 / 2
+_KILL = [(F(1, 7), 0, [], [(0, 0)]), (F(-1, 7), 0, [(0, 0)], [(0, 0), (0, 0)])]
+
+
+class TestIntegerKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_mixed_terms, max_size=5),
+        st.lists(_mixed_terms, max_size=5),
+        _mixed,
+    )
+    @example(_CANCEL_A, _CANCEL_B, F(0))
+    @example(_REPEATED, _SHARED, F(-7, 3))
+    def test_commutator_and_product_equal_fraction_kernels(self, ta, tb, c):
+        a, b = _operator(ta), _operator(tb)
+        # b + c a cancels part of [a, b + c a] against c [a, a] = 0
+        for x, y in [(a, b), (b, a), (a, b + a.scale(c)), (a, a)]:
+            comm, prod = commutator(x, y), x * y
+            assert comm.terms == _fraction_commutator(x, y)
+            assert prod.terms == _fraction_product(x, y)
+            assert _stored_exactly(comm.terms) and _stored_exactly(prod.terms)
+        assert commutator(a, a).is_zero()
+        if (ta, tb) == (_CANCEL_A, _CANCEL_B):
+            assert (a * b).terms == {(0, ((0, 0),), ((0, 0), (0, 0))): F(1, 5)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_mixed_terms, max_size=5), st.lists(_mixed_series, max_size=8), _windows)
+    @example(_KILL, [((0, (((0, 0), 2),)), F(1, 2))], Caps(4, 0, 0))
+    def test_apply_equals_fraction_kernel(self, tops, tseries, caps):
+        op, series = _operator(tops), TruncatedSeries(caps, dict(tseries))
+        got, _ = apply_operator(op, series)
+        assert got.caps == caps
+        assert got.terms == _fraction_apply(op, series)
+        assert _stored_exactly(got.terms)
+        if tops == _KILL:
+            assert got.terms == {}
+
+    @pytest.mark.parametrize("maker", [point_data, p1_data, p2_data, p3_data])
+    def test_builds_store_nonzero_fractions(self, maker):
+        ops = [general_operator(k, maker(), 8) for k in range(-1, 4)]
+        for op in ops:
+            assert _stored_exactly(op.terms)
+        for a in ops:
+            for b in ops:
+                assert commutator(a, b).terms == _fraction_commutator(a, b)
+        z = point_partition(8, 2)
+        for k in range(-1, 3):
+            got, _ = apply_operator(point_operator(k, 8), z)
+            assert got.terms == _fraction_apply(point_operator(k, 8), z)
+            assert _stored_exactly(got.terms)
