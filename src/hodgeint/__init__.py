@@ -23,7 +23,6 @@ from .mumford import (
     degree0_gw,
     euler_class,
     euler_class_genus1,
-    mumford_reduce,
 )
 from .operators import (
     CohomologyData,
@@ -73,7 +72,6 @@ __all__ = [
     "p2_data",
     "p3_data",
     "LambdaRingElem",
-    "mumford_reduce",
     "euler_class",
     "euler_class_genus1",
     "degree0_gw",

@@ -54,12 +54,6 @@ EXIT_DOMAIN = 3
 
 _TARGET_DIMS = {"P1": 1, "P2": 2, "P3": 3}
 
-# the keyword each suite takes --max-genus as; the other suites have no genus
-_GENUS_ARGUMENT = {
-    suite: "genus_cap" if suite == "annihilation" else "max_genus"
-    for suite in MAX_VERIFY_GENUS
-}
-
 
 def _rat(x: Fraction) -> str:
     return store.format_rational(x)
@@ -210,14 +204,14 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
         kwargs = {}
         if args.max_genus is not None:
-            if args.suite not in _GENUS_ARGUMENT:
+            if args.suite not in MAX_VERIFY_GENUS:
                 print(
                     f"error: --max-genus does not apply to --suite {args.suite}",
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
             check_limit("--max-genus", args.max_genus, MAX_VERIFY_GENUS[args.suite])
-            kwargs[_GENUS_ARGUMENT[args.suite]] = args.max_genus
+            kwargs["max_genus"] = args.max_genus
         checks = run_suite(args.suite, **kwargs)
         for name, ok, detail in checks:
             status = "pass" if ok else "FAIL"

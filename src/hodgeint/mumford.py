@@ -41,7 +41,6 @@ from .store import register_memo
 __all__ = [
     "LambdaRingElem",
     "mumford_relations",
-    "mumford_reduce",
     "reduce_lambda_monomial",
     "euler_class",
     "euler_class_genus1",
@@ -61,16 +60,15 @@ def _lam_key(indices) -> LamKey:
 
 def mumford_relations(g: int) -> Tuple[LamPoly, ...]:
     """The t^{2m}-coefficients of c_t(E) c_{-t}(E) - 1 for m = 1..g, i.e.
-    sum_{i+j=2m} (-1)^j lambda_i lambda_j, as {lambda key: coefficient}."""
-    rels = []
-    for m in range(1, g + 1):
-        rel: LamPoly = {}
-        for i in range(max(0, 2 * m - g), min(2 * m, g) + 1):
-            key = _lam_key((i, 2 * m - i))
-            # (-1)^j = (-1)^i, since i + j = 2m is even
-            rel[key] = rel.get(key, Fraction(0)) + (-1) ** i
-        rels.append(rel)
-    return tuple(rels)
+    sum_{i+j=2m} (-1)^j lambda_i lambda_j, as {lambda key: coefficient}:
+    (-1)^m (lambda_m^2 - rule_m) with the square rules below."""
+    return tuple(
+        {
+            **{key: -(-1) ** m * c for c, key in _square_rule(g, m)},
+            (m, m): Fraction((-1) ** m),
+        }
+        for m in range(1, g + 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -165,11 +163,6 @@ class LambdaRingElem(NamedTuple):
                 factors.extend(f"lam{i}" for i in lk)
                 parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def mumford_reduce(elem: LambdaRingElem) -> LambdaRingElem:
-    """Re-normalize (idempotent on built elements)."""
-    return LambdaRingElem.build(elem.g, elem.r, elem.as_dict())
 
 
 # The monomial symmetric polynomials m_mu(x_1..x_r), |mu| <= 3, in the

@@ -10,8 +10,8 @@ with coordinates labelled ``(class index, descendent level)`` as in
 One builder, :func:`general_operator`, makes the level-k operator of any
 target from its even cohomology (:class:`CohomologyData`): bracket
 coefficients, first-Chern-class multiplication matrices, the dilaton shift,
-the quadratic zero mode and the level-0 constant.  The data of a point, P^1,
-P^2 and P^3 are built in; :func:`point_operator` is the point case.
+the quadratic zero mode and the level-0 constant.  :func:`projective` gives
+the data of P^r (r = 0 is the point); :func:`point_operator` is the point case.
 
 Infinite level sums are truncated at a level cap; all arithmetic is exact.
 """
@@ -33,6 +33,7 @@ __all__ = [
     "p1_data",
     "p2_data",
     "p3_data",
+    "projective",
     "point_operator",
     "general_operator",
     "commutator",
@@ -78,10 +79,8 @@ class CohomologyData(_CohomologyFields):
             raise DomainError("eta must be square of basis size")
         if len(self.c1) != n or any(len(row) != n for row in self.c1):
             raise DomainError("c1 must be square of basis size")
-        for i in range(n):
-            for j in range(n):
-                if self.eta[i][j] != self.eta[j][i]:
-                    raise DomainError("eta must be symmetric")
+        if any(self.eta[i][j] != self.eta[j][i] for i in range(n) for j in range(i)):
+            raise DomainError("eta must be symmetric")
         # eta-self-adjointness of c1 multiplication: C^t eta = eta C
         for i in range(n):
             for j in range(n):
@@ -89,6 +88,7 @@ class CohomologyData(_CohomologyFields):
                 rhs = sum(self.eta[i][k] * self.c1[k][j] for k in range(n))
                 if lhs != rhs:
                     raise DomainError("c1 multiplication must be eta-self-adjoint")
+        _invert(self.eta)  # DomainError when eta is singular
         return self
 
     @property
@@ -101,9 +101,6 @@ class CohomologyData(_CohomologyFields):
 
     def eta_inverse(self) -> List[List[Fraction]]:
         return _invert(self.eta)
-
-    def c1_power(self, i: int) -> List[List[Fraction]]:
-        return self._c1_powers(i + 1)[i]
 
     def _c1_powers(self, count: int) -> List[List[List[Fraction]]]:
         """c_1^0, ..., c_1^(count-1), each from the one before."""
@@ -128,7 +125,8 @@ class CohomologyData(_CohomologyFields):
 
 
 def _invert(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Exact inverse of an invertible square matrix (Gauss-Jordan)."""
+    """Exact inverse of a square matrix (Gauss-Jordan); DomainError when it
+    is singular."""
     n = len(mat)
     aug = [
         [Fraction(x) for x in mat[i]]
@@ -136,7 +134,9 @@ def _invert(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
         for i in range(n)
     ]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise DomainError("eta must be non-degenerate")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = Fraction(1) / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
@@ -147,50 +147,35 @@ def _invert(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _fr(rows: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def projective(r: int) -> CohomologyData:
+    """P^r in the basis 1, h, ..., h^r; r = 0 is the point.  h^a h^b
+    integrates to [a + b = r], c_1 = (r + 1) h, and c_i = C(r + 1, i) h^i."""
+    basis = range(r + 1)
+    return CohomologyData(
+        f"P{r}" if r else "point",
+        r,
+        tuple(basis),
+        tuple(tuple(Fraction(int(a + b == r)) for b in basis) for a in basis),
+        tuple(tuple(Fraction((r + 1) * (a == b + 1)) for b in basis) for a in basis),
+        Fraction(r + 1),  # c_r
+        Fraction((r + 1) * comb(r + 1, 2)),  # c_1 c_{r-1}
+    )
 
 
 def point_data() -> CohomologyData:
-    return CohomologyData(
-        "point", 0, (0,), _fr([[1]]), _fr([[0]]), Fraction(1), Fraction(0)
-    )
+    return projective(0)
 
 
 def p1_data() -> CohomologyData:
-    return CohomologyData(
-        "P1",
-        1,
-        (0, 1),
-        _fr([[0, 1], [1, 0]]),
-        _fr([[0, 0], [2, 0]]),  # c_1 = 2 omega
-        Fraction(2),
-        Fraction(2),  # c_1 c_0
-    )
+    return projective(1)
 
 
 def p2_data() -> CohomologyData:
-    return CohomologyData(
-        "P2",
-        2,
-        (0, 1, 2),
-        _fr([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
-        _fr([[0, 0, 0], [3, 0, 0], [0, 3, 0]]),  # c_1 = 3h
-        Fraction(3),  # c_2
-        Fraction(9),  # c_1^2
-    )
+    return projective(2)
 
 
 def p3_data() -> CohomologyData:
-    return CohomologyData(
-        "P3",
-        3,
-        (0, 1, 2, 3),
-        _fr([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
-        _fr([[0, 0, 0, 0], [4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0]]),
-        Fraction(4),  # c_3
-        Fraction(24),  # c_2 c_1
-    )
+    return projective(3)
 
 
 # ---------------------------------------------------------------------------

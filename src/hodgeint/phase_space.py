@@ -102,17 +102,18 @@ class TruncatedSeries:
     def exp(self) -> "TruncatedSeries":
         """exp of a series with no constant term, truncated to caps.
 
-        Intermediate partial products are kept on a widened hbar window so that
-        high-hbar partials can still fall back into range after multiplying by
-        hbar^{-1} terms.
+        Partial products are kept within the caps, widened only to hold
+        hbar^0, where the empty product lies.  So the result is exact when the
+        caps hold every partial product of the terms whose product reaches
+        them; the caller chooses caps that do.
         """
         if any(m == () and h == 0 for (h, m) in self.terms):
             raise ValueError("exp requires no constant term")
-        slack = max(1, self.caps.weight // 2)
-        wide = Caps(self.caps.weight, self.caps.hbar_min - slack, self.caps.hbar_max + slack)
-        base = TruncatedSeries(wide, dict(self.terms))
-        acc = TruncatedSeries(wide, {(0, ()): Fraction(1)})
-        power = TruncatedSeries(wide, {(0, ()): Fraction(1)})
+        weight, lo, hi = self.caps
+        caps = Caps(weight, min(lo, 0), max(hi, 0))
+        base = TruncatedSeries(caps, dict(self.terms))
+        acc = TruncatedSeries(caps, {(0, ()): Fraction(1)})
+        power = TruncatedSeries(caps, {(0, ()): Fraction(1)})
         n = 0
         while power.terms:
             n += 1
@@ -121,6 +122,6 @@ class TruncatedSeries:
             acc = acc + power
             # every factor of the argument carries positive weight, so the
             # expansion terminates once n exceeds the weight cap
-            if n > self.caps.weight:
+            if n > weight:
                 break
         return TruncatedSeries(self.caps, dict(acc.terms))

@@ -109,8 +109,11 @@ def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:
     exact.  A free-energy term of genus g carries weight at least 3g - 1, and
     above genus_cap it reaches the hbar window only through g - genus_cap
     genus-0 factors (hbar^{-1}, weight at least 3 each).  So genus g is kept
-    when 3g - 1 + 3 max(0, g - genus_cap) <= weight_cap, on a window wide
-    enough to hold it until the exponential is taken.
+    when 3g - 1 + 3 max(0, g - genus_cap) <= weight_cap.  The same count
+    bounds the partial products of a product that reaches the window: its
+    factors of genus >= 1 have sum (g_i - 1) = g - 1 for a g that passes the
+    test, and genus-0 factors only lower hbar, never below the window's
+    floor.  So exp runs on the window up to hbar^{max(genus_cap, g) - 1}.
     """
     caps = Caps(weight_cap, -(weight_cap // 3), genus_cap - 1)
     genera = [

@@ -101,18 +101,14 @@ def suite_closed_vs_recursion(max_genus: int = 3, max_points: int = 4) -> List[C
     return checks
 
 
-_COMMUTATOR_TARGETS = {
-    "point": point_data,
-    "P1": p1_data,
-    "P2": p2_data,
-}
+_COMMUTATOR_TARGETS = (point_data, p1_data, p2_data)
 
 
 def suite_commutators(level_cap: int = 6, slack: int = 10) -> List[Check]:
     """[L_k, L_l] = (k - l) L_{k+l} within the level window, per target."""
     checks: List[Check] = []
     big = level_cap + slack
-    for name, maker in _COMMUTATOR_TARGETS.items():
+    for maker in _COMMUTATOR_TARGETS:
         data = maker()
         ops = {k: general_operator(k, data, big) for k in range(-1, 7)}
         for k in range(-1, 4):
@@ -124,7 +120,7 @@ def suite_commutators(level_cap: int = 6, slack: int = 10) -> List[Check]:
                 diff = lhs - rhs
                 checks.append(
                     (
-                        f"{name} [L_{k}, L_{l}] = {k - l} L_{k + l}",
+                        f"{data.name} [L_{k}, L_{l}] = {k - l} L_{k + l}",
                         diff.is_zero(),
                         f"{len(diff.terms)} residual terms",
                     )
@@ -132,33 +128,33 @@ def suite_commutators(level_cap: int = 6, slack: int = 10) -> List[Check]:
     return checks
 
 
-def _point_grading_vanishes(h: int, mono) -> bool:
-    """Coefficients of the point partition function vanish unless the
-    descendent weight equals 3 hbar-power + 2 (number of insertions)."""
-    return monomial_weight(mono) != 3 * h + 2 * monomial_degree(mono)
+def _point_grade(h: int, mono) -> int:
+    """3 hbar-power + 2 (number of insertions) - descendent weight: 0 on
+    every nonzero coefficient of the point partition function, and k on
+    those of L_k applied to it (L_k lowers the weight by k)."""
+    return 3 * h + 2 * monomial_degree(mono) - monomial_weight(mono)
 
 
-def suite_annihilation(weight_cap: int = 8, genus_cap: int = 3) -> List[Check]:
+def suite_annihilation(weight_cap: int = 8, max_genus: int = 3) -> List[Check]:
     checks: List[Check] = []
-    z = point_partition(weight_cap, genus_cap)
+    z = point_partition(weight_cap, max_genus)
     for k in range(-1, 3):
         op = point_operator(k, weight_cap)
         result, tainted = apply_operator(
-            op, z, source_vanishes=_point_grading_vanishes, basis_size=1
+            op, z, source_vanishes=lambda h, mono: _point_grade(h, mono) != 0
         )
         bad = [key for key in result.terms if key not in tainted]
-        # the coefficients the caps determine and the grading lets be nonzero
-        # (L_k lowers the weight by k); a check that tested none of them
-        # passes vacuously, so it fails
+        # the coefficients the caps determine and the grading lets be
+        # nonzero; a check that tested none of them passes vacuously, so it
+        # fails
         determined = sum(
             1
             for h, mono in enumerate_keys(z.caps, 1)
-            if (h, mono) not in tainted
-            and monomial_weight(mono) == 3 * h + 2 * monomial_degree(mono) - k
+            if (h, mono) not in tainted and _point_grade(h, mono) == k
         )
         checks.append(
             (
-                f"point L_{k} annihilates Z (weight<={weight_cap}, genus<={genus_cap})",
+                f"point L_{k} annihilates Z (weight<={weight_cap}, genus<={max_genus})",
                 determined > 0 and not bad,
                 f"{len(bad)} nonzero of {determined} determined coefficients",
             )

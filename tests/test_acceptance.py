@@ -101,7 +101,7 @@ def test_ac05_virasoro_commutators():
 
 
 def test_ac06_point_annihilation():
-    checks = verify.suite_annihilation(weight_cap=8, genus_cap=3)
+    checks = verify.suite_annihilation(weight_cap=8, max_genus=3)
     failed = [(name, detail) for name, ok, detail in checks if not ok]
     assert not failed, failed
     _report("AC6 point operators annihilate the partition function")

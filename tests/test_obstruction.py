@@ -36,6 +36,23 @@ class TestMumfordRelations:
             {(3, 3): -1},
         )
 
+    def test_relations_are_the_coefficients_of_c_t_c_minus_t(self):
+        # written from the definition, not from the square rules they are
+        # now derived from: sum_{i+j=2m} (-1)^j lambda_i lambda_j
+        for g in range(41):
+            want = []
+            for m in range(1, g + 1):
+                rel = {}
+                for i in range(2 * m + 1):
+                    j = 2 * m - i
+                    if i <= g and j <= g:
+                        key = tuple(sorted((x for x in (i, j) if x), reverse=True))
+                        rel[key] = rel.get(key, 0) + (-1) ** j
+                want.append(rel)
+            got = mumford_relations(g)
+            assert got == tuple(want), g
+            assert all(type(c) is F for rel in got for c in rel.values()), g
+
     @pytest.mark.parametrize("g", range(2, 7))
     def test_top_square_vanishes(self, g):
         assert reduce_lambda_monomial(g, (g, g)) == ()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hodgeint.combinat import bracket
 from hodgeint.errors import DomainError
 from hodgeint.operators import (
+    CohomologyData,
     DifferentialOperator,
     apply_operator,
     commutator,
@@ -22,6 +23,7 @@ from hodgeint.operators import (
     p3_data,
     point_data,
     point_operator,
+    projective,
 )
 from hodgeint.phase_space import Caps, TruncatedSeries, monomial_weight
 from hodgeint.psi import point_partition
@@ -186,6 +188,14 @@ class TestAlgebra:
                 rhs = ops[k + l].scale(F(k - l)).level_filter(4)
                 assert (lhs - rhs).is_zero(), (maker.__name__, k, l)
 
+    def test_projective_chern_numbers(self):
+        got = [(d.name, d.chern_top, d.chern_mixed) for d in map(projective, range(4))]
+        assert got == [("point", 1, 0), ("P1", 2, 2), ("P2", 3, 9), ("P3", 4, 24)]
+
+    def test_singular_pairing_rejected(self):
+        with pytest.raises(DomainError, match="eta must be non-degenerate"):
+            CohomologyData("bad", 0, (0,), ((0,),), ((0,),), 1, 0)
+
     @pytest.mark.parametrize("maker", [p1_data, p2_data])
     def test_commutator_equals_both_products(self, maker):
         data = maker()
@@ -208,6 +218,42 @@ class TestAlgebra:
         op.add_term(F(1), mult=[(0, 5)])
         op.add_term(F(1), mult=[(0, 1)])
         assert op.level_filter(3).terms == {(0, ((0, 1),), ()): F(1)}
+
+
+def _p1xp1_skewed():
+    """P^1 x P^1 in the basis 1, H_1, H_1 + H_2, pt, where H_1^2 = H_2^2 = 0,
+    H_1 H_2 = pt and c_1 = 2 H_1 + 2 H_2.  Its pairing is not a permutation
+    matrix, so eta and its inverse differ; on every built-in target they
+    are equal."""
+    eta = [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 2, 0), (1, 0, 0, 0)]
+    c1 = [(0, 0, 0, 0), (0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 4, 0)]
+    eta, c1 = (tuple(tuple(map(F, row)) for row in m) for m in (eta, c1))
+    return CohomologyData("P1xP1", 2, (0, 1, 1, 2), eta, c1, F(4), F(8))
+
+
+class TestSkewedPairing:
+    @staticmethod
+    def _residual_terms():
+        """Terms of [L_k, L_l] - (k - l) L_{k+l}, k, l in -1..2, at level cap
+        4 from operators built at cap 12."""
+        data = _p1xp1_skewed()
+        ops = {k: general_operator(k, data, 12) for k in range(-1, 5)}
+        total = 0
+        for k in range(-1, 3):
+            for l in range(-1, 3):
+                if k + l < -1:
+                    continue
+                lhs = commutator(ops[k], ops[l]).level_filter(4)
+                rhs = ops[k + l].scale(F(k - l)).level_filter(4)
+                total += len((lhs - rhs).terms)
+        return total
+
+    def test_commutators(self):
+        assert self._residual_terms() == 0
+
+    def test_eta_in_place_of_its_inverse_is_caught(self, monkeypatch):
+        monkeypatch.setattr(CohomologyData, "eta_inverse", lambda self: self.eta)
+        assert self._residual_terms() > 0
 
 
 # Random operators on a pool of four coordinates, so terms repeat
