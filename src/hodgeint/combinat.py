@@ -9,12 +9,12 @@ coefficient
 which also packages ratios of Gamma functions at half-integers as rising
 products, keeping all operator coefficients rational.
 
-Every evaluator reads a coefficient of L_k acting on a partition function.
-L_k is built from two blocks in the shifted class weight b, written once here:
-the linear block (:func:`linear_block`) and the order-hbar split block
-(:func:`split_weights`, :func:`split_block`).  :func:`family_key` is the one
-gate every integral family's entries pass: canonical key, stability,
-insertion limit and grading.
+The lambda and constraint evaluators read a coefficient of L_k on a partition
+function, built from two blocks in the shifted class weight b: the linear block
+(:func:`linear_block`) and the order-hbar split block (:func:`split_weights`,
+:func:`split_block`), which splits through :func:`graded_splits` as psi does.
+:func:`family_key` is the one gate every integral family's entries pass:
+canonical key, stability, insertion limit and grading.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, check_points
@@ -199,30 +198,23 @@ def multisets(n: int, total: int) -> List[Tuple[int, ...]]:
 
 
 def graded_splits(
-    items: Sequence[int], head: Sequence[int], genus: int, grading: Tuple[int, int]
-) -> Iterator[Tuple[int, Tuple[int, ...], Tuple[int, ...], int]]:
-    """Splits of the multiset ``items`` over two factors of a genus-split
-    product, with the one genus the grading leaves the first factor.
+    items: Sequence[int],
+) -> List[Tuple[int, Tuple[int, ...], Tuple[int, ...], int]]:
+    """Splits of the multiset ``items`` over the two factors of a product.
 
-    Yields ``(weight, left, right, g1)`` once per sub-multiset ``left`` of
+    Lists ``(weight, left, right, excess)`` once per sub-multiset ``left`` of
     ``items`` (``right`` its complement, both non-increasing); ``weight`` =
-    prod C(c_v, a_v) counts the subsets of positions that give ``left``.
-    ``g1`` solves the grading for the first factor, whose insertions are
-    ``head + left``; splits where it is not an integer in [0, genus] are
-    skipped, since that factor vanishes at every genus.
+    prod C(c_v, a_v) counts the subsets of positions that give ``left``;
+    ``excess`` = sum(left) - len(left) fixes the genus of the first factor.
     """
-    slope, offset = grading
-    groups = sorted(Counter(items).items(), reverse=True)
-    base = sum(head) - len(head) - offset
-    for picks in product(*(range(c + 1) for _, c in groups)):
-        excess = base + sum(a * (v - 1) for (v, _), a in zip(groups, picks))
-        g1, r = divmod(excess, slope)
-        if r or not 0 <= g1 <= genus:
-            continue
-        weight = prod(comb(c, a) for (_, c), a in zip(groups, picks))
-        left = tuple(v for (v, _), a in zip(groups, picks) for _ in range(a))
-        right = tuple(v for (v, c), a in zip(groups, picks) for _ in range(c - a))
-        yield weight, left, right, g1
+    splits = [(1, (), (), 0)]
+    for v, c in sorted(Counter(items).items(), reverse=True):
+        splits = [
+            (w * comb(c, a), left + (v,) * a, right + (v,) * (c - a), e + a * (v - 1))
+            for w, left, right, e in splits
+            for a in range(c + 1)
+        ]
+    return splits
 
 
 def linear_block(
@@ -271,11 +263,14 @@ def split_block(
     :func:`graded_splits` I + J of ``derivs``, the weight their product, g1
     the genus the grading leaves the left factor.
     """
-    for m, w in split_weights(k, i, b):
-        left_head = (m,) + lhead
-        right_head = (k - m - i - 1,) + rhead
-        for c, left, right, g1 in graded_splits(derivs, left_head, genus, grading):
-            yield w * c, left_head + left, right_head + right, g1
+    slope, offset = grading
+    weights = split_weights(k, i, b)
+    base = sum(lhead) - len(lhead) - 1 - offset
+    for c, left, right, excess in graded_splits(derivs):
+        for m, w in weights:
+            g1, r = divmod(base + m + excess, slope)
+            if not r and 0 <= g1 <= genus:
+                yield w * c, (m,) + lhead + left, (k - m - i - 1,) + rhead + right, g1
 
 
 def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:

@@ -17,19 +17,19 @@ __all__ = [
 # Every entry, the sum entries psi_or_zero, lambda_*_or_zero and degree0_gw
 # included, checks this through combinat.family_key.  String reduction
 # recurses once per insertion, two frames at a time (the family's step and the
-# generator of its sum), and dilaton reduction one: measured with Python 3.11,
-# 200 insertions reach 401-414 frames on psi, the lambda families, their
-# solvers, x_curve and the top lambda triple of degree0_gw, and 214-215 frames
-# with all ones.  A top reduction needs every exponent >= 2, so it removes at
-# most 3g - 3 insertions (psi, about 5.5 frames each: 80 frames at g = 6 with
-# 15 points) or 2g - 2 (lambda_{g-1}, about 4).  Many more insertions than
-# this would exhaust Python's default recursion limit of 1000.
+# generator of its sum), and dilaton reduction one: with Python 3.11, counted
+# below the entry, 200 insertions reach 400-408 frames on psi, the lambda
+# families with a string step, their solvers and x_curve, and 205-209 with
+# all ones (psi, degree0_gw).  A top reduction needs every exponent >= 2, so
+# it removes at most 3g - 3 insertions (psi, about 4 frames each: 60 at g = 6
+# with 15 points) or 2g - 2 (lambda_{g-1}, about 4).  Many more insertions
+# would exhaust Python's default recursion limit of 1000.
 MAX_POINTS = 200
 
 # Largest genus the command line accepts, so that no single cold command runs
 # for more than a few seconds.  Measured on one core of a 2-vCPU x86-64 host,
-# Python 3.11, empty memo: <tau_{3g-2}>_g takes 1.1 s at g = 12, 3.7 s at 14
-# and 11 s at 16 (about 1.6x per genus); the lambda families are closed forms
+# Python 3.11, empty memo: <tau_{3g-2}>_g takes 0.25 s at g = 12, 0.5 s at 14
+# (whole commands), 1.3 s at 16 in-process; the lambda families are closed forms
 # or short solvers (c_g and the lambda_{g-1}^3 constant together 0.015 s at
 # g = 50, 0.64 s at 200; lambda_{g-1} with ten balanced points 1.0 s at
 # g = 50), and gw0 reaches only them (and psi at g = 1); b_0..b_G takes 0.04 s

@@ -145,9 +145,6 @@ class LambdaRingElem(NamedTuple):
         )
         return cls(g, r, terms)
 
-    def as_dict(self) -> Dict[LamKey, CoeffPoly]:
-        return {lk: dict(cp) for lk, cp in self.terms}
-
     def is_zero(self) -> bool:
         return not self.terms
 

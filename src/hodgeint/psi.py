@@ -1,42 +1,46 @@
 """Pure psi intersection numbers on moduli of stable pointed curves.
 
-Values are pinned down by the annihilation of the point partition function by
-the half-integer-coefficient Virasoro operators: insertions of level 0 and 1
-are removed by the string and dilaton identities (the k = -1 and k = 0
-constraint coefficients), and a top insertion of level k+1 >= 2 is removed by
-coefficient extraction from the level-k constraint, recursing on (g, n).
+The recursion runs over the integer N_g(K) = 2^{D(g)} prod_{k in K} (2k+1)!!
+<tau_K>_g, with D(0) = 0 and D(g) = 4g - 1, from N_0(0,0,0) = N_1(1) = 1.
+Insertions of level 0 and 1 are removed by the string and dilaton identities,
 
-The extraction reads, with A(k, m) = [m + 1/2]^k_0:
+    N_g(0, K) = sum_i (2k_i + 1) N_g(K with k_i lowered by one),
+    N_g(1, K) = 3 (2g - 2 + |K|) N_g(K),
 
-    A(k,1) <tau_{k+1} K>_g =
-        sum_{m in K} A(k,m) <tau_{m+k} K\\m>_g
-        + 1/2 sum_{m=0}^{k-1} (-1)^{m+1} [-m-1/2]^k_0 (
-              <tau_m tau_{k-m-1} K>_{g-1}
-            + sum_{g1+g2=g, I+J=K} <tau_m I>_{g1} <tau_{k-m-1} J>_{g2} ).
+and then a top insertion of level k+1 >= 2 by the Dijkgraaf-Verlinde-Verlinde
+form of the level-k Virasoro constraint, recursing on (g, n):
+
+    N_g(k+1, S) = sum_j (2d_j + 1) N_g(d_j + k, S\\j)
+        + 2^{D(g)-D(g-1)-1} sum_{r+s=k-1} N_{g-1}(r, s, S)
+        + sum_{r+s=k-1, g1+g2=g, I+J=S} 2^{D(g)-D(g1)-D(g2)-1} N_{g1}(r, I) N_{g2}(s, J).
+
+With every exponent in S at least 2, the grading gives both factors of a split
+genus >= 1, so every split exponent is 0: the 1/2 of genus-0 splits never arises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .combinat import (
     PSI_GRADING,
-    bracket,
+    double_factorial,
     family_key,
-    linear_block,
+    graded_splits,
     lowerings,
     multisets,
-    split_block,
-    split_weights,
+    runs,
 )
 from .phase_space import Caps, TruncatedSeries
-from .store import TAG_PSI, lookup, record
+from .store import TAG_PSI, lookup, record, register_memo
 
 __all__ = ["psi_integral", "psi_or_zero", "point_partition"]
 
-Half = Fraction(1, 2)
+# N_g(K) of every key the recursion has reached
+_psi_rec: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+register_memo(_psi_rec.clear)
 
 
 def psi_integral(g: int, ks: Sequence[int]) -> Fraction:
@@ -57,48 +61,57 @@ def psi_or_zero(g: int, ks: Iterable[int]) -> Fraction:
 
 
 def _psi(g: int, ks: Tuple[int, ...]) -> Fraction:
-    # ks is a canonical key on the grading; the steps below keep both
+    # ks is a canonical key on the grading
+    cached = lookup(TAG_PSI, (g, ks))
+    return Fraction(_rec(g, ks), _scale(g, ks)) if cached is None else cached
+
+
+def _scale(g: int, ks: Tuple[int, ...]) -> int:
+    # N_g(K) / <tau_K>_g
+    return 2 ** max(4 * g - 1, 0) * prod(double_factorial(2 * k + 1) for k in ks)
+
+
+def _rec(g: int, ks: Iterable[int]) -> int:
+    # N_g(ks), and 0 off the stable range or the grading.  The genus reduction
+    # adds an insertion, so the insertion limit is left to the public entries.
+    ks = tuple(sorted(ks, reverse=True))
+    val = _psi_rec.get((g, ks))
+    if val is not None:
+        return val
     n = len(ks)
-    key = (g, ks)
-    cached = lookup(TAG_PSI, key)
-    if cached is not None:
-        return cached
-    if g == 0 and ks == (0, 0, 0):
-        return record(TAG_PSI, key, Fraction(1))
-    if g == 1 and ks == (1,):
-        return record(TAG_PSI, key, _one_point_genus_one())
-    if ks[-1] == 0:
-        val = sum((c * _psi(g, low) for _, c, low in lowerings(ks[:-1])), Fraction(0))
-    elif ks[-1] == 1:
-        val = (2 * g - 2 + n - 1) * _psi(g, ks[:-1])
-    else:
-        val = _top_reduction(g, ks)
-    return record(TAG_PSI, key, val)
+    if g < 0 or 2 * g - 2 + n <= 0 or sum(ks) - n != 3 * g - 3:
+        return 0
+    scale = _scale(g, ks)
+    loaded = lookup(TAG_PSI, (g, ks))
+    if loaded is not None and scale % loaded.denominator == 0:
+        val = loaded.numerator * (scale // loaded.denominator)
+    else:  # not preloaded, or preloaded with a value that is no psi number
+        if g == 0 and ks == (0, 0, 0) or g == 1 and ks == (1,):
+            val = 1
+        elif ks[-1] == 0:
+            val = sum(c * (2 * v + 1) * _rec(g, low) for v, c, low in lowerings(ks[:-1]))
+        elif ks[-1] == 1:
+            val = 3 * (2 * g - 3 + n) * _rec(g, ks[:-1])
+        else:
+            val = _top_step(g, ks[0] - 1, ks[1:])
+        record(TAG_PSI, (g, ks), Fraction(val, scale))
+    _psi_rec[g, ks] = val
+    return val
 
 
-def _one_point_genus_one() -> Fraction:
-    # The level-1 constraint, coefficient of t_0 at order hbar^0: with
-    # x = <tau_1>_1 (and <tau_0 tau_2>_1 = x by the string identity),
-    #   [1/2]^1_0 x - [3/2]^1_0 x - (1/2) [-1/2]^1_0 <tau_0^3>_0 = 0.
-    a0 = bracket(Half, 1, 0)
-    a1 = bracket(Half + 1, 1, 0)
-    c = -Fraction(1, 2) * bracket(-Half, 1, 0)  # times <tau_0^3>_0 = 1
-    return c / (a1 - a0)
-
-
-def _top_reduction(g: int, ks: Tuple[int, ...]) -> Fraction:
-    # the level-k constraint solved for its dilaton term -[3/2]^k_0 <tau_{k+1} rest>
-    k = ks[0] - 1  # >= 1 here
-    rest = ks[1:]
-    (lead, _), *linear = linear_block(k, 0, Half, rest)
-    total = Fraction(0)
-    for c, key in linear:
-        total += c * psi_or_zero(g, key)
-    for m, w in split_weights(k, 0, Half):
-        total += w * psi_or_zero(g - 1, rest + (m, k - m - 1))
-    for w, left, right, g1 in split_block(k, 0, Half, rest, g, PSI_GRADING):
-        total += w * psi_or_zero(g1, left) * psi_or_zero(g - g1, right)
-    return total / -lead
+def _top_step(g: int, k: int, rest: Tuple[int, ...]) -> int:
+    # N_g(k + 1, rest) by the DVV step of the module docstring
+    # a top key has g >= 2 (all exponents >= 2), so D(g) - D(g-1) - 1 = 3
+    val = sum(_rec(g - 1, rest + (r, k - 1 - r)) for r in range(k)) << 3
+    for d, c, i in runs(rest):
+        val += c * (2 * d + 1) * _rec(g, rest[:i] + rest[i + 1 :] + (d + k,))
+    for c, left, right, excess in graded_splits(rest):
+        # the left factor (r, left) has genus g1 = (r + 2 + excess) / 3, so the
+        # r of one split step by 3; excess >= 0 keeps g1 and g - g1 >= 1
+        for g1 in range(-(-(2 + excess) // 3), (k + 1 + excess) // 3 + 1):
+            r = 3 * g1 - 2 - excess
+            val += c * _rec(g1, (r,) + left) * _rec(g - g1, (k - 1 - r,) + right)
+    return val
 
 
 def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:
@@ -125,16 +138,11 @@ def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:
     for g in genera:
         n = 3 if g == 0 else 1
         while 3 * g - 3 + 2 * n <= weight_cap:
-            d = 3 * g - 3 + n
-            for part in multisets(n, d):
+            for part in multisets(n, 3 * g - 3 + n):
                 val = _psi(g, part)
                 if val:
-                    sym = prod(
-                        factorial(part.count(x)) for x in set(part)
-                    )
-                    mono = tuple(
-                        ((0, x), part.count(x)) for x in sorted(set(part))
-                    )
+                    sym = prod(factorial(part.count(x)) for x in set(part))
+                    mono = tuple(((0, x), part.count(x)) for x in sorted(set(part)))
                     terms[(g - 1, mono)] = val / sym
             n += 1
     wide = Caps(weight_cap, caps.hbar_min, max([genus_cap, *genera]) - 1)

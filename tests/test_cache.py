@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hodgeint import cache, combinat, hodge, mumford, store
+from hodgeint import cache, combinat, hodge, mumford, psi, store
 from hodgeint.psi import psi_integral
 
 F = Fraction
@@ -36,6 +36,7 @@ def test_reset_empties_every_memo():
     def sizes():
         return {
             "tables": sum(len(t) for t in store.tables().values()),
+            "psi_rec": len(psi._psi_rec),
             "lambda_g_rec": len(hodge._lambda_g_rec),
             "lambda_gg_rec": len(hodge._lambda_gg_rec),
             "b_constant": hodge.b_constant.cache_info().currsize,
@@ -48,13 +49,32 @@ def test_reset_empties_every_memo():
 
     first = compute()
     assert all(sizes().values()), sizes()
-    # the solvers carry integer multiples of their genus constants
-    for memo in (hodge._lambda_g_rec, hodge._lambda_gg_rec):
+    # the psi recursion and the solvers carry integer multiples of their values
+    for memo in (psi._psi_rec, hodge._lambda_g_rec, hodge._lambda_gg_rec):
         assert all(type(v) is int for v in memo.values())
     store.reset()
     assert not any(sizes().values()), sizes()
     assert store.computed_count() == 0
     assert compute() == first
+
+
+def test_recursion_reads_a_preloaded_sub_key():
+    # <tau_4>_2 is reached from <tau_7>_3 through a split
+    table = store.tables()[store.TAG_PSI]
+    store.preload(store.TAG_PSI, (2, (4,)), F(1, 1152))
+    assert psi_integral(3, [7]) == F(1, 82944)
+    assert store.computed_count() == len(table) - 1
+    assert type(psi._psi_rec[2, (4,)]) is int
+
+
+def test_recursion_recomputes_a_preloaded_value_off_the_scale():
+    # N_2(4) = 2^7 * 9!! * <tau_4>_2 is an integer; for 1/2^40 it is not, so
+    # that value is no psi number
+    table = store.tables()[store.TAG_PSI]
+    store.preload(store.TAG_PSI, (2, (4,)), F(1, 2**40))
+    assert psi_integral(3, [7]) == F(1, 82944)
+    assert store.computed_count() == len(table)
+    assert psi_integral(2, [4]) == F(1, 1152)
 
 
 def test_round_trip(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgeint import errors, store
 from hodgeint.combinat import multinomial
 from hodgeint.constraints import x_curve, x_surface
 from hodgeint.errors import MAX_POINTS, DomainError, LimitError
@@ -82,6 +83,15 @@ class TestStructure:
             lambda_gm1(2, [602] + [0] * 599)
         n = MAX_POINTS
         assert psi_integral(0, [n - 3] + [0] * (n - 1)) == 1
+
+    def test_recursion_passes_the_limit_inside(self, monkeypatch):
+        # the genus reduction of a top step adds an insertion, so a key at the
+        # limit reaches keys above it; only the public entries count them
+        monkeypatch.setattr(errors, "MAX_POINTS", 3)
+        store.reset()
+        assert psi_integral(2, [2, 2, 2]) == F(7, 240)
+        with pytest.raises(LimitError):
+            psi_integral(1, [1, 0, 0, 0])
 
     def test_sum_entries_enforce_the_limit(self):
         # these entries never counted insertions and recursed until
