@@ -5,10 +5,10 @@ record per integral::
 
     {"tag": "psi", "genus": 2, "exponents": [4], "value": "1/1152"}
 
-Rationals are stored as ``"p/q"`` strings.  A header with an unknown format
-version makes the loader refuse the file (returning 0 entries) so values are
-recomputed rather than misread; any other malformed line makes it raise
-ValueError.  Writing re-exports the full tables into a fresh temporary file in
+Rationals are stored as their ``str``: ``"p/q"``, or ``"p"`` when q = 1.  A
+header with an unknown format version makes the loader refuse the file
+(returning 0 entries) so values are recomputed rather than misread; any other
+malformed line makes it raise ValueError.  Writing re-exports the full tables into a fresh temporary file in
 the same directory and renames it over the target, so processes that share
 one cache file never see, or clobber, a half-written one.
 """
@@ -19,6 +19,7 @@ import json
 import os
 import tempfile
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
@@ -84,7 +85,7 @@ def _parse_record(rec: dict, lineno: int):
     if not isinstance(value, str):
         raise ValueError(f"line {lineno}: value must be a \"p/q\" string")
     try:
-        value = store.parse_rational(value)
+        value = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"line {lineno}: bad rational {value!r}") from None
     return tag, (genus, tuple(sorted(exps, reverse=True))), value
@@ -116,7 +117,7 @@ def save_cache(path: Union[str, Path]) -> int:
                                 "tag": tag,
                                 "genus": g,
                                 "exponents": list(ks),
-                                "value": store.format_rational(value),
+                                "value": str(value),
                             },
                             sort_keys=True,
                         )

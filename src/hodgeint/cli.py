@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence
 
 from . import cache, store
@@ -53,10 +52,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 _TARGET_DIMS = {"P1": 1, "P2": 2, "P3": 3}
-
-
-def _rat(x: Fraction) -> str:
-    return store.format_rational(x)
 
 
 def _parse_exponents(text: str) -> List[int]:
@@ -143,7 +138,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "psi":
         check_limit("--genus", args.genus, MAX_PSI_GENUS)
         value = psi_integral(args.genus, _parse_exponents(args.exponents))
-        print(_emit({"genus": args.genus, "value": _rat(value)}, fmt))
+        print(_emit({"genus": args.genus, "value": str(value)}, fmt))
         return EXIT_OK
 
     if args.command == "lambda":
@@ -162,7 +157,7 @@ def _run(args: argparse.Namespace) -> int:
             value = lambda_cube(g)
         else:
             value = c_constant(g)
-        print(_emit({"class": args.family, "genus": g, "value": _rat(value)}, fmt))
+        print(_emit({"class": args.family, "genus": g, "value": str(value)}, fmt))
         return EXIT_OK
 
     if args.command == "bseq":
@@ -170,7 +165,7 @@ def _run(args: argparse.Namespace) -> int:
             raise DomainError("--max-genus must be >= 0")
         check_limit("--max-genus", args.max_genus, MAX_BSEQ_GENUS)
         seq = b_sequence(args.max_genus)
-        payload = {f"b_{g}": _rat(v) for g, v in enumerate(seq)}
+        payload = {f"b_{g}": str(v) for g, v in enumerate(seq)}
         print(_emit(payload, fmt))
         return EXIT_OK
 
@@ -195,7 +190,7 @@ def _run(args: argparse.Namespace) -> int:
         value = degree0_gw(_TARGET_DIMS[args.target], args.genus, pairs)
         print(
             _emit(
-                {"target": args.target, "genus": args.genus, "value": _rat(value)},
+                {"target": args.target, "genus": args.genus, "value": str(value)},
                 fmt,
             )
         )

@@ -142,12 +142,15 @@ def bracket(x, k: int, i: int) -> Fraction:
 
 
 def stirling_s2(n: int) -> int:
-    """|s(n, 2)| = (n-1)! * H_{n-1}, the unsigned Stirling number of the first kind."""
+    """|s(n, 2)| = (n-1)! H_{n-1}, the unsigned Stirling number of the first
+    kind, by |s(m+1, 2)| = m |s(m, 2)| + (m-1)!: without :func:`harmonic`, so
+    that it checks c_g, which is built from H."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    value = factorial(n - 1) * harmonic(n - 1)
-    assert value.denominator == 1
-    return value.numerator
+    s, fact = 1, 1  # |s(m, 2)| and (m-1)! at m = 2
+    for m in range(2, n):
+        s, fact = m * s + fact, m * fact
+    return s
 
 
 def harmonic(n: int) -> Fraction:

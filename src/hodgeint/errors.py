@@ -37,8 +37,8 @@ MAX_POINTS = 200
 # cold command, 0.14 s and 16 MB at g = 1000 (the class alone is under 1 ms).
 # verify --max-genus, per suite, as whole cold commands: annihilation 0.1 s at
 # 14 (linear); bseq 0.7 s at 200 (2.4 s at 300); closed-vs-recursion 3.0 s at
-# 40 (15 s at 60); mumford 2.9 s at 80 (22 s at 160); euler 0.23 s at 128;
-# cg 3.2 s at 200 (15 s at 320); table stops at the published g = 5.
+# 40 (15 s at 60); mumford 2.8 s at 80 (20 s at 160); euler 0.23 s at 128;
+# cg 3.5 s at 200 (14 s at 320); table stops at the published g = 5.
 MAX_PSI_GENUS = 14
 MAX_LAMBDA_GENUS = 50
 MAX_BSEQ_GENUS = 200

@@ -40,7 +40,6 @@ from .store import register_memo
 
 __all__ = [
     "LambdaRingElem",
-    "mumford_relations",
     "reduce_lambda_monomial",
     "euler_class",
     "euler_class_genus1",
@@ -56,19 +55,6 @@ LamPoly = Dict[LamKey, Fraction]
 def _lam_key(indices) -> LamKey:
     """Key of a product of lambda classes; lambda_0 = 1 drops out."""
     return tuple(sorted((i for i in indices if i), reverse=True))
-
-
-def mumford_relations(g: int) -> Tuple[LamPoly, ...]:
-    """The t^{2m}-coefficients of c_t(E) c_{-t}(E) - 1 for m = 1..g, i.e.
-    sum_{i+j=2m} (-1)^j lambda_i lambda_j, as {lambda key: coefficient}:
-    (-1)^m (lambda_m^2 - rule_m) with the square rules below."""
-    return tuple(
-        {
-            **{key: -(-1) ** m * c for c, key in _square_rule(g, m)},
-            (m, m): Fraction((-1) ** m),
-        }
-        for m in range(1, g + 1)
-    )
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,10 @@
-"""Shared memo tables for intersection numbers, plus rational serialization.
+"""Shared memo tables for intersection numbers.
 
 Every memoized integral lives in one of the tables here, keyed by
 ``(genus, exponents-sorted-descending)``.  Tables behave as insert-once maps:
 recomputing a key must produce the same value, so concurrent or repeated
 insertion is harmless.  The persistent cache (see :mod:`hodgeint.cache`) loads
 into and drains from these tables.
-
-Rationals are serialized as ``"p/q"`` with the ``/q`` omitted when q = 1.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ __all__ = [
     "computed_count",
     "register_memo",
     "reset",
-    "format_rational",
-    "parse_rational",
 ]
 
 TAG_PSI = "psi"
@@ -90,12 +86,3 @@ def reset() -> None:
         clear()
     _computed = 0
 
-
-def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)

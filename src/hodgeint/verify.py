@@ -11,7 +11,7 @@ identities among lambda classes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from . import store
 from .combinat import multisets, stirling_s2
@@ -29,10 +29,10 @@ from .mumford import (
     LambdaRingElem,
     euler_class,
     euler_class_genus1,
-    mumford_relations,
     reduce_lambda_monomial,
 )
 from .operators import (
+    DifferentialOperator,
     apply_operator,
     commutator,
     enumerate_keys,
@@ -46,7 +46,8 @@ from .phase_space import monomial_degree, monomial_weight
 from .psi import point_partition, psi_integral
 from .series1d import b_closed_form, b_sequence
 
-__all__ = ["SUITES", "run_suite", "GOLDEN_TABLE"]
+__all__ = ["SUITES", "run_suite", "GOLDEN_TABLE", "commutator_residuals",
+           "mumford_relations"]
 
 Check = Tuple[str, bool, str]
 
@@ -82,17 +83,20 @@ def suite_bseq(max_genus: int = 10) -> List[Check]:
     ]
 
 
-def suite_closed_vs_recursion(max_genus: int = 3, max_points: int = 4) -> List[Check]:
+_CLOSED_FORM_MAX_POINTS = 4  # insertions per key of the closed-form suite
+
+
+def suite_closed_vs_recursion(max_genus: int = 3) -> List[Check]:
     checks: List[Check] = []
     for g in range(0, max_genus + 1):
-        for n in range(3 if g == 0 else 1, max_points + 1):
+        for n in range(3 if g == 0 else 1, _CLOSED_FORM_MAX_POINTS + 1):
             for ks in multisets(n, 2 * g - 3 + n):
                 a, b = lambda_g(g, ks), lambda_g_solver(g, ks)
                 checks.append(
                     (f"lambda_g g={g} ks={ks}", a == b, f"{a} vs {b}")
                 )
     for g in range(1, max_genus + 1):
-        for n in range(1, max_points + 1):
+        for n in range(1, _CLOSED_FORM_MAX_POINTS + 1):
             for ks in multisets(n, g - 2 + n):
                 a, b = lambda_g_gm1(g, ks), lambda_g_gm1_solver(g, ks)
                 checks.append(
@@ -101,31 +105,37 @@ def suite_closed_vs_recursion(max_genus: int = 3, max_points: int = 4) -> List[C
     return checks
 
 
+def commutator_residuals(
+    data, top: int, level_cap: int, build_cap: int
+) -> Iterator[Tuple[int, int, DifferentialOperator]]:
+    """(k, l, [L_k, L_l] - (k - l) L_{k+l}) for k, l in -1..top with
+    k + l >= -1, both sides filtered to level_cap, the operators built at
+    build_cap so that the filtered commutator misses no contraction."""
+    ops = {k: general_operator(k, data, build_cap) for k in range(-1, 2 * top + 1)}
+    for k in range(-1, top + 1):
+        for l in range(-1, top + 1):
+            if k + l >= -1:
+                lhs = commutator(ops[k], ops[l]).level_filter(level_cap)
+                rhs = ops[k + l].scale(Fraction(k - l)).level_filter(level_cap)
+                yield k, l, lhs - rhs
+
+
+# the commutator suite's targets; its k and l run over -1..3, within level 6
+# of operators built at level 16
 _COMMUTATOR_TARGETS = (point_data, p1_data, p2_data)
 
 
-def suite_commutators(level_cap: int = 6, slack: int = 10) -> List[Check]:
+def suite_commutators() -> List[Check]:
     """[L_k, L_l] = (k - l) L_{k+l} within the level window, per target."""
-    checks: List[Check] = []
-    big = level_cap + slack
-    for maker in _COMMUTATOR_TARGETS:
-        data = maker()
-        ops = {k: general_operator(k, data, big) for k in range(-1, 7)}
-        for k in range(-1, 4):
-            for l in range(-1, 4):
-                if k + l < -1:
-                    continue
-                lhs = commutator(ops[k], ops[l]).level_filter(level_cap)
-                rhs = ops[k + l].scale(Fraction(k - l)).level_filter(level_cap)
-                diff = lhs - rhs
-                checks.append(
-                    (
-                        f"{data.name} [L_{k}, L_{l}] = {k - l} L_{k + l}",
-                        diff.is_zero(),
-                        f"{len(diff.terms)} residual terms",
-                    )
-                )
-    return checks
+    return [
+        (
+            f"{data.name} [L_{k}, L_{l}] = {k - l} L_{k + l}",
+            diff.is_zero(),
+            f"{len(diff.terms)} residual terms",
+        )
+        for data in (maker() for maker in _COMMUTATOR_TARGETS)
+        for k, l, diff in commutator_residuals(data, 3, 6, 16)
+    ]
 
 
 def _point_grade(h: int, mono) -> int:
@@ -162,14 +172,28 @@ def suite_annihilation(weight_cap: int = 8, max_genus: int = 3) -> List[Check]:
     return checks
 
 
+def mumford_relations(g: int) -> List[Dict[Tuple[int, ...], int]]:
+    """The t^{2m}-coefficients sum_{i+j=2m} (-1)^j lambda_i lambda_j of
+    c_t(E) c_{-t}(E) - 1, m = 1..g, as {lambda key: coefficient}: written
+    from the definition, not from the square rules the ring rewrites by."""
+    rels = []
+    for m in range(1, g + 1):
+        rel: Dict[Tuple[int, ...], int] = {}
+        for i in range(max(0, 2 * m - g), min(2 * m, g) + 1):
+            j = 2 * m - i
+            key = tuple(sorted((x for x in (i, j) if x), reverse=True))
+            rel[key] = rel.get(key, 0) + (-1) ** j
+        rels.append(rel)
+    return rels
+
+
 def suite_mumford(max_genus: int = 6) -> List[Check]:
     checks: List[Check] = []
     for g in range(1, max_genus + 1):
-        ok = True
-        for rel in mumford_relations(g):
-            elem = LambdaRingElem.build(g, 0, {k: {(): c} for k, c in rel.items()})
-            if not elem.is_zero():
-                ok = False
+        ok = all(
+            LambdaRingElem.build(g, 0, {k: {(): c} for k, c in rel.items()}).is_zero()
+            for rel in mumford_relations(g)
+        )
         checks.append((f"c_t c_-t = 1 at genus {g}", ok, ""))
     for g in range(2, max_genus + 1):
         sq = reduce_lambda_monomial(g, (g, g))

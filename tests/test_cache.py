@@ -150,10 +150,12 @@ def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
     cache.save_cache(path)
     before = path.read_text()
 
-    def broken(value):
-        raise RuntimeError("disk full")
+    class Unwritable:
+        def __str__(self):
+            raise RuntimeError("disk full")
 
-    monkeypatch.setattr(store, "format_rational", broken)
+    # the save fails midway, at the record of a value it cannot write
+    monkeypatch.setitem(store.tables()[store.TAG_PSI], (2, (4,)), Unwritable())
     with pytest.raises(RuntimeError):
         cache.save_cache(path)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
@@ -184,8 +186,15 @@ def test_concurrent_saves_leave_a_loadable_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def test_rational_serialization():
-    assert store.format_rational(F(3)) == "3"
-    assert store.format_rational(F(-7, 4)) == "-7/4"
-    assert store.parse_rational("-7/4") == F(-7, 4)
-    assert store.parse_rational("5") == F(5)
+def test_rational_serialization(tmp_path):
+    # "p/q", with the "/q" left out when q = 1, both ways through the file
+    path = tmp_path / "memo.jsonl"
+    store.preload(store.TAG_PSI, (5, (13,)), F(3))
+    store.preload(store.TAG_PSI, (6, (16,)), F(-7, 4))
+    cache.save_cache(path)
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["value"] for line in lines[1:]] == ["3", "-7/4"]
+    path.write_text("\n".join(lines).replace('"3"', '"5"') + "\n")
+    store.reset()
+    assert cache.load_cache(path) == 2
+    assert store.tables()[store.TAG_PSI] == {(5, (13,)): F(5), (6, (16,)): F(-7, 4)}

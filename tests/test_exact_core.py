@@ -67,18 +67,15 @@ class TestBracket:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_polynomial_product(self, p, q, k):
-        """[x]^k_i is the t^i coefficient of prod_{j=0}^k (t + x + j)."""
+        """[x]^k_i is the t^i coefficient of prod_{j=0}^k (t + x + j): the
+        two polynomials of degree k + 1 agree at the k + 2 points t = 0..k+1.
+        The coefficients are expanded in test_splits."""
         x = F(p, q)
-        coeffs = [F(1)]  # polynomial in t, low degree first
-        for j in range(k + 1):
-            root = x + j
-            new = [F(0)] * (len(coeffs) + 1)
-            for d, c in enumerate(coeffs):
-                new[d + 1] += c
-                new[d] += root * c
-            coeffs = new
-        for i in range(k + 2):
-            assert bracket(x, k, i) == coeffs[i]
+        for t in range(k + 2):
+            product = F(1)
+            for j in range(k + 1):
+                product *= t + x + j
+            assert sum(bracket(x, k, i) * t**i for i in range(k + 2)) == product
 
     @given(p=st.integers(-8, 8), q=st.integers(1, 4), k=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -114,6 +111,20 @@ class TestCombinatorics:
         assert stirling_s2(4) == 11
         assert stirling_s2(5) == 50
         assert stirling_s2(6) == 274
+
+    def test_wrong_harmonic_number_is_caught_by_the_cg_suite(self, monkeypatch):
+        # c_g is built from H_{2g-1}; the cg suite (AC7) reads |s(2g, 2)| =
+        # (2g-1)! H_{2g-1}, which must not share that sum, so an error in
+        # H_n from n = 9 shows from g = 5
+        from hodgeint import combinat, hodge, verify
+
+        def wrong(n):
+            return harmonic(n) + (n >= 9)
+
+        monkeypatch.setattr(combinat, "harmonic", wrong)
+        monkeypatch.setattr(hodge, "harmonic", wrong)
+        failed = [name for name, ok, _ in verify.suite_cg(8) if not ok]
+        assert failed == [f"one-point relation at g={g}" for g in range(5, 9)]
 
 
 class TestFamilyKey:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeint import mumford, store
+from hodgeint import mumford, store, verify
 from hodgeint.errors import DomainError, UnderdeterminedError
 from hodgeint.hodge import lambda_cube, lambda_g, lambda_g_gm1
 from hodgeint.mumford import (
@@ -15,7 +15,6 @@ from hodgeint.mumford import (
     degree0_gw,
     euler_class,
     euler_class_genus1,
-    mumford_relations,
     reduce_lambda_monomial,
 )
 
@@ -25,33 +24,26 @@ F = Fraction
 class TestMumfordRelations:
     @pytest.mark.parametrize("g", range(1, 7))
     def test_relations_reduce_to_zero(self, g):
-        for rel in mumford_relations(g):
+        for rel in verify.mumford_relations(g):
             assert LambdaRingElem.build(g, 0, {k: {(): c} for k, c in rel.items()}).is_zero()
 
     def test_relations_at_genus_three(self):
         # c_t c_-t = (1 + l1 t + l2 t^2 + l3 t^3)(1 - l1 t + l2 t^2 - l3 t^3)
-        assert mumford_relations(3) == (
+        assert verify.mumford_relations(3) == [
             {(2,): 2, (1, 1): -1},
             {(3, 1): -2, (2, 2): 1},
             {(3, 3): -1},
-        )
+        ]
 
     def test_relations_are_the_coefficients_of_c_t_c_minus_t(self):
-        # written from the definition, not from the square rules they are
-        # now derived from: sum_{i+j=2m} (-1)^j lambda_i lambda_j
+        # each square rule the ring rewrites by is lambda_m^2 - (-1)^m rel_m,
+        # with rel_m the relation as written from its definition
         for g in range(41):
-            want = []
-            for m in range(1, g + 1):
-                rel = {}
-                for i in range(2 * m + 1):
-                    j = 2 * m - i
-                    if i <= g and j <= g:
-                        key = tuple(sorted((x for x in (i, j) if x), reverse=True))
-                        rel[key] = rel.get(key, 0) + (-1) ** j
-                want.append(rel)
-            got = mumford_relations(g)
-            assert got == tuple(want), g
-            assert all(type(c) is F for rel in got for c in rel.values()), g
+            for m, rel in enumerate(verify.mumford_relations(g), start=1):
+                rule = mumford._square_rule(g, m)
+                got = {**{key: -c for c, key in rule}, (m, m): 1}
+                assert got == {key: (-1) ** m * c for key, c in rel.items()}, (g, m)
+                assert all(type(c) is F for c, _ in rule), (g, m)
 
     @pytest.mark.parametrize("g", range(2, 7))
     def test_top_square_vanishes(self, g):
@@ -113,7 +105,7 @@ def _ideal_echelon(g, weight):
     """Echelon basis over Fraction of the weight-graded piece of the ideal
     spanned by monomial * relation, with no rewriting involved."""
     pivots = {}
-    for j, rel in enumerate(mumford_relations(g), start=1):
+    for j, rel in enumerate(verify.mumford_relations(g), start=1):
         if 2 * j > weight:
             break
         for mono in _keys(weight - 2 * j, g):
@@ -124,23 +116,50 @@ def _ideal_echelon(g, weight):
     return pivots
 
 
+def _assert_normal_forms_lie_in_the_ideal(g):
+    for weight in range(max(3 * g - 3, 1) + 1):
+        pivots = _ideal_echelon(g, weight)
+        keys = list(_keys(weight, g))
+        square_free = [k for k in keys if len(set(k)) == len(k)]
+        # the square-free monomials are a basis of the quotient, so the
+        # normal form below is the only square-free representative
+        assert len(keys) - len(pivots) == len(square_free)
+        for key in keys:
+            nf = reduce_lambda_monomial(g, key)
+            assert all(len(set(k)) == len(k) for _, k in nf)
+            diff = {key: F(1)}
+            for c, k in nf:
+                diff[k] = diff.get(k, 0) - c
+            assert not _eliminate({k: c for k, c in diff.items() if c}, pivots)
+
+
 class TestNormalFormIndependently:
     @pytest.mark.parametrize("g", range(1, 6))
     def test_key_minus_normal_form_lies_in_the_ideal(self, g):
-        for weight in range(max(3 * g - 3, 1) + 1):
-            pivots = _ideal_echelon(g, weight)
-            keys = list(_keys(weight, g))
-            square_free = [k for k in keys if len(set(k)) == len(k)]
-            # the square-free monomials are a basis of the quotient, so the
-            # normal form below is the only square-free representative
-            assert len(keys) - len(pivots) == len(square_free)
-            for key in keys:
-                nf = reduce_lambda_monomial(g, key)
-                assert all(len(set(k)) == len(k) for _, k in nf)
-                diff = {key: F(1)}
-                for c, k in nf:
-                    diff[k] = diff.get(k, 0) - c
-                assert not _eliminate({k: c for k, c in diff.items() if c}, pivots)
+        _assert_normal_forms_lie_in_the_ideal(g)
+
+    def test_tripled_square_rule_is_caught(self, monkeypatch):
+        # a wrong rewrite rule must fail both checks that read the relations:
+        # AC9's c_t c_-t = 1 lines (g = 1 has no rule to get wrong) and the
+        # normal forms against the ideal
+        rule = mumford._square_rule
+
+        def tripled(g, m):
+            out = list(rule(g, m))
+            if out:
+                out[0] = (3 * out[0][0], out[0][1])
+            return tuple(out)
+
+        store.reset()
+        monkeypatch.setattr(mumford, "_square_rule", tripled)
+        try:
+            lines = [ok for name, ok, _ in verify.suite_mumford(6) if name.startswith("c_t")]
+            assert lines == [True] + [False] * 5
+            for g in range(2, 6):
+                with pytest.raises(AssertionError):
+                    _assert_normal_forms_lie_in_the_ideal(g)
+        finally:
+            store.reset()
 
     @given(
         g=st.integers(1, 7),
@@ -226,13 +245,16 @@ class TestEulerClasses:
 
     def test_high_genus_needs_no_full_relation_list(self, monkeypatch):
         # an Euler class rewrites only lambda_g^2 and lambda_{g-1}^2, so it
-        # must not build all g relations; the expected normal forms are the
+        # must build no other square rule; the expected normal forms are the
         # closed forms above, written out square-free
-        def refuse(g):
-            raise AssertionError(f"mumford_relations({g}) called")
+        rule, built = mumford._square_rule, set()
+
+        def spy(g, m):
+            built.add(m)
+            return rule(g, m)
 
         store.reset()
-        monkeypatch.setattr(mumford, "mumford_relations", refuse)
+        monkeypatch.setattr(mumford, "_square_rule", spy)
         g = 60
         sgn = F((-1) ** g)
         want = {
@@ -243,6 +265,7 @@ class TestEulerClasses:
         }
         for r, terms in want.items():
             assert euler_class(r, g) == LambdaRingElem.build(g, r, terms), r
+        assert built == {g - 1, g}
 
 
 class TestDegreeZeroGW:

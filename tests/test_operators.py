@@ -1,7 +1,6 @@
 """Constraint operators: construction, algebra, specializations, application."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +26,7 @@ from hodgeint.operators import (
 )
 from hodgeint.phase_space import Caps, TruncatedSeries, monomial_weight
 from hodgeint.psi import point_partition
+from hodgeint.verify import commutator_residuals
 
 F = Fraction
 H = F(1, 2)
@@ -177,16 +177,8 @@ class TestSpecializations:
 class TestAlgebra:
     @pytest.mark.parametrize("maker", [point_data, p1_data, p2_data, p3_data])
     def test_commutators(self, maker):
-        data = maker()
-        big = 4 + 8
-        ops = {k: general_operator(k, data, big) for k in range(-1, 5)}
-        for k in (-1, 0, 1, 2):
-            for l in (-1, 0, 1, 2):
-                if k + l < -1:
-                    continue
-                lhs = commutator(ops[k], ops[l]).level_filter(4)
-                rhs = ops[k + l].scale(F(k - l)).level_filter(4)
-                assert (lhs - rhs).is_zero(), (maker.__name__, k, l)
+        for k, l, diff in commutator_residuals(maker(), 2, 4, 12):
+            assert diff.is_zero(), (maker.__name__, k, l)
 
     def test_projective_chern_numbers(self):
         got = [(d.name, d.chern_top, d.chern_mixed) for d in map(projective, range(4))]
@@ -236,17 +228,8 @@ class TestSkewedPairing:
     def _residual_terms():
         """Terms of [L_k, L_l] - (k - l) L_{k+l}, k, l in -1..2, at level cap
         4 from operators built at cap 12."""
-        data = _p1xp1_skewed()
-        ops = {k: general_operator(k, data, 12) for k in range(-1, 5)}
-        total = 0
-        for k in range(-1, 3):
-            for l in range(-1, 3):
-                if k + l < -1:
-                    continue
-                lhs = commutator(ops[k], ops[l]).level_filter(4)
-                rhs = ops[k + l].scale(F(k - l)).level_filter(4)
-                total += len((lhs - rhs).terms)
-        return total
+        residuals = commutator_residuals(_p1xp1_skewed(), 2, 4, 12)
+        return sum(len(diff.terms) for _, _, diff in residuals)
 
     def test_commutators(self):
         assert self._residual_terms() == 0
@@ -319,10 +302,25 @@ def _act(op, poly):
     return {key: v for key, v in out.items() if v}
 
 
+def _stored_exactly(terms):
+    return all(type(c) is Fraction and c != 0 for c in terms.values())
+
+
+# coefficients with unrelated denominators, so the common denominators of the
+# integer kernels are true lcms and results reduce by a nontrivial gcd
+_mixed = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+_mixed_terms = st.tuples(_mixed, st.integers(-1, 2), _coords, _coords)
+_mixed_series = st.tuples(_series_terms.map(lambda t: t[0]), _mixed)
+
 # each side's doubled derivative meets a repeated factor of the other side,
 # so both orders contract up to two factors of one coordinate
 _REPEATED = [(F(1), 1, [(0, 0), (0, 0)], [(0, 1), (0, 1)])]
 _SHARED = [(F(-2), -1, [(0, 1), (0, 1), (0, 1)], [(0, 0), (0, 0)])]
+# d_x/3 times (3/5 x d_x - 3/5): the contracted d_x/5 cancels the plain -d_x/5
+_CANCEL_A = [(F(1, 3), 0, [], [(0, 0)])]
+_CANCEL_B = [(F(3, 5), 0, [(0, 0)], [(0, 0)]), (F(-3, 5), 0, [], [])]
+# (d_x - x d_x d_x) / 7 kills x^2 / 2
+_KILL = [(F(1, 7), 0, [], [(0, 0)]), (F(-1, 7), 0, [(0, 0)], [(0, 0), (0, 0)])]
 
 
 class TestCompositionProperties:
@@ -434,17 +432,35 @@ def _normal_order(word):
     return {(mult, diff): 1}
 
 
+def _word(m1, d1, m2, d2):
+    """The word of the term m1 d1 followed by the term m2 d2."""
+    return tuple(
+        [("x", c) for c in m1] + [("d", c) for c in d1]
+        + [("x", c) for c in m2] + [("d", c) for c in d2]
+    )
+
+
 def _reference_product(a, b):
     """a . b by normal ordering the word of every pair of terms."""
     parts = []
     for (h1, m1, d1), c1 in a.terms.items():
         for (h2, m2, d2), c2 in b.terms.items():
-            word = tuple(
-                [("x", c) for c in m1] + [("d", c) for c in d1]
-                + [("x", c) for c in m2] + [("d", c) for c in d2]
-            )
-            for (mult, diff), n in _normal_order(word).items():
+            for (mult, diff), n in _normal_order(_word(m1, d1, m2, d2)).items():
                 parts.append(((h1 + h2, mult, diff), c1 * c2 * n))
+    return _sorting_sum(parts)
+
+
+def _reference_commutator(a, b):
+    """[a, b] by normal ordering both words of every pair of terms; a pair
+    with no derivative meeting a factor of the other term commutes."""
+    parts = []
+    for (h1, m1, d1), c1 in a.terms.items():
+        for (h2, m2, d2), c2 in b.terms.items():
+            if set(d1).isdisjoint(m2) and set(d2).isdisjoint(m1):
+                continue
+            for sign, word in ((1, _word(m1, d1, m2, d2)), (-1, _word(m2, d2, m1, d1))):
+                for (mult, diff), n in _normal_order(word).items():
+                    parts.append(((h1 + h2, mult, diff), sign * c1 * c2 * n))
     return _sorting_sum(parts)
 
 
@@ -636,112 +652,10 @@ class TestCanonicalKeys:
         assert (a * b).terms == _reference_product(a, b)
 
 
-# ---------------------------------------------------------------------------
-# The operator kernels as they were when they summed Fractions term by term,
-# kept here so that the integer kernels of the package are compared with code
-# they share nothing with.  The contraction loop visits every pair of terms;
-# the package's index by coordinate skips only pairs with nothing to contract.
-
-
-def _fraction_counts(coords):
-    out = {}
-    for c in coords:
-        out[c] = out.get(c, 0) + 1
-    return out
-
-
-def _fraction_expand(base, extra):
-    total = dict(base)
-    for c, n in extra.items():
-        total[c] = total.get(c, 0) + n
-    return tuple(c for c, n in sorted(total.items()) for _ in range(n))
-
-
-def _fraction_choices(shared, dcounts, mcounts):
-    if not shared:
-        yield {}
-        return
-    head, rest = shared[0], shared[1:]
-    for sub in _fraction_choices(rest, dcounts, mcounts):
-        yield sub
-        for s in range(1, min(dcounts[head], mcounts[head]) + 1):
-            yield {**sub, head: s}
-
-
-def _fraction_contracted(left, right):
-    for (h1, m1, d1), c1 in left.terms.items():
-        dcounts, base = _fraction_counts(d1), _fraction_counts(m1)
-        for (h2, m2, d2), c2 in right.terms.items():
-            mcounts, d2counts = _fraction_counts(m2), _fraction_counts(d2)
-            shared = [coord for coord in dcounts if coord in mcounts]
-            for choice in _fraction_choices(shared, dcounts, mcounts):
-                if not choice:
-                    continue
-                ways, newm, newd = 1, dict(mcounts), dict(dcounts)
-                for coord, s in choice.items():
-                    ways *= math.comb(dcounts[coord], s) * math.perm(mcounts[coord], s)
-                    newm[coord] -= s
-                    newd[coord] -= s
-                mult = _fraction_expand(base, newm)
-                diff = _fraction_expand(d2counts, newd)
-                yield (h1 + h2, mult, diff), c1 * c2 * ways
-
-
-def _fraction_commutator(a, b):
-    negated = [(key, -c) for key, c in _fraction_contracted(b, a)]
-    return _sorting_sum(_fraction_contracted(a, b), negated)
-
-
-def _fraction_product(a, b):
-    plain = [
-        ((h1 + h2, m1 + m2, d1 + d2), c1 * c2)
-        for (h1, m1, d1), c1 in a.terms.items()
-        for (h2, m2, d2), c2 in b.terms.items()
-    ]
-    return _sorting_sum(plain, _fraction_contracted(a, b))
-
-
-def _fraction_apply(op, series):
-    """The product loop of apply_operator, summing Fractions in the series."""
-    by_coord = {}
-    for entry in series.terms.items():
-        for coord, _ in entry[0][1]:
-            by_coord.setdefault(coord, []).append(entry)
-    out = TruncatedSeries(series.caps)
-    for (dh, mult, diff), c in op.terms.items():
-        for (h, mono), coeff in by_coord.get(diff[0], ()) if diff else series.terms.items():
-            d, factor = dict(mono), 1
-            for coord in diff:
-                factor *= d.get(coord, 0)
-                if not factor:
-                    break
-                d[coord] -= 1
-            else:
-                for coord in mult:
-                    d[coord] = d.get(coord, 0) + 1
-                key = (h + dh, tuple(sorted((x, e) for x, e in d.items() if e)))
-                out._add(key, coeff * c * factor)
-    return out.terms
-
-
-def _stored_exactly(terms):
-    return all(type(c) is Fraction and c != 0 for c in terms.values())
-
-
-# coefficients with unrelated denominators, so the common denominators of the
-# integer views are true lcms and results reduce by a nontrivial gcd
-_mixed = st.fractions(min_value=-40, max_value=40, max_denominator=36)
-_mixed_terms = st.tuples(_mixed, st.integers(-1, 2), _coords, _coords)
-_mixed_series = st.tuples(_series_terms.map(lambda t: t[0]), _mixed)
-
-# d_x/3 times (3/5 x d_x - 3/5): the contracted d_x/5 cancels the plain -d_x/5
-_CANCEL_A = [(F(1, 3), 0, [], [(0, 0)])]
-_CANCEL_B = [(F(3, 5), 0, [(0, 0)], [(0, 0)]), (F(-3, 5), 0, [], [])]
-# (d_x - x d_x d_x) / 7 kills x^2 / 2
-_KILL = [(F(1, 7), 0, [], [(0, 0)]), (F(-1, 7), 0, [(0, 0)], [(0, 0), (0, 0)])]
-
-
 class TestIntegerKernels:
+    """The integer kernels against the Fraction references above, on
+    coefficients with unrelated denominators."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(_mixed_terms, max_size=5),
@@ -755,8 +669,8 @@ class TestIntegerKernels:
         # b + c a cancels part of [a, b + c a] against c [a, a] = 0
         for x, y in [(a, b), (b, a), (a, b + a.scale(c)), (a, a)]:
             comm, prod = commutator(x, y), x * y
-            assert comm.terms == _fraction_commutator(x, y)
-            assert prod.terms == _fraction_product(x, y)
+            assert comm.terms == _reference_commutator(x, y)
+            assert prod.terms == _reference_product(x, y)
             assert _stored_exactly(comm.terms) and _stored_exactly(prod.terms)
         assert commutator(a, a).is_zero()
         if (ta, tb) == (_CANCEL_A, _CANCEL_B):
@@ -767,9 +681,11 @@ class TestIntegerKernels:
     @example(_KILL, [((0, (((0, 0), 2),)), F(1, 2))], Caps(4, 0, 0))
     def test_apply_equals_fraction_kernel(self, tops, tseries, caps):
         op, series = _operator(tops), TruncatedSeries(caps, dict(tseries))
-        got, _ = apply_operator(op, series)
+        got, got_taint = apply_operator(op, series)
+        want, want_taint = _reference_apply(op, series)
         assert got.caps == caps
-        assert got.terms == _fraction_apply(op, series)
+        assert got.terms == want.terms
+        assert got_taint == want_taint
         assert _stored_exactly(got.terms)
         if tops == _KILL:
             assert got.terms == {}
@@ -781,9 +697,13 @@ class TestIntegerKernels:
             assert _stored_exactly(op.terms)
         for a in ops:
             for b in ops:
-                assert commutator(a, b).terms == _fraction_commutator(a, b)
+                comm = commutator(a, b).terms
+                assert comm == _reference_commutator(a, b)
+                assert _stored_exactly(comm)
         z = point_partition(8, 2)
         for k in range(-1, 3):
-            got, _ = apply_operator(point_operator(k, 8), z)
-            assert got.terms == _fraction_apply(point_operator(k, 8), z)
+            op = point_operator(k, 8)
+            got, got_taint = apply_operator(op, z)
+            want, want_taint = _reference_apply(op, z)
+            assert got.terms == want.terms and got_taint == want_taint
             assert _stored_exactly(got.terms)

@@ -34,15 +34,12 @@ HALF = F(1, 2)
 
 @lru_cache(maxsize=None)
 def _rising_product(x: Fraction, k: int) -> tuple:
-    """Coefficients (low to high) of prod_{j=0}^{k} (t + x + j) over Fraction."""
-    coeffs = [F(1)]
-    for j in range(k + 1):
-        new = [F(0)] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            new[d] += (x + j) * c
-            new[d + 1] += c
-        coeffs = new
-    return tuple(coeffs)
+    """Coefficients (low to high) of prod_{j=0}^{k} (t + x + j) over Fraction,
+    k >= -1: the product up to k - 1 times the linear factor t + x + k."""
+    if k < 0:
+        return (F(1),)
+    prev = _rising_product(x, k - 1)
+    return tuple((x + k) * a + b for a, b in zip(prev + (F(0),), (F(0),) + prev))
 
 
 def _br(x, k: int, i: int) -> Fraction:
@@ -236,16 +233,13 @@ def test_graded_splits_keep_the_one_allowed_genus(items, head, genus, grading):
 
 
 def test_bracket_matches_fraction_product():
-    xs = [F(h, 2) for h in range(-60, 60)] + [F(1, 3)]
-    for x in xs:
-        coeffs = [F(1)]
+    # the half-integers the operators use, and every p/q with |p| <= 8 and
+    # q <= 4 (1/3 among them); every i from one below to one above the range
+    xs = {F(h, 2) for h in range(-60, 60)}
+    xs |= {F(p, q) for p in range(-8, 9) for q in range(1, 5)}
+    for x in sorted(xs):
         for k in range(-1, 31):
-            if k >= 0:
-                new = [F(0)] * (len(coeffs) + 1)
-                for d, c in enumerate(coeffs):
-                    new[d] += (x + k) * c
-                    new[d + 1] += c
-                coeffs = new
+            coeffs = _rising_product(x, k)
             for i in range(-1, k + 3):
                 want = coeffs[i] if 0 <= i <= k + 1 else 0
                 assert bracket(x, k, i) == want, (x, k, i)
