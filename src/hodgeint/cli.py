@@ -6,14 +6,14 @@ the one-point constant table (``bseq``), print obstruction Euler classes
 formats: ``pretty`` (default), ``json`` (rationals as "p/q" strings, stable
 key order), ``csv``.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 flag errors (such as
-``verify --max-genus`` for a suite without a genus) and inputs beyond a size
-limit (more than errors.MAX_POINTS insertions; ``psi --genus`` above
-errors.MAX_PSI_GENUS, ``lambda --genus`` and ``gw0 --genus`` above
+Exit codes: 0 success, 1 a verification suite failed or ran no check, 2 flag
+errors (such as ``verify --max-genus`` for a suite without a genus) and inputs
+beyond a size limit (more than errors.MAX_POINTS insertions; ``psi --genus``
+above errors.MAX_PSI_GENUS, ``lambda --genus`` and ``gw0 --genus`` above
 errors.MAX_LAMBDA_GENUS, ``euler --genus`` above errors.MAX_EULER_GENUS,
 ``bseq --max-genus`` above errors.MAX_BSEQ_GENUS, ``verify --max-genus`` above
-the suite's errors.MAX_VERIFY_GENUS), 3 domain errors (unstable inputs,
-underdetermined integrals) and malformed cache files.
+the suite's errors.MAX_VERIFY_GENUS), 3 domain errors (unstable inputs, a
+negative ``--max-genus``, underdetermined integrals) and malformed cache files.
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     fmt = args.format
+    if getattr(args, "max_genus", None) is not None and args.max_genus < 0:
+        raise DomainError("--max-genus must be >= 0")
     if args.command == "psi":
         check_limit("--genus", args.genus, MAX_PSI_GENUS)
         value = psi_integral(args.genus, _parse_exponents(args.exponents))
@@ -161,8 +163,6 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "bseq":
-        if args.max_genus < 0:
-            raise DomainError("--max-genus must be >= 0")
         check_limit("--max-genus", args.max_genus, MAX_BSEQ_GENUS)
         seq = b_sequence(args.max_genus)
         payload = {f"b_{g}": str(v) for g, v in enumerate(seq)}
@@ -214,7 +214,8 @@ def _run(args: argparse.Namespace) -> int:
             print(f"[{status}] {name}{extra}")
         failed = sum(1 for _, ok, _ in checks if not ok)
         print(f"{len(checks) - failed}/{len(checks)} checks passed")
-        return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
+        # a run that tested nothing fails, like a check that tested nothing
+        return EXIT_OK if checks and failed == 0 else EXIT_VERIFY_FAILED
 
     if args.command == "cache-info":
         payload = {tag: len(tbl) for tag, tbl in store.tables().items()}

@@ -173,7 +173,9 @@ def euler_class(r: int, g: int) -> LambdaRingElem:
     with zeros to length r, is prod_j (-1)^{g-mu_j} lambda_{g-mu_j}; the
     table above turns m_mu into Chern classes, and the result is reduced.
     """
-    if r not in (1, 2, 3):
+    if r < 1:
+        raise DomainError("r must be >= 1")
+    if r > 3:
         raise DomainError("the class vanishes for r > 3; use r in {1, 2, 3}")
     if g < 2:
         raise DomainError("g must be >= 2 (see euler_class_genus1)")

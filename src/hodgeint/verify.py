@@ -188,8 +188,10 @@ def mumford_relations(g: int) -> List[Dict[Tuple[int, ...], int]]:
 
 
 def suite_mumford(max_genus: int = 6) -> List[Check]:
+    # from genus 2: at genus 1 the one relation lambda_1^2 = 0 dies at the
+    # degree cut before any square rule is read, so its line tests nothing
     checks: List[Check] = []
-    for g in range(1, max_genus + 1):
+    for g in range(2, max_genus + 1):
         ok = all(
             LambdaRingElem.build(g, 0, {k: {(): c} for k, c in rel.items()}).is_zero()
             for rel in mumford_relations(g)
@@ -290,16 +292,25 @@ _TAG_EVAL: Dict[str, Callable[[int, Tuple[int, ...]], Fraction]] = {
 }
 
 
+# a nonzero key or two per table, so that a sweep in a fresh process has
+# entries (a key off its family's dimension is 0 and is not recorded)
+_SEEDS = ((store.TAG_PSI, 3, (7,)), (store.TAG_PSI, 2, (3, 2)),
+          (store.TAG_LAMBDA_G, 3, (4, 1, 1, 1)), (store.TAG_LAMBDA_G_GM1, 3, (2, 1, 1)),
+          (store.TAG_LAMBDA_GM1, 3, (5, 1)))
+
+
 def suite_string_dilaton() -> List[Check]:
-    """String and dilaton identities over every memoized integral."""
+    """String and dilaton identities over every memoized integral, the seeds
+    included; a line that swept no entry tested nothing, so it fails."""
+    for tag, g, ks in _SEEDS:
+        _TAG_EVAL[tag](g, ks)
     checks: List[Check] = []
     for tag, table in store.tables().items():
         fn = _TAG_EVAL[tag]
-        string_ok = dilaton_ok = True
-        count = 0
-        for (g, ks) in list(table.keys()):
+        keys = list(table.keys())
+        string_ok = dilaton_ok = bool(keys)
+        for (g, ks) in keys:
             n = len(ks)
-            count += 1
             lowered = sum(
                 (fn(g, ks[:i] + (ks[i] - 1,) + ks[i + 1 :]) for i in range(n) if ks[i] >= 1),
                 Fraction(0),
@@ -308,8 +319,8 @@ def suite_string_dilaton() -> List[Check]:
                 string_ok = False
             if fn(g, ks + (1,)) != (2 * g - 2 + n) * fn(g, ks):
                 dilaton_ok = False
-        checks.append((f"string identity over {tag} ({count} entries)", string_ok, ""))
-        checks.append((f"dilaton identity over {tag} ({count} entries)", dilaton_ok, ""))
+        checks.append((f"string identity over {tag} ({len(keys)} entries)", string_ok, ""))
+        checks.append((f"dilaton identity over {tag} ({len(keys)} entries)", dilaton_ok, ""))
     return checks
 
 

@@ -10,19 +10,10 @@ import time
 from fractions import Fraction
 from math import comb
 
-from hodgeint import store, verify
-from hodgeint.combinat import multinomial, multisets
+from hodgeint import verify
+from hodgeint.combinat import multinomial
 from hodgeint.constraints import x_curve
-from hodgeint.hodge import (
-    hodge_table,
-    lambda_g,
-    lambda_g_gm1,
-    lambda_g_gm1_solver,
-    lambda_g_solver,
-    lambda_gm1,
-)
 from hodgeint.mumford import degree0_gw
-from hodgeint.psi import psi_integral
 
 F = Fraction
 
@@ -31,36 +22,32 @@ def _report(name: str) -> None:
     print(f"{name}: PASS")
 
 
+def _assert_all_pass(checks) -> None:
+    failed = [(name, detail) for name, ok, detail in checks if not ok]
+    assert checks and not failed, failed
+
+
 def test_ac01_one_point_constant_table():
     start = time.monotonic()
-    rows = hodge_table(5)
+    checks = verify.suite_table(5)
     elapsed = time.monotonic() - start
-    assert rows[4] == (5, F(73, 3503554560), F(21481, 367873228800))
-    for g, b, c in rows:
-        assert (b, c) == verify.GOLDEN_TABLE[g]
+    assert verify.GOLDEN_TABLE[5] == (F(73, 3503554560), F(21481, 367873228800))
+    assert len(checks) == 10
+    _assert_all_pass(checks)
     assert elapsed < 1.0, f"table took {elapsed:.3f}s"
     _report("AC1 one-point constant table g<=5")
 
 
 def test_ac02_series_vs_bernoulli_closed_form():
-    from hodgeint.series1d import b_closed_form, b_sequence
-
-    seq = b_sequence(10)
-    for g in range(11):
-        assert seq[g] == b_closed_form(g)
+    checks = verify.suite_bseq(10)
+    assert len(checks) == 11
+    _assert_all_pass(checks)
     _report("AC2 dual-route one-point constants g<=10")
 
 
 def test_ac03_closed_forms_vs_recursions():
     start = time.monotonic()
-    for g in range(0, 4):
-        for n in range(3 if g == 0 else 1, 5):
-            for ks in multisets(n, 2 * g - 3 + n):
-                assert lambda_g(g, ks) == lambda_g_solver(g, ks), (g, ks)
-    for g in range(1, 4):
-        for n in range(1, 5):
-            for ks in multisets(n, g - 2 + n):
-                assert lambda_g_gm1(g, ks) == lambda_g_gm1_solver(g, ks), (g, ks)
+    _assert_all_pass(verify.suite_closed_vs_recursion(3))
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"exhaustive comparison took {elapsed:.3f}s"
     _report("AC3 closed form vs recursion, g<=3 n<=4")
@@ -94,39 +81,30 @@ def test_ac04_multinomial_induction_identity():
 
 def test_ac05_virasoro_commutators():
     checks = verify.suite_commutators()
-    failed = [name for name, ok, _ in checks if not ok]
     assert len(checks) == 72
-    assert not failed, failed
+    _assert_all_pass(checks)
     _report("AC5 Virasoro commutators, point/P1/P2, k,l in [-1,3]")
 
 
 def test_ac06_point_annihilation():
-    checks = verify.suite_annihilation(weight_cap=8, max_genus=3)
-    failed = [(name, detail) for name, ok, detail in checks if not ok]
-    assert not failed, failed
+    _assert_all_pass(verify.suite_annihilation(weight_cap=8, max_genus=3))
     _report("AC6 point operators annihilate the partition function")
 
 
 def test_ac07_one_point_relation():
     for g in range(2, 6):
         assert x_curve(2 * g - 2, g, ()) == 0, g
-    checks = verify.suite_cg(max_genus=5)
-    failed = [name for name, ok, _ in checks if not ok]
-    assert not failed, failed
+    _assert_all_pass(verify.suite_cg(max_genus=5))
     _report("AC7 one-point constant relation g<=5")
 
 
 def test_ac08_euler_class_goldens():
-    checks = verify.suite_euler(max_genus=5)
-    failed = [(name, detail) for name, ok, detail in checks if not ok]
-    assert not failed, failed
+    _assert_all_pass(verify.suite_euler(max_genus=5))
     _report("AC8 obstruction Euler classes, dims 1-3 and genus 1")
 
 
 def test_ac09_mumford_relations():
-    checks = verify.suite_mumford(max_genus=6)
-    failed = [(name, detail) for name, ok, detail in checks if not ok]
-    assert not failed, failed
+    _assert_all_pass(verify.suite_mumford(max_genus=6))
     _report("AC9 lambda-class relations reduce to the identity, g<=6")
 
 
@@ -137,14 +115,6 @@ def test_ac10_degree_zero_gw_spot_values():
 
 
 def test_ac11_string_dilaton_over_memoized_entries():
-    # make sure every table has content before sweeping the identities
-    psi_integral(3, [7])
-    psi_integral(2, [3, 2])
-    lambda_g(3, [2, 1, 1, 1])
-    lambda_g_gm1(3, [3, 1, 1])
-    lambda_gm1(3, [4, 1])
-    assert all(store.tables()[tag] for tag in store.CACHED_TAGS)
-    checks = verify.suite_string_dilaton()
-    failed = [name for name, ok, _ in checks if not ok]
-    assert not failed, failed
+    # the suite seeds every table and fails a line that swept no entry
+    _assert_all_pass(verify.suite_string_dilaton())
     _report("AC11 string/dilaton identities over all memoized integrals")

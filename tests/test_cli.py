@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import re
 
 import pytest
 
-from hodgeint import store
-from hodgeint.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from hodgeint import store, verify
+from hodgeint.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from hodgeint.errors import (
     MAX_BSEQ_GENUS,
     MAX_EULER_GENUS,
@@ -117,6 +118,28 @@ class TestVerify:
         assert "genus<=1" in out and "genus<=3" not in out
         assert "4/4 checks passed" in out
 
+    @pytest.mark.parametrize("suite,genus", [("cg", 0), ("mumford", 0), ("mumford", 1)])
+    def test_run_without_a_check_fails(self, capsys, suite, genus):
+        # these printed "0/0 checks passed" and exited 0
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--max-genus", str(genus))
+        assert code == EXIT_VERIFY_FAILED
+        assert out == "0/0 checks passed\n"
+
+    def test_string_dilaton_sweeps_entries_from_empty_tables(self, capsys):
+        # the fixture has emptied every table; the suite used to pass its
+        # eight lines over 0 entries each
+        code, out, _ = run(capsys, "verify", "--suite", "string-dilaton")
+        *lines, summary = out.splitlines()
+        assert code == EXIT_OK and summary == "8/8 checks passed"
+        swept = [int(re.search(r"\((\d+) entries\)", line).group(1)) for line in lines]
+        assert len(swept) == 8 and min(swept) > 0, swept
+
+    def test_string_dilaton_over_no_entry_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "_SEEDS", ())
+        code, out, _ = run(capsys, "verify", "--suite", "string-dilaton")
+        assert code == EXIT_VERIFY_FAILED
+        assert out.count("[FAIL]") == 8 and out.endswith("0/8 checks passed\n")
+
     @pytest.mark.parametrize("suite", ["commutators", "string-dilaton"])
     def test_max_genus_rejected_without_genus(self, capsys, suite):
         code, out, err = run(capsys, "verify", "--suite", suite, "--max-genus", "1")
@@ -137,6 +160,24 @@ class TestFailures:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert err == "error: --genus must be >= 1\n"
+
+    @pytest.mark.parametrize("dim,genus", [("0", "2"), ("-1", "2"), ("0", "1")])
+    def test_euler_dim_below_one(self, capsys, dim, genus):
+        # at genus >= 2 this said "the class vanishes for r > 3"
+        code, out, err = run(capsys, "euler", "--dim", dim, "--genus", genus)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == "error: r must be >= 1\n"
+
+    @pytest.mark.parametrize("suite", [None] + sorted(MAX_VERIFY_GENUS))
+    def test_negative_max_genus(self, capsys, suite):
+        # verify --suite bseq ended in a traceback, and the other genus
+        # suites printed what they found below genus 0
+        argv = ["bseq"] if suite is None else ["verify", "--suite", suite]
+        code, out, err = run(capsys, *argv, "--max-genus", "-1")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == "error: --max-genus must be >= 0\n"
 
     def test_underdetermined(self, capsys):
         code, _, err = run(

@@ -42,11 +42,6 @@ class TestCurveFamilies:
         for derivs in DERIV_PATTERNS[:6]:
             assert y_curve(k, g, ell, derivs) == 0
 
-    def test_x_curve_higher_genus_unpointed(self):
-        # the coefficient giving the one-point constant relation
-        for g in (2, 3, 4, 5):
-            assert x_curve(2 * g - 2, g, ()) == 0
-
 
 class TestSurfaceFamilies:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

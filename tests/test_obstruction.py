@@ -14,7 +14,6 @@ from hodgeint.mumford import (
     LambdaRingElem,
     degree0_gw,
     euler_class,
-    euler_class_genus1,
     reduce_lambda_monomial,
 )
 
@@ -22,11 +21,6 @@ F = Fraction
 
 
 class TestMumfordRelations:
-    @pytest.mark.parametrize("g", range(1, 7))
-    def test_relations_reduce_to_zero(self, g):
-        for rel in verify.mumford_relations(g):
-            assert LambdaRingElem.build(g, 0, {k: {(): c} for k, c in rel.items()}).is_zero()
-
     def test_relations_at_genus_three(self):
         # c_t c_-t = (1 + l1 t + l2 t^2 + l3 t^3)(1 - l1 t + l2 t^2 - l3 t^3)
         assert verify.mumford_relations(3) == [
@@ -140,8 +134,8 @@ class TestNormalFormIndependently:
 
     def test_tripled_square_rule_is_caught(self, monkeypatch):
         # a wrong rewrite rule must fail both checks that read the relations:
-        # AC9's c_t c_-t = 1 lines (g = 1 has no rule to get wrong) and the
-        # normal forms against the ideal
+        # each of AC9's c_t c_-t = 1 lines and the normal forms against the
+        # ideal
         rule = mumford._square_rule
 
         def tripled(g, m):
@@ -154,7 +148,7 @@ class TestNormalFormIndependently:
         monkeypatch.setattr(mumford, "_square_rule", tripled)
         try:
             lines = [ok for name, ok, _ in verify.suite_mumford(6) if name.startswith("c_t")]
-            assert lines == [True] + [False] * 5
+            assert lines == [False] * 5
             for g in range(2, 6):
                 with pytest.raises(AssertionError):
                     _assert_normal_forms_lie_in_the_ideal(g)
@@ -181,35 +175,6 @@ class TestNormalFormIndependently:
 
 
 class TestEulerClasses:
-    @pytest.mark.parametrize("g", [2, 3, 4, 5])
-    def test_dim_one(self, g):
-        sgn = F((-1) ** g)
-        want = LambdaRingElem.build(
-            g, 1, {(g,): {(): sgn}, (g - 1,): {(1,): -sgn}}
-        )
-        assert euler_class(1, g) == want
-
-    @pytest.mark.parametrize("g", [2, 3, 4, 5])
-    def test_dim_two(self, g):
-        gm2 = (g, g - 2) if g > 2 else (g,)
-        want = LambdaRingElem.build(
-            g, 2, {(g, g - 1): {(1,): F(-1)}, gm2: {(1, 1): F(1)}}
-        )
-        got = euler_class(2, g)
-        assert got == want
-        # c_2 never appears: only the first Chern class of the surface enters
-        assert all((2,) not in dict(cp) for _, cp in got.terms)
-
-    @pytest.mark.parametrize("g", [2, 3, 4])
-    def test_dim_three(self, g):
-        sgn = F((-1) ** g)
-        want = LambdaRingElem.build(
-            g,
-            3,
-            {(g - 1, g - 1, g - 1): {(3,): sgn / 2, (1, 2): -sgn / 2}},
-        )
-        assert euler_class(3, g) == want
-
     @pytest.mark.parametrize("roots", [(2,), (3, -1), (2, 5), (1, -2, 4), (3, 3, -7)])
     def test_monomial_table_at_integer_roots(self, roots):
         # m_mu(x) summed over the distinct exponent vectors, against the
@@ -229,16 +194,6 @@ class TestEulerClasses:
             via_c = sum(c * prod(e[i] for i in ck) for ck, c in cpoly.items())
             assert via_c == direct, mu
 
-    def test_genus_one(self):
-        for r in (1, 2, 3):
-            got = euler_class_genus1(r)
-            want = LambdaRingElem.build(
-                1,
-                r,
-                {(): {(r,): F(1)}, (1,): {(() if r == 1 else (r - 1,)): F(-1)}},
-            )
-            assert got == want
-
     def test_high_dim_rejected(self):
         with pytest.raises(DomainError):
             euler_class(4, 2)
@@ -246,7 +201,7 @@ class TestEulerClasses:
     def test_high_genus_needs_no_full_relation_list(self, monkeypatch):
         # an Euler class rewrites only lambda_g^2 and lambda_{g-1}^2, so it
         # must build no other square rule; the expected normal forms are the
-        # closed forms above, written out square-free
+        # closed forms of verify.suite_euler, written out square-free
         rule, built = mumford._square_rule, set()
 
         def spy(g, m):

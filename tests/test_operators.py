@@ -188,14 +188,6 @@ class TestAlgebra:
         with pytest.raises(DomainError, match="eta must be non-degenerate"):
             CohomologyData("bad", 0, (0,), ((0,),), ((0,),), 1, 0)
 
-    @pytest.mark.parametrize("maker", [p1_data, p2_data])
-    def test_commutator_equals_both_products(self, maker):
-        data = maker()
-        ops = {k: general_operator(k, data, CAP) for k in range(-1, 4)}
-        for k, a in ops.items():
-            for l, b in ops.items():
-                assert commutator(a, b).terms == (a * b - b * a).terms, (k, l)
-
     def test_operator_arithmetic(self):
         a = DifferentialOperator()
         a.add_term(F(2), mult=[(0, 1)])
@@ -324,13 +316,6 @@ _KILL = [(F(1, 7), 0, [], [(0, 0)]), (F(-1, 7), 0, [(0, 0)], [(0, 0), (0, 0)])]
 
 
 class TestCompositionProperties:
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(_terms, max_size=4), st.lists(_terms, max_size=4))
-    @example(_REPEATED, _SHARED)
-    def test_commutator_equals_both_products(self, ta, tb):
-        a, b = _operator(ta), _operator(tb)
-        assert commutator(a, b).terms == (a * b - b * a).terms
-
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_terms, max_size=4), st.lists(_terms, max_size=4))
     @example(_REPEATED, _SHARED)
