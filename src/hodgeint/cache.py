@@ -7,23 +7,31 @@ record per integral::
 
 Rationals are stored as their ``str``: ``"p/q"``, or ``"p"`` when q = 1.  A
 header with an unknown format version makes the loader refuse the file
-(returning 0 entries) so values are recomputed rather than misread; any other
-malformed line makes it raise ValueError.  Writing re-exports the full tables into a fresh temporary file in
-the same directory and renames it over the target, so processes that share
-one cache file never see, or clobber, a half-written one.
+(returning 0 entries) so values are recomputed rather than misread; so does a
+record off its family's closed form, after one warning on stderr.  Any other
+malformed line makes it raise ValueError.  Writing re-exports the full tables
+into a fresh temporary file in the same directory and renames it over the
+target, so processes that share one cache file never see, or clobber, a
+half-written one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import sys
 import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Optional, Tuple, Union
 
-from . import store
+from . import hodge, store
+from .combinat import LAMBDA_G_GRADING, LAMBDA_GG_GRADING, PSI_GRADING
+from .combinat import family_key, multinomial
+from .errors import MAX_LAMBDA_GENUS, MAX_POINTS, MAX_PSI_GENUS
 
 __all__ = ["FORMAT_VERSION", "ENV_CACHE_PATH", "load_cache", "save_cache"]
 
@@ -34,28 +42,62 @@ ENV_CACHE_PATH = "HODGEINT_CACHE"
 def load_cache(path: Union[str, Path]) -> int:
     """Preload table entries from a cache file; returns the number loaded.
 
-    Missing files and version mismatches load nothing (the caller recomputes);
-    a file of any other shape than the layout above raises ValueError naming
-    the offending line.
+    Missing files, version mismatches and a record off its closed form (see
+    :func:`_closed_form`; one warning on stderr) load nothing, so the caller
+    recomputes; a file of any other shape than the layout above raises
+    ValueError naming the offending line.
     """
     path = Path(path)
     if not path.exists():
         return 0
     loaded = 0
-    with path.open("r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
+    for lineno, tag, (g, ks), value in _records(path):
+        want = _closed_form(tag, g, ks)
+        if want is not None and value != want:
+            bad = f"{tag} at genus {g}, exponents {list(ks)} is {value}, not {want}"
+            warn = f"warning: cache {path}: line {lineno}: {bad}; the file is ignored"
+            print(warn, file=sys.stderr)
+            # none of the file's values stays (a memo entry dropped is recomputed)
+            for _, done, key, _ in itertools.islice(_records(path), loaded):
+                store.tables()[done].pop(key, None)
             return 0
-        header = _parse_line(header_line, 1)
-        if header.get("format") != FORMAT_VERSION:
-            return 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            tag, key, value = _parse_record(_parse_line(line, lineno), lineno)
-            store.preload(tag, key, value)
-            loaded += 1
+        store.preload(tag, (g, ks), value)
+        loaded += 1
     return loaded
+
+
+def _records(path: Path) -> Iterator[Tuple[int, str, store.Key, Fraction]]:
+    # (line number, tag, key, value) per record; none in an empty or other-version file
+    with path.open("r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header.strip() or _parse_line(header, 1).get("format") != FORMAT_VERSION:
+            return
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                yield (lineno, *_parse_record(_parse_line(line, lineno), lineno))
+
+
+def _closed_form(tag: str, g: int, ks: Tuple[int, ...]) -> Optional[Fraction]:
+    """The value a record must hold where its family has a closed form: lambda_g,
+    lambda_g lambda_{g-1}, and psi at genus 0 or with one point.  None for the
+    records that stay trusted: lambda_{g-1}, the other psi, and those beyond
+    the command line's genus and insertion limits, which no command reads."""
+    if len(ks) > MAX_POINTS:
+        return None
+    if tag == store.TAG_LAMBDA_G and g <= MAX_LAMBDA_GENUS:
+        key = family_key(g, ks, LAMBDA_G_GRADING, nmin=1)
+        return Fraction(0) if key is None else hodge._lg_value(g, key)
+    if tag == store.TAG_LAMBDA_G_GM1 and g <= MAX_LAMBDA_GENUS:
+        key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1)
+        return Fraction(0) if key is None else hodge._gg_value(g, key)
+    if tag == store.TAG_PSI and (g == 0 or len(ks) == 1) and g <= MAX_PSI_GENUS:
+        key = family_key(g, ks, PSI_GRADING)
+        if key is None:
+            return Fraction(0)
+        if g:
+            return Fraction(1, 24**g * factorial(g))
+        return Fraction(multinomial(len(key) - 3, key))
+    return None
 
 
 def _parse_line(line: str, lineno: int) -> dict:
@@ -95,37 +137,18 @@ def save_cache(path: Union[str, Path]) -> int:
     """Export every memoized entry; returns the number written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    written = 0
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "format": FORMAT_VERSION,
-                        "created": datetime.now(timezone.utc).isoformat(),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            now = datetime.now(timezone.utc).isoformat()
+            header = {"format": FORMAT_VERSION, "created": now}
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
             for tag in store.CACHED_TAGS:
                 for (g, ks), value in sorted(store.tables()[tag].items()):
-                    fh.write(
-                        json.dumps(
-                            {
-                                "tag": tag,
-                                "genus": g,
-                                "exponents": list(ks),
-                                "value": str(value),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                    written += 1
+                    rec = dict(tag=tag, genus=g, exponents=list(ks), value=str(value))
+                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return written
+    return sum(len(store.tables()[tag]) for tag in store.CACHED_TAGS)

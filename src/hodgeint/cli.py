@@ -146,19 +146,13 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "lambda":
         g = args.genus
         check_limit("--genus", g, MAX_LAMBDA_GENUS)
-        needs_exponents = args.family in ("g", "gg", "gm1")
-        if needs_exponents and args.exponents is None:
+        fn = {"g": lambda_g, "gg": lambda_g_gm1, "gm1": lambda_gm1}.get(args.family)
+        if fn is None:
+            value = lambda_cube(g) if args.family == "cube" else c_constant(g)
+        elif args.exponents is None:
             raise DomainError(f"--exponents required for --class {args.family}")
-        if args.family == "g":
-            value = lambda_g(g, _parse_exponents(args.exponents))
-        elif args.family == "gg":
-            value = lambda_g_gm1(g, _parse_exponents(args.exponents))
-        elif args.family == "gm1":
-            value = lambda_gm1(g, _parse_exponents(args.exponents))
-        elif args.family == "cube":
-            value = lambda_cube(g)
         else:
-            value = c_constant(g)
+            value = fn(g, _parse_exponents(args.exponents))
         print(_emit({"class": args.family, "genus": g, "value": str(value)}, fmt))
         return EXIT_OK
 
@@ -188,12 +182,8 @@ def _run(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise DomainError(f"bad insertion {part!r}; expected a:k") from exc
         value = degree0_gw(_TARGET_DIMS[args.target], args.genus, pairs)
-        print(
-            _emit(
-                {"target": args.target, "genus": args.genus, "value": str(value)},
-                fmt,
-            )
-        )
+        payload = {"target": args.target, "genus": args.genus, "value": str(value)}
+        print(_emit(payload, fmt))
         return EXIT_OK
 
     if args.command == "verify":

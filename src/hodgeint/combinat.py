@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from math import comb, factorial, prod
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, check_points
 from .store import register_memo
@@ -119,6 +119,8 @@ def _rising_poly(x: Fraction, k: int) -> tuple:
     for j in range(k + 1):
         root = p + j * q
         coeffs = [a * root + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    if q == 1:
+        return tuple(coeffs)
     top = len(coeffs) - 1
     return tuple(Fraction(c, q ** (top - i)) for i, c in enumerate(coeffs))
 
@@ -127,17 +129,17 @@ register_memo(bernoulli.cache_clear)
 register_memo(_rising_poly.cache_clear)
 
 
-def bracket(x, k: int, i: int) -> Fraction:
+def bracket(x, k: int, i: int):
     """The symbol [x]^k_i: coefficient of t^i in prod_{j=0}^{k}(t + x + j).
 
     Defined for k >= -1 (k = -1 gives the empty product, so only i = 0 is
-    nonzero).  Out-of-range i returns 0; the Virasoro operator sums rely on
-    that convention.
+    nonzero); an int at integer x, else a Fraction.  Out-of-range i returns
+    0; the Virasoro operator sums rely on that convention.
     """
     if k < -1:
         raise ValueError("k must be >= -1")
     if i < 0 or i > k + 1:
-        return Fraction(0)
+        return 0
     return _rising_poly(Fraction(x), k)[i]
 
 
@@ -162,14 +164,11 @@ def harmonic(n: int) -> Fraction:
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """n! / prod(parts_i!); rejects part lists that do not sum to n."""
-    if any(p < 0 for p in parts):
+    if min(parts, default=0) < 0:
         raise ValueError("parts must be nonnegative")
     if sum(parts) != n:
         raise ValueError(f"parts {list(parts)} do not sum to {n}")
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
+    return factorial(n) // prod(map(factorial, parts))
 
 
 def double_factorial(n: int) -> int:
@@ -222,14 +221,14 @@ def graded_splits(
 
 def linear_block(
     k: int, i: int, b, derivs: Tuple[int, ...], head: Tuple[int, ...] = ()
-) -> Iterator[Tuple[Fraction, Tuple[int, ...]]]:
+) -> Iterator[Tuple[Union[int, Fraction], Tuple[int, ...]]]:
     """The linear block sum_j [b + j]^k_i t_j d/dt_{j+k-i} of L_k, with the
     dilaton shift t_1 -> t_1 - 1, differentiated at the origin by ``derivs``.
 
     Yields (coefficient, insertions): first the dilaton term
     (-[b + 1]^k_i, (k + 1 - i,) + head + derivs), then ([b + j]^k_i, with j
-    raised to j + k - i) for each position j of ``derivs``.  ``head`` holds
-    insertions the block carries along without raising them.
+    raised to j + k - i) for each position j of ``derivs`` (ints at integer
+    b).  ``head`` holds insertions the block carries along without raising.
     """
     yield -bracket(b + 1, k, i), (k + 1 - i,) + head + derivs
     for p, j in enumerate(derivs):
@@ -237,11 +236,11 @@ def linear_block(
 
 
 @lru_cache(maxsize=None)
-def split_weights(k: int, i: int, b) -> Tuple[Tuple[int, Fraction], ...]:
-    """(m, 1/2 (-1)^{m+1} [b - m - 1]^k_i) for m = 0..k-i-1, zero weights
-    left out: the order-hbar block of L_k, which pairs tau_m with
-    tau_{k-m-i-1}."""
-    weights = ((m, bracket(b - m - 1, k, i) / 2) for m in range(k - i))
+def split_weights(k: int, i: int, b) -> Tuple[Tuple[int, Union[int, Fraction]], ...]:
+    """(m, (-1)^{m+1} [b - m - 1]^k_i) for m = 0..k-i-1, zero weights left
+    out: the order-hbar block of L_k is 1/2 sum_m w_m d_m d_{k-m-i-1}, and
+    the caller halves the sum it builds from these (ints at integer b)."""
+    weights = ((m, bracket(b - m - 1, k, i)) for m in range(k - i))
     return tuple((m, w if m % 2 else -w) for m, w in weights if w)
 
 
@@ -257,9 +256,9 @@ def split_block(
     grading: Tuple[int, int],
     lhead: Tuple[int, ...] = (),
     rhead: Tuple[int, ...] = (),
-) -> Iterator[Tuple[Fraction, Tuple[int, ...], Tuple[int, ...], int]]:
-    """The order-hbar block of L_k on a genus-split product, differentiated
-    at the origin by ``derivs``.
+) -> Iterator[Tuple[Union[int, Fraction], Tuple[int, ...], Tuple[int, ...], int]]:
+    """Twice the order-hbar block of L_k on a genus-split product,
+    differentiated at the origin by ``derivs``.
 
     Yields (weight, left, right, g1): left = (m,) + lhead + I and
     right = (k-m-i-1,) + rhead + J over the :func:`split_weights` and the
@@ -278,11 +277,16 @@ def split_block(
 
 def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
     """(entry, multiplicity, index of its last copy) of each distinct entry of
-    a descending key.  Equal entries give equal terms in the string and top
-    steps, so those steps visit each once, weighted by its multiplicity."""
-    for v in dict.fromkeys(key):
-        c = key.count(v)
-        yield v, c, key.index(v) + c - 1
+    a descending key, in one scan.  Equal entries give equal terms in the
+    string and top steps, so those steps visit each once, weighted by its
+    multiplicity."""
+    n, i = len(key), 0
+    while i < n:
+        v, j = key[i], i + 1
+        while j < n and key[j] == v:
+            j += 1
+        yield v, j - i, j - 1
+        i = j
 
 
 def lowerings(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
@@ -291,5 +295,6 @@ def lowerings(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, Tuple[int, ...]]
     descending.  The string identity sums the integral over these keys,
     weighted by multiplicity."""
     for v, c, i in runs(key):
-        if v:
-            yield v, c, key[:i] + (v - 1,) + key[i + 1 :]
+        if not v:  # the zeros end the key
+            return
+        yield v, c, key[:i] + (v - 1,) + key[i + 1 :]

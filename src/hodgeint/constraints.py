@@ -143,7 +143,7 @@ def x_surface(
               sum_{I+J} <tau_m I>_0 <tau_{k-m-2} J | l_g l_{g-1}>.
 
     The cross terms of a genus-0 factor with a lambda-pair factor appear
-    twice in the double derivative, so they carry twice the split weight.
+    twice in the double derivative, so they carry the split weight unhalved.
 
     Returns ``(scalar, symbolic)``: the evaluated part plus the unevaluated
     lambda_g lambda_{g-2} contributions, as a mapping from unknown integrals
@@ -161,18 +161,19 @@ def x_surface(
     for c, key in linear_block(k, 0, -Half, derivs):
         scalar += _gm2_term(sym, g, key, c)
     for w, left, right, _ in split_block(k, 0, -Half, derivs, 0, PSI_GRADING):
-        scalar += _gm2_term(sym, g, right, 2 * w * psi_or_zero(0, left))
+        scalar += _gm2_term(sym, g, right, w * psi_or_zero(0, left))
     # double derivative on the (1,1) block squares the lambda_g
     # lambda_{g-1} part of the exponent
     for w, left, right, g1 in split_block(k, 0, Half, derivs, g, LAMBDA_GG_GRADING):
-        scalar += w * lambda_g_gm1_or_zero(g1, left) * lambda_g_gm1_or_zero(g - g1, right)
+        pair = lambda_g_gm1_or_zero(g1, left) * lambda_g_gm1_or_zero(g - g1, right)
+        scalar += Half * w * pair
 
     # lambda_g lambda_{g-1} block (its exponent block carries a minus sign,
     # so the shifted-coordinate pair comes out +constant, -t_m)
     for c, key in linear_block(k, 1, -Half, derivs):
         scalar -= c * lambda_g_gm1_or_zero(g, key)
     for w, left, right, _ in split_block(k, 1, -Half, derivs, 0, PSI_GRADING):
-        scalar -= 2 * w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
+        scalar -= w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
     return scalar, sym
 
 
@@ -198,5 +199,5 @@ def y_surface(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
         for w, left, right, _ in split_block(
             k, 0, b, derivs, 0, PSI_GRADING, lhead, rhead
         ):
-            total += 2 * w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
+            total += w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
     return total

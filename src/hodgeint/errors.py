@@ -31,7 +31,7 @@ MAX_POINTS = 200
 # Python 3.11, empty memo: <tau_{3g-2}>_g takes 0.25 s at g = 12, 0.5 s at 14
 # (whole commands), 1.3 s at 16 in-process; the lambda families are closed forms
 # or short solvers (c_g and the lambda_{g-1}^3 constant together 0.015 s at
-# g = 50, 0.64 s at 200; lambda_{g-1} with ten balanced points 1.0 s at
+# g = 50, 0.64 s at 200; lambda_{g-1} with ten balanced points 0.66 s at
 # g = 50), and gw0 reaches only them (and psi at g = 1); b_0..b_G takes 0.04 s
 # at G = 100, 0.34 s at 200 and 1.4 s at 300; euler --dim 2 or 3, as a whole
 # cold command, 0.14 s and 16 MB at g = 1000 (the class alone is under 1 ms).

@@ -14,14 +14,17 @@ Each closed form ships with an independent recursion solver
 (``lambda_g_solver`` / ``lambda_g_gm1_solver``) that only ever uses the
 constraint recursion together with the string/dilaton identities and the
 one-point base value, never the closed formula.  Agreement of the two routes
-is one of the package's acceptance gates.
+is one of the package's acceptance gates.  Both routes, and the lambda_{g-1}
+solve, sum integers and build one Fraction a value: N = value / b_g
+(lambda_g), M = value * prod (2k_i-1)!! / gg_const(g) (lambda_g
+lambda_{g-1}), and lambda_{g-1} numerators over one common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .combinat import (
@@ -96,11 +99,10 @@ def c_constant(g: int) -> Fraction:
     """
     if g < 1:
         raise DomainError("g must be >= 1")
-    total = harmonic(2 * g - 1) * b_constant(g)
+    total, d = harmonic(2 * g - 1) * b_constant(g), 2 * factorial(2 * g - 1)
     for g1 in range(1, g):
-        g2 = g - g1
-        w = Fraction(factorial(2 * g1 - 1) * factorial(2 * g2 - 1), factorial(2 * g - 1))
-        total -= Fraction(1, 2) * w * b_constant(g1) * b_constant(g2)
+        w = factorial(2 * g1 - 1) * factorial(2 * g - 2 * g1 - 1)
+        total -= Fraction(w, d) * b_constant(g1) * b_constant(g - g1)
     return total
 
 
@@ -110,9 +112,7 @@ def gg_const(g: int) -> Fraction:
     |B_{2g}| / (2^{2g-1} (2g-1)!! 2g)."""
     if g < 1:
         raise DomainError("g must be >= 1")
-    return abs(bernoulli(2 * g)) / (
-        2 ** (2 * g - 1) * double_factorial(2 * g - 1) * 2 * g
-    )
+    return abs(bernoulli(2 * g)) / (4**g * double_factorial(2 * g - 1) * g)
 
 
 register_memo(b_constant.cache_clear)
@@ -123,11 +123,8 @@ def lambda_cube(g: int) -> Fraction:
     """Integral of lambda_{g-1}^3 over the unpointed moduli space, g >= 2."""
     if g < 2:
         raise DomainError("g must be >= 2")
-    return (
-        Fraction(1, factorial(2 * g - 2))
-        * (abs(bernoulli(2 * g - 2)) / (2 * g - 2))
-        * (abs(bernoulli(2 * g)) / (2 * g))
-    )
+    bb = abs(bernoulli(2 * g - 2) * bernoulli(2 * g))
+    return bb / (factorial(2 * g - 2) * (2 * g - 2) * 2 * g)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +138,13 @@ def lambda_g(g: int, ks: Sequence[int]) -> Fraction:
 
 
 def _lambda_g(g: int, key: Key) -> Fraction:
-    n = len(key)
-    cached = lookup(TAG_LAMBDA_G, (g, key))
-    if cached is not None:
-        return cached
-    val = multinomial(2 * g + n - 3, key) * b_constant(g)
-    return record(TAG_LAMBDA_G, (g, key), val)
+    v = lookup(TAG_LAMBDA_G, (g, key))
+    return record(TAG_LAMBDA_G, (g, key), _lg_value(g, key)) if v is None else v
+
+
+def _lg_value(g: int, key: Key) -> Fraction:
+    b = b_constant(g)
+    return Fraction(multinomial(2 * g + len(key) - 3, key) * b.numerator, b.denominator)
 
 
 def lambda_g_or_zero(g: int, ks: Iterable[int]) -> Fraction:
@@ -154,8 +152,11 @@ def lambda_g_or_zero(g: int, ks: Iterable[int]) -> Fraction:
     return Fraction(0) if key is None else _lambda_g(g, key)
 
 
-_lambda_g_rec: Dict[Tuple[int, Key], int] = {}
+# the solvers' integers by key alone: the grading fixes the genus
+_lambda_g_rec: Dict[Key, int] = {}
+_lambda_gg_rec: Dict[Key, int] = {}
 register_memo(_lambda_g_rec.clear)
+register_memo(_lambda_gg_rec.clear)
 
 
 def lambda_g_solver(g: int, ks: Sequence[int]) -> Fraction:
@@ -174,27 +175,30 @@ def lambda_g_solver(g: int, ks: Sequence[int]) -> Fraction:
     and b_g (b_0 = 1) enters once, here.
     """
     key = family_key(g, ks, LAMBDA_G_GRADING, nmin=1, strict=True)
-    return Fraction(0) if key is None else _lg_rec(g, key) * b_constant(g)
+    if key is None:
+        return Fraction(0)
+    b = b_constant(g)
+    return Fraction(_lg_rec(key) * b.numerator, b.denominator)
 
 
-def _lg_rec(g: int, key: Key) -> int:
+def _lg_rec(key: Key) -> int:
     # key meets the grading, and so do all keys the steps below reach
-    cached = _lambda_g_rec.get((g, key))
+    cached = _lambda_g_rec.get(key)
     if cached is not None:
         return cached
-    if len(key) == 1 or g == 0 and len(key) == 3:  # the base keys
+    if len(key) == 1 or key == (0, 0, 0):  # the base keys
         val = 1
     elif key[-1] == 0:
-        val = sum(c * _lg_rec(g, low) for _, c, low in lowerings(key[:-1]))
+        val = sum(c * _lg_rec(low) for _, c, low in lowerings(key[:-1]))
     else:
         k = key[0] - 1  # >= 1: an all-ones multiset cannot meet the grading
         k0 = key[1]
         rest = key[2:]
-        val = comb(k0 + k + 1, k0) * _lg_rec(g, (k0 + k,) + rest)
+        val = comb(k0 + k + 1, k0) * _lg_rec((k0 + k,) + rest)
         for ki, c, i in runs(rest):
             others = rest[:i] + rest[i + 1 :]
-            val += c * comb(ki + k, ki - 1) * _lg_rec(g, _canon((k0, ki + k) + others))
-    _lambda_g_rec[(g, key)] = val
+            val += c * comb(ki + k, ki - 1) * _lg_rec(_canon((k0, ki + k) + others))
+    _lambda_g_rec[key] = val
     return val
 
 
@@ -216,35 +220,50 @@ def lambda_g_gm1(g: int, ks: Sequence[int]) -> Fraction:
 
 
 def _lambda_g_gm1(g: int, key: Key) -> Fraction:
-    n = len(key)
-    cached = lookup(TAG_LAMBDA_G_GM1, (g, key))
-    if cached is not None:
-        return cached
-    if key[-1] == 0 and n > 1:
-        val = sum(c * _lambda_g_gm1(g, low) for _, c, low in lowerings(key[:-1]))
-    else:
-        val = _gg_closed(g, key)
-    return record(TAG_LAMBDA_G_GM1, (g, key), val)
+    v = lookup(TAG_LAMBDA_G_GM1, (g, key))
+    if v is None:  # recorded, so the memo of M drops it
+        v = record(TAG_LAMBDA_G_GM1, (g, key), _gg_value(g, key))
+        _gg_closed_memo.pop(key, None)
+    return v
 
 
-def _gg_closed(g: int, key: Key) -> Fraction:
+def _gg_value(g: int, key: Key) -> Fraction:
+    p, q = _gg_ratio(g, key)
+    return Fraction(_gg_closed(g, key) * p, q)
+
+
+def _gg_ratio(g: int, key: Key) -> Tuple[int, int]:
+    c = gg_const(g)  # value / M = gg_const(g) / prod (2k_i-1)!!
+    return c.numerator, c.denominator * prod(double_factorial(2 * k - 1) for k in key)
+
+
+# M of the keys with two zeros or more reached and not in the table (by key)
+_gg_closed_memo: Dict[Key, int] = {}
+register_memo(_gg_closed_memo.clear)
+
+
+def _gg_closed(g: int, key: Key) -> int:
+    # M: (2g+n-3)! (2g-1)!! / (2g-1)! = (2g+n-3)! / (2^{g-1} (g-1)!) with no
+    # zero, and string steps sum_v c (2v-1) M(v lowered).  One zero keeps the
+    # base: its step's weights sum to 2(g-2+n) - (n-1) = base(n) / base(n-1).
     n = len(key)
-    denom = factorial(2 * g - 1)
-    for k in key:
-        denom *= double_factorial(2 * k - 1)
-    return (
-        Fraction(factorial(2 * g + n - 3) * double_factorial(2 * g - 1), denom)
-        * gg_const(g)
-    )
+    if n < 3 or key[-2]:
+        return factorial(2 * g + n - 3) // (factorial(g - 1) << g - 1)
+    val = _gg_closed_memo.get(key)
+    if val is None:
+        known = lookup(TAG_LAMBDA_G_GM1, (g, key))
+        if known is not None:  # a recorded key: M from its value
+            p, q = _gg_ratio(g, key)
+            return known.numerator * q // (known.denominator * p)
+        low = lowerings(key[:-1])
+        val = sum(c * (2 * v - 1) * _gg_closed(g, k) for v, c, k in low)
+        _gg_closed_memo[key] = val
+    return val
 
 
 def lambda_g_gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
     key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1)
     return Fraction(0) if key is None else _lambda_g_gm1(g, key)
-
-
-_lambda_gg_rec: Dict[Tuple[int, Key], int] = {}
-register_memo(_lambda_gg_rec.clear)
 
 
 def lambda_g_gm1_solver(g: int, ks: Sequence[int]) -> Fraction:
@@ -267,22 +286,22 @@ def lambda_g_gm1_solver(g: int, ks: Sequence[int]) -> Fraction:
     key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1, strict=True)
     if key is None:
         return Fraction(0)
+    c = gg_const(g)
     scale = prod(double_factorial(2 * k - 1) for k in key)
-    return Fraction(_gg_rec(g, key), scale) * gg_const(g)
+    return Fraction(_gg_rec(g, key) * c.numerator, scale * c.denominator)
 
 
 def _gg_rec(g: int, key: Key) -> int:
     # key meets the grading, and so do all keys the steps below reach
-    cached = _lambda_gg_rec.get((g, key))
+    cached = _lambda_gg_rec.get(key)
     if cached is not None:
         return cached
     n = len(key)
     if n == 1:
         val = double_factorial(2 * g - 3)  # key == (g-1,) by the grading
     elif key[-1] == 0:
-        val = sum(
-            c * (2 * v - 1) * _gg_rec(g, low) for v, c, low in lowerings(key[:-1])
-        )
+        low = lowerings(key[:-1])
+        val = sum(c * (2 * v - 1) * _gg_rec(g, k) for v, c, k in low)
     elif key[0] == 1:
         val = (2 * g - 3 + n) * _gg_rec(g, key[1:])
     else:
@@ -293,7 +312,7 @@ def _gg_rec(g: int, key: Key) -> int:
         for ki, c, i in runs(rest):
             others = rest[:i] + rest[i + 1 :]
             val += c * (2 * ki - 1) * _gg_rec(g, _canon((k0, ki + k) + others))
-    _lambda_gg_rec[(g, key)] = val
+    _lambda_gg_rec[key] = val
     return val
 
 
@@ -326,7 +345,7 @@ def _gm1(g: int, key: Key) -> Fraction:
     if n == 1:
         val = c_constant(g)  # the grading forces k = 2g-1
     elif key[-1] == 0:
-        val = sum(c * _gm1(g, low) for _, c, low in lowerings(key[:-1]))
+        val = _dot([(c, _gm1(g, low)) for _, c, low in lowerings(key[:-1])])
     elif key[-1] == 1:
         val = (2 * g - 2 + n - 1) * _gm1(g, key[:-1])
     else:  # key[0] >= key[-1] >= 2
@@ -340,22 +359,32 @@ def _gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
     return Fraction(0) if key is None else _gm1(g, key)
 
 
-def _xcurve_partial(
-    g: int, k: int, derivs: Key
-) -> Tuple[Tuple[Fraction, Key], Fraction]:
+def _xcurve_partial(g: int, k: int, derivs: Key) -> Tuple[Tuple[int, Key], Fraction]:
     """The derivative of the curve x-constraint split into its leading term
-    -[1]^k_0 <tau_{k+1} derivs | lambda_{g-1}>, as (coefficient, key), and
-    the sum of all other terms: _gm1 solves x = 0 for the leading integral,
-    and constraints.x_curve adds the two back together."""
+    -[1]^k_0 <tau_{k+1} derivs | lambda_{g-1}>, as (coefficient, key), and the
+    sum of all other terms: _gm1 solves x = 0 for the leading integral, and
+    constraints.x_curve adds the two back.  All terms share the leading one's
+    grading, on which a lambda_g key K of genus h is stable with value
+    multinomial(sum K; K) b_h: integer sums per h, scaled by b_h b_{g-h}."""
     lead, *linear = linear_block(k, 0, 0, derivs)
-    total = Fraction(0)
-    for c, key in linear:
-        total += c * _gm1_or_zero(g, key)
-    for c, key in linear_block(k, 1, 0, derivs):
-        total -= c * lambda_g_or_zero(g, key)
-    for w, left, right, g1 in split_block(k, 1, 0, derivs, g, LAMBDA_G_GRADING):
-        total -= w * lambda_g_or_zero(g1, left) * lambda_g_or_zero(g - g1, right)
-    return lead, total
+    # twice each term, as the split weights are twice the block's
+    terms = [(2 * c, _gm1_or_zero(g, key)) for c, key in linear]
+    if g >= 0 and k + sum(derivs) - len(derivs) == 2 * g - 2:
+        lam = [0] * (g + 1)
+        for c, key in linear_block(k, 1, 0, derivs):
+            lam[g] -= 2 * c * multinomial(sum(key), key)
+        for w, left, right, h in split_block(k, 1, 0, derivs, g, LAMBDA_G_GRADING):
+            lam[h] -= w * multinomial(sum(left), left) * multinomial(sum(right), right)
+        b = [b_constant(h) for h in range(g + 1)]
+        terms += [(s, b[h] * b[g - h]) for h, s in enumerate(lam) if s]
+    return lead, _dot(terms, 2)
+
+
+def _dot(terms: List[Tuple[int, Fraction]], s: int = 1) -> Fraction:
+    # sum c x / s over the terms, summed over one common denominator
+    d = lcm(*(x.denominator for _, x in terms))
+    n = sum(c * x.numerator * (d // x.denominator) for c, x in terms)
+    return Fraction(n, s * d)
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,8 @@ def _invert(mat: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Exact inverse of a square matrix (Gauss-Jordan); DomainError when it
     is singular."""
     n = len(mat)
-    aug = [
-        [Fraction(x) for x in mat[i]]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [[Fraction(x) for x in row] + eye[i] for i, row in enumerate(mat)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
@@ -422,6 +419,7 @@ def general_operator(
         ci = powers[i]
         for cc in range(n):
             for m, w in split_weights(k, i, weights[cc]):
+                w = Half * w
                 for b in range(n):
                     if ci[b][cc] == 0:
                         continue

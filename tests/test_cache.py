@@ -29,6 +29,7 @@ def test_reset_empties_every_memo():
             psi_integral(3, [7]),
             hodge.lambda_g_solver(3, [3, 2, 1]),
             hodge.lambda_g_gm1_solver(3, [2, 1]),
+            hodge.lambda_g_gm1(3, [4, 2, 0, 0, 0]),
             hodge.lambda_gm1(3, [4, 2]),
             mumford.euler_class(2, 3),
         )
@@ -39,19 +40,26 @@ def test_reset_empties_every_memo():
             "psi_rec": len(psi._psi_rec),
             "lambda_g_rec": len(hodge._lambda_g_rec),
             "lambda_gg_rec": len(hodge._lambda_gg_rec),
+            "gg_closed": len(hodge._gg_closed_memo),
             "b_constant": hodge.b_constant.cache_info().currsize,
             "gg_const": hodge.gg_const.cache_info().currsize,
             "bernoulli": combinat.bernoulli.cache_info().currsize,
             "rising_poly": combinat._rising_poly.cache_info().currsize,
+            "split_weights": combinat.split_weights.cache_info().currsize,
             "square_rule": mumford._square_rule.cache_info().currsize,
             "reduce": mumford.reduce_lambda_monomial.cache_info().currsize,
         }
 
     first = compute()
     assert all(sizes().values()), sizes()
-    # the psi recursion and the solvers carry integer multiples of their values
+    # the psi recursion, the solvers and the lambda_g lambda_{g-1} closed form
+    # carry integer multiples of their values, keyed by the key alone where
+    # the grading fixes the genus
+    for memo in (hodge._lambda_g_rec, hodge._lambda_gg_rec, hodge._gg_closed_memo):
+        assert all(type(x) is int for key in memo for x in key)
     for memo in (psi._psi_rec, hodge._lambda_g_rec, hodge._lambda_gg_rec):
         assert all(type(v) is int for v in memo.values())
+    assert all(type(v) is int for v in hodge._gg_closed_memo.values())
     store.reset()
     assert not any(sizes().values()), sizes()
     assert store.computed_count() == 0
@@ -187,14 +195,65 @@ def test_concurrent_saves_leave_a_loadable_file(tmp_path):
 
 
 def test_rational_serialization(tmp_path):
-    # "p/q", with the "/q" left out when q = 1, both ways through the file
+    # "p/q", with the "/q" left out when q = 1, both ways through the file;
+    # multi-point psi records, which the loader does not check
     path = tmp_path / "memo.jsonl"
-    store.preload(store.TAG_PSI, (5, (13,)), F(3))
-    store.preload(store.TAG_PSI, (6, (16,)), F(-7, 4))
+    store.preload(store.TAG_PSI, (5, (13, 1)), F(3))
+    store.preload(store.TAG_PSI, (6, (16, 1)), F(-7, 4))
     cache.save_cache(path)
     lines = path.read_text().splitlines()
     assert [json.loads(line)["value"] for line in lines[1:]] == ["3", "-7/4"]
     path.write_text("\n".join(lines).replace('"3"', '"5"') + "\n")
     store.reset()
     assert cache.load_cache(path) == 2
-    assert store.tables()[store.TAG_PSI] == {(5, (13,)): F(5), (6, (16,)): F(-7, 4)}
+    assert store.tables()[store.TAG_PSI] == {(5, (13, 1)): F(5), (6, (16, 1)): F(-7, 4)}
+
+
+def _write_records(path, *records):
+    lines = [{"format": cache.FORMAT_VERSION}, *records]
+    path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+
+
+@pytest.mark.parametrize(
+    "tag, genus, exponents, value",
+    [
+        ("lambda_g", 2, [2, 1], "1/7"),  # 7/1920 by the multinomial form
+        ("lambda_g_gm1", 3, [3, 2, 0, 0], "1/7"),  # through string steps
+        ("lambda_g_gm1", 3, [2, 1], "0"),  # 0 on the grading
+        ("psi", 2, [4], "1/7"),  # one point: 1/(24^g g!)
+        ("psi", 0, [1, 0, 0, 0], "2"),  # genus 0: multinomial(n-3; K)
+        ("psi", 1, [2], "1/7"),  # off the grading: 0
+        ("psi", -1, [5], "1"),  # no genus -1: 0
+    ],
+)
+def test_record_off_its_closed_form_voids_the_file(
+    tmp_path, capsys, tag, genus, exponents, value
+):
+    path = tmp_path / "memo.jsonl"
+    good = {"tag": "psi", "genus": 1, "exponents": [1], "value": "1/24"}
+    bad = {"tag": tag, "genus": genus, "exponents": exponents, "value": value}
+    _write_records(path, good, bad)
+    assert cache.load_cache(path) == 0
+    assert not any(store.tables().values())
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("; the file is ignored\n")
+    assert f"line 3: {tag} at genus {genus}, exponents {exponents} is {value}, not " in err
+
+
+def test_closed_form_records_load_and_the_rest_stay_trusted(tmp_path):
+    path = tmp_path / "memo.jsonl"
+    gg = str(hodge.lambda_g_gm1(3, [3, 2, 0, 0]))
+    records = [
+        {"tag": "lambda_g", "genus": 2, "exponents": [2, 1], "value": "7/1920"},
+        {"tag": "lambda_g_gm1", "genus": 3, "exponents": [3, 2, 0, 0], "value": gg},
+        {"tag": "psi", "genus": 0, "exponents": [1, 0, 0, 0], "value": "1"},
+        {"tag": "psi", "genus": 2, "exponents": [4], "value": "1/1152"},
+        # no closed form: loaded as they are
+        {"tag": "psi", "genus": 2, "exponents": [3, 2], "value": "1/7"},
+        {"tag": "lambda_gm1", "genus": 2, "exponents": [3], "value": "1/7"},
+    ]
+    store.reset()
+    _write_records(path, *records)
+    assert cache.load_cache(path) == len(records)
+    assert store.computed_count() == 0
+    assert store.lookup(store.TAG_LAMBDA_GM1, (2, (3,))) == F(1, 7)

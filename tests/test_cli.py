@@ -125,6 +125,23 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert out == "0/0 checks passed\n"
 
+    # exit codes at --max-genus 0: table, mumford and cg start above genus 0
+    # and test nothing, and annihilation's L_2 line tests 0 coefficients, so
+    # those runs fail like any run that tests nothing
+    _AT_GENUS_ZERO = {"table": 1, "bseq": 0, "closed-vs-recursion": 0,
+                      "annihilation": 1, "mumford": 1, "euler": 0, "cg": 1}
+
+    @pytest.mark.parametrize("suite", sorted(MAX_VERIFY_GENUS))
+    def test_max_genus_zero(self, capsys, suite):
+        # table exited 3 with "gmax must be >= 1"
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-genus", "0")
+        assert code == self._AT_GENUS_ZERO[suite]
+        assert err == "" and "Traceback" not in out
+        assert "gmax" not in out and "max_genus" not in out
+        summary = re.fullmatch(r"(\d+)/(\d+) checks passed", out.splitlines()[-1])
+        passed, total = map(int, summary.groups())
+        assert (code == EXIT_OK) == (0 < passed == total)
+
     def test_string_dilaton_sweeps_entries_from_empty_tables(self, capsys):
         # the fixture has emptied every table; the suite used to pass its
         # eight lines over 0 entries each
@@ -269,6 +286,17 @@ class TestCachePlumbing:
 
     _HEADER = json.dumps({"format": "hodgeint-cache-v1"})
     _RECORD = {"tag": "psi", "genus": 2, "exponents": [4], "value": "1/1152"}
+
+    def test_tampered_closed_form_record_is_recomputed(self, tmp_path, capsys):
+        # printed "value = 1/7" with exit 0
+        path = tmp_path / "memo.jsonl"
+        path.write_text(self._HEADER + "\n" + json.dumps({**self._RECORD, "value": "1/7"}))
+        argv = ["--cache", str(path), "psi", "--genus", "2", "--exponents", "4"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out == "genus = 2\nvalue = 1/1152\n"
+        assert err.startswith(f"warning: cache {path}: line 2: ") and err.count("\n") == 1
+        assert "1/7" not in path.read_text()  # saved again, from the recomputed tables
 
     @pytest.mark.parametrize(
         "body",

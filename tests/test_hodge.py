@@ -40,6 +40,21 @@ class TestClosedVsRecursion:
         assert lambda_g(0, (0, 0, 0)) == psi_integral(0, (0, 0, 0))
         assert lambda_g(0, (1, 0, 0, 0)) == psi_integral(0, (1, 0, 0, 0))
 
+    def test_lambda_g_gm1_memo_and_table_share_no_key(self):
+        # the string steps of (4, 2, 0, 0, 0) reach (3, 2, 0, 0), asked for
+        # before and read back from the table, and (4, 1, 0, 0), kept in the
+        # memo of M until it is asked for itself
+        from hodgeint import hodge, store
+
+        store.reset()
+        keys = [(3, 2, 0, 0), (4, 2, 0, 0, 0), (4, 1, 0, 0)]
+        for ks in keys:
+            assert lambda_g_gm1(3, ks) == hodge.lambda_g_gm1_solver(3, ks)
+        table = store.tables()[store.TAG_LAMBDA_G_GM1]
+        assert sorted(table) == sorted((3, ks) for ks in keys)
+        assert not set(hodge._gg_closed_memo) & set(keys) and hodge._gg_closed_memo
+        store.reset()
+
 
 class TestLambdaGm1:
     def test_one_point_is_c_constant(self):

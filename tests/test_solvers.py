@@ -109,7 +109,10 @@ def test_independent_of_the_closed_forms(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a solver consulted the closed form")
 
-    for name in ("multinomial", "_gg_closed", "lambda_g", "lambda_g_gm1"):
+    # the closed forms' kernels, from the integer ones up to the public entries
+    closed = ("multinomial", "_lg_value", "_gg_closed", "_gg_value")
+    closed += ("_lambda_g", "_lambda_g_gm1", "lambda_g", "lambda_g_gm1")
+    for name in closed:
         monkeypatch.setattr(hodge, name, forbidden)
     for g, ks in lambda_g_keys(0, 6, 5):
         assert hodge.lambda_g_solver(g, ks) == ref_lambda_g(g, ks)

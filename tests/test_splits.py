@@ -21,11 +21,13 @@ from hodgeint.combinat import (
     bracket,
     graded_splits,
     linear_block,
+    lowerings,
     multisets,
+    runs,
     split_block,
     split_weights,
 )
-from hodgeint.hodge import lambda_g_or_zero
+from hodgeint.hodge import _gm1_or_zero, _xcurve_partial, lambda_g_or_zero
 from hodgeint.psi import psi_integral, psi_or_zero
 
 F = Fraction
@@ -102,6 +104,17 @@ def test_psi_top_reduction_matches_bitmask_loop():
     assert count > 100
 
 
+def _brute_xcurve_partial(g, k, derivs):
+    # every term of x_curve but the leading one, from the public values
+    total = -_brute_xcurve_quadratic(g, k, derivs)
+    total += _br(1, k, 1) * lambda_g_or_zero(g, (k,) + derivs)
+    for i, j in enumerate(derivs):
+        others = derivs[:i] + derivs[i + 1 :]
+        total += _br(j, k, 0) * _gm1_or_zero(g, (k + j,) + others)
+        total -= _br(j, k, 1) * lambda_g_or_zero(g, (k + j - 1,) + others)
+    return total
+
+
 def test_xcurve_quadratic_matches_bitmask_loop():
     count = 0
     for g in range(1, 6):
@@ -112,13 +125,17 @@ def test_xcurve_quadratic_matches_bitmask_loop():
                     continue
                 derivs = tuple(derivs)
                 want = _brute_xcurve_quadratic(g, top - 1, derivs)
-                got = sum(
+                got = HALF * sum(
                     w * lambda_g_or_zero(g1, left) * lambda_g_or_zero(g - g1, right)
                     for w, left, right, g1 in split_block(
                         top - 1, 1, 0, derivs, g, LAMBDA_G_GRADING
                     )
                 )
                 assert got == want, (g, top, derivs)
+                # the solve's integer sums give the same partial
+                partial = _xcurve_partial(g, top - 1, derivs)[1]
+                assert type(partial) is F
+                assert partial == _brute_xcurve_partial(g, top - 1, derivs)
                 count += 1
     assert count > 50
 
@@ -127,10 +144,7 @@ def test_split_weights_are_the_displayed_weights():
     for k in range(-1, 9):
         for i in range(k + 2):
             for b in (F(h, 2) for h in range(-7, 8)):
-                want = {
-                    m: HALF * (-1) ** (m + 1) * _br(b - m - 1, k, i)
-                    for m in range(k - i)
-                }
+                want = {m: (-1) ** (m + 1) * _br(b - m - 1, k, i) for m in range(k - i)}
                 got = dict(split_weights(k, i, b))
                 assert got == {m: w for m, w in want.items() if w}, (k, i, b)
 
@@ -150,7 +164,7 @@ def test_split_block_is_the_bitmask_block(items, k, i, b, genus, grading, lhead,
     slope, offset = grading
     want = Counter()
     for m in range(k - i):
-        w = HALF * (-1) ** (m + 1) * _br(b - m - 1, k, i)
+        w = (-1) ** (m + 1) * _br(b - m - 1, k, i)
         for left, right in _bitmask_splits(items):
             left = (m, *lhead) + _desc(left)
             right = (k - m - i - 1, *rhead) + _desc(right)
@@ -243,3 +257,20 @@ def test_bracket_matches_fraction_product():
             for i in range(-1, k + 3):
                 want = coeffs[i] if 0 <= i <= k + 1 else 0
                 assert bracket(x, k, i) == want, (x, k, i)
+
+
+@given(st.lists(st.integers(0, 6), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_run_scans_match_a_counter(items):
+    key = _desc(items)
+    counts = Counter(key)
+    values = sorted(counts, reverse=True)
+    # a run ends where the entries >= its value end
+    want = [(v, counts[v], sum(c for u, c in counts.items() if u >= v) - 1) for v in values]
+    assert list(runs(key)) == want
+    lowered = [
+        (v, counts[v], _desc((counts - Counter([v]) + Counter([v - 1])).elements()))
+        for v in values
+        if v
+    ]
+    assert list(lowerings(key)) == lowered
