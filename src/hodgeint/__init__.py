@@ -4,7 +4,7 @@ and degree-zero descendent invariants, all over ``fractions.Fraction``.
 """
 
 from .constraints import x_curve, x_surface, y_curve, y_surface
-from .errors import DomainError, UnderdeterminedError
+from .errors import DomainError
 from .hodge import (
     b_constant,
     c_constant,
@@ -43,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
-    "UnderdeterminedError",
     "psi_integral",
     "point_partition",
     "b_constant",

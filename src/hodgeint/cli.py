@@ -13,7 +13,7 @@ above errors.MAX_PSI_GENUS, ``lambda --genus`` and ``gw0 --genus`` above
 errors.MAX_LAMBDA_GENUS, ``euler --genus`` above errors.MAX_EULER_GENUS,
 ``bseq --max-genus`` above errors.MAX_BSEQ_GENUS, ``verify --max-genus`` above
 the suite's errors.MAX_VERIFY_GENUS), 3 domain errors (unstable inputs, a
-negative ``--max-genus``, underdetermined integrals) and malformed cache files.
+negative ``--max-genus``) and malformed cache files.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .errors import (
     MAX_VERIFY_GENUS,
     DomainError,
     LimitError,
-    UnderdeterminedError,
     check_limit,
 )
 from .hodge import c_constant, lambda_cube, lambda_g, lambda_g_gm1, lambda_gm1
@@ -231,7 +230,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, UnderdeterminedError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if cache_path:

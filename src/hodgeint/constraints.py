@@ -17,43 +17,25 @@ None of the evaluators takes the target's discrete invariants (curve genus,
 Chern vector) as input: those appear only as overall prefactors of the
 families, so their vanishing is target-independent.
 
-The surface x family involves lambda_g lambda_{g-2} integrals for which no
-general evaluation is known; :func:`x_surface` therefore returns a pair
-``(scalar, symbolic)`` where ``symbolic`` collects the unevaluated terms as a
-mapping from products of unknown integrals to rational coefficients.  The
-constraint asserts ``scalar + sum(symbolic) = 0``.
+The leading terms of the two x families are solved for by the lambda_{g-1}
+and lambda_g lambda_{g-2} families (see :mod:`hodgeint.hodge`), so x_curve
+and x_surface vanish by construction on the coefficients those solves use;
+the other coefficients are checks of the values that enter them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .combinat import (
-    LAMBDA_GG_GRADING,
-    PSI_GRADING,
-    bracket,
-    linear_block,
-    split_block,
-)
+from .combinat import PSI_GRADING, bracket, linear_block, split_block
 from .errors import MAX_POINTS, DomainError, check_limit
-from .hodge import (
-    lambda_g_gm1_or_zero,
-    lambda_g_gm2_or_none,
-    lambda_g_or_zero,
-)
+from .hodge import lambda_g_gm1_or_zero, lambda_g_or_zero
 from .hodge import _gm1_or_zero as _lambda_gm1_or_zero
-from .hodge import _xcurve_partial
+from .hodge import Half, _gm2_slot, _xcurve_partial, _xsurface_partial
 from .psi import psi_or_zero
 
 __all__ = ["x_curve", "y_curve", "x_surface", "y_surface"]
-
-Half = Fraction(1, 2)
-
-# an unknown integral, as (genus, exponents); symbolic terms are products of
-# one or two of these
-Atom = Tuple[int, Tuple[int, ...]]
-Symbolic = Dict[Tuple[Atom, ...], Fraction]
 
 
 def _check(k: int, derivs: Sequence[int], heads: int) -> Tuple[int, ...]:
@@ -97,34 +79,7 @@ def y_curve(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
     return total
 
 
-def _gm2_term(sym: Symbolic, g: int, ks: Tuple[int, ...], c: Fraction) -> Fraction:
-    """c * <tau_ks | l_g l_{g-2}> as a scalar; an undetermined integral goes
-    into sym instead and counts 0 here."""
-    if c == 0:
-        return Fraction(0)
-    if g == 1:
-        # the genus-1 slot of the family is not a lambda pair (lambda_{-1} = 0
-        # kills that) but twice the pure-descendent genus-1 series: the
-        # Noether relation c_1^2 + c_2 = 12 chi(O) folds the genus-1 Euler
-        # block of the partition function into the squared-Chern coefficient.
-        # With this value the family vanishes identically at genus 1 as well.
-        return c * 2 * psi_or_zero(1, ks)
-    val = lambda_g_gm2_or_none(g, ks)
-    if val is not None:
-        return c * val
-    # None means the key is on the grading but not determined
-    atom = (g, tuple(sorted(ks, reverse=True)))
-    new = sym.get(atom, Fraction(0)) + c
-    if new:
-        sym[atom] = new
-    else:
-        sym.pop(atom)
-    return Fraction(0)
-
-
-def x_surface(
-    k: int, g: int, derivs: Sequence[int] = ()
-) -> Tuple[Fraction, Symbolic]:
+def x_surface(k: int, g: int, derivs: Sequence[int] = ()) -> Fraction:
     """Derivative of the surface x-expression at the origin.
 
     Assembled directly from the displayed operator acting on the surface
@@ -144,37 +99,12 @@ def x_surface(
 
     The cross terms of a genus-0 factor with a lambda-pair factor appear
     twice in the double derivative, so they carry the split weight unhalved.
-
-    Returns ``(scalar, symbolic)``: the evaluated part plus the unevaluated
-    lambda_g lambda_{g-2} contributions, as a mapping from unknown integrals
-    (genus, exponents) to rational coefficients.  The constraint asserts
-    scalar + symbolic = 0; an empty ``symbolic`` means fully determined.
-
-    At genus 1 the lambda pair degenerates (lambda_{-1} = 0) and its slot is
-    filled by twice the genus-1 pure-descendent series instead (see
-    :func:`_gm2_term`), which makes the family vanish there too.
+    At genus 1 the l_g l_{g-2} slot holds twice the genus-1 pure-descendent
+    series (see :func:`hodgeint.hodge._gm2_slot`), which makes the family
+    vanish there too.
     """
-    derivs = _check(k, derivs, 1)
-    scalar, sym = Fraction(0), {}
-
-    # lambda_g lambda_{g-2} block
-    for c, key in linear_block(k, 0, -Half, derivs):
-        scalar += _gm2_term(sym, g, key, c)
-    for w, left, right, _ in split_block(k, 0, -Half, derivs, 0, PSI_GRADING):
-        scalar += _gm2_term(sym, g, right, w * psi_or_zero(0, left))
-    # double derivative on the (1,1) block squares the lambda_g
-    # lambda_{g-1} part of the exponent
-    for w, left, right, g1 in split_block(k, 0, Half, derivs, g, LAMBDA_GG_GRADING):
-        pair = lambda_g_gm1_or_zero(g1, left) * lambda_g_gm1_or_zero(g - g1, right)
-        scalar += Half * w * pair
-
-    # lambda_g lambda_{g-1} block (its exponent block carries a minus sign,
-    # so the shifted-coordinate pair comes out +constant, -t_m)
-    for c, key in linear_block(k, 1, -Half, derivs):
-        scalar -= c * lambda_g_gm1_or_zero(g, key)
-    for w, left, right, _ in split_block(k, 1, -Half, derivs, 0, PSI_GRADING):
-        scalar -= w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
-    return scalar, sym
+    (c, lead), partial = _xsurface_partial(g, k, _check(k, derivs, 1))
+    return c * _gm2_slot(g, lead) + partial
 
 
 def y_surface(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:

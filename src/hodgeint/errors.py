@@ -1,4 +1,9 @@
-"""Exceptions shared across the package, and the size limit on inputs."""
+"""Exceptions shared across the package, and the size limit on inputs.
+
+Every integral family is total on its stable range, so an evaluator fails
+only on its input: DomainError outside the domain, LimitError (a DomainError)
+beyond a size limit.
+"""
 
 __all__ = [
     "MAX_POINTS",
@@ -9,7 +14,6 @@ __all__ = [
     "MAX_VERIFY_GENUS",
     "DomainError",
     "LimitError",
-    "UnderdeterminedError",
     "check_points",
     "check_limit",
 ]
@@ -32,7 +36,9 @@ MAX_POINTS = 200
 # (whole commands), 1.3 s at 16 in-process; the lambda families are closed forms
 # or short solvers (c_g and the lambda_{g-1}^3 constant together 0.015 s at
 # g = 50, 0.64 s at 200; lambda_{g-1} with ten balanced points 0.66 s at
-# g = 50), and gw0 reaches only them (and psi at g = 1); b_0..b_G takes 0.04 s
+# g = 50), and gw0 reaches only them (and psi at g = 1; P^2 with ten balanced
+# class-0 points solves lambda_g lambda_{g-2} in 0.31-0.46 s as a whole
+# command at g = 50); b_0..b_G takes 0.04 s
 # at G = 100, 0.34 s at 200 and 1.4 s at 300; euler --dim 2 or 3, as a whole
 # cold command, 0.14 s and 16 MB at g = 1000 (the class alone is under 1 ms).
 # verify --max-genus, per suite, as whole cold commands: annihilation 0.1 s at
@@ -54,13 +60,6 @@ class DomainError(ValueError):
 
 class LimitError(DomainError):
     """Raised for inputs beyond a documented size limit (the MAX_* above)."""
-
-
-class UnderdeterminedError(RuntimeError):
-    """Raised when a best-effort solver cannot pin down a value.
-
-    This is an honest failure signal; it must never be silenced into a guess.
-    """
 
 
 def check_points(n: int) -> None:

@@ -1,13 +1,16 @@
 """Integrals of lambda classes against psi classes.
 
-Four families are covered, named by the lambda-class factor paired with the
+Five families are covered, named by the lambda-class factor paired with the
 psi monomial:
 
 * ``lambda_g``            -- closed multinomial form, genus constant b_g;
 * ``lambda_g_gm1``        -- lambda_g lambda_{g-1}, closed double-factorial form;
 * ``lambda_gm1``          -- lambda_{g-1} alone, no closed form is known; values
                              come from the n = 1 constants c_g and the curve
-                             constraint relations (best effort, fails loudly);
+                             constraint relations;
+* ``lambda_g_gm2_or_zero`` -- lambda_g lambda_{g-2}, no closed form is known
+                             beyond g = 2; values are solved from the surface
+                             constraint relations, one-point keys included;
 * ``lambda_cube``         -- the n = 0 integrals of lambda_{g-1}^3.
 
 Each closed form ships with an independent recursion solver
@@ -32,6 +35,7 @@ from .combinat import (
     LAMBDA_GG_GRADING,
     LAMBDA_GM1_GRADING,
     LAMBDA_GM2_GRADING,
+    PSI_GRADING,
     bernoulli,
     double_factorial,
     family_key,
@@ -66,12 +70,13 @@ __all__ = [
     "lambda_cube",
     "lambda_g_or_zero",
     "lambda_g_gm1_or_zero",
-    "lambda_g_gm2_or_none",
+    "lambda_g_gm2_or_zero",
     "kappa_lambda_integral",
     "hodge_table",
 ]
 
 Key = Tuple[int, ...]
+Half = Fraction(1, 2)
 
 
 def _canon(ks: Sequence[int]) -> Key:
@@ -388,21 +393,75 @@ def _dot(terms: List[Tuple[int, Fraction]], s: int = 1) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# lambda_g lambda_{g-2} family (best effort, used by the surface constraints)
+# lambda_g lambda_{g-2} family (solved from the surface constraints)
 
 
-def lambda_g_gm2_or_none(g: int, ks: Iterable[int]):
-    """Value of <tau... | lambda_g lambda_{g-2}>_g when determinable, else None.
+def lambda_g_gm2_or_zero(g: int, ks: Iterable[int]) -> Fraction:
+    """<tau_{k1}...tau_{kn} | lambda_g lambda_{g-2}>_g, 0 off the family.
 
     g = 1 gives 0 (lambda_{-1} = 0); g = 2 reduces to the lambda_g family
-    (lambda_0 = 1).  No closed form is known beyond that.
+    (lambda_0 = 1).  Beyond that no closed form is known: zero and one
+    exponents are removed by string/dilaton, and a top insertion by solving
+    the surface x-constraint for it, as lambda_{g-1} is solved from the curve
+    one; every other unknown there has fewer insertions.
     """
     key = family_key(g, ks, LAMBDA_GM2_GRADING, gmin=1, nmin=1)
     if key is None or g == 1:
         return Fraction(0)
-    if g == 2:
-        return lambda_g_or_zero(2, key)
-    return None
+    return lambda_g_or_zero(2, key) if g == 2 else _gm2(g, key)
+
+
+_gm2_memo: Dict[Tuple[int, Key], Fraction] = {}
+register_memo(_gm2_memo.clear)
+
+
+def _gm2(g: int, key: Key) -> Fraction:
+    val = _gm2_memo.get((g, key))
+    if val is not None:
+        return val
+    if key[-1] == 0:
+        val = sum((c * _gm2(g, low) for _, c, low in lowerings(key[:-1])), Fraction(0))
+    elif key[-1] == 1:
+        val = (2 * g - 3 + len(key)) * _gm2(g, key[:-1])
+    else:  # key[0] >= key[-1] >= 2; the one-point key is solved too
+        (lead, _), partial = _xsurface_partial(g, key[0] - 1, key[1:])
+        val = partial / -lead
+    _gm2_memo[(g, key)] = val
+    return val
+
+
+def _gm2_slot(g: int, ks: Iterable[int]) -> Fraction:
+    """The lambda_g lambda_{g-2} slot of the surface x-constraint.  At genus 1
+    the lambda pair degenerates (lambda_{-1} = 0) and the slot holds twice the
+    pure-descendent genus-1 series instead: the Noether relation
+    c_1^2 + c_2 = 12 chi(O) folds the genus-1 Euler block of the partition
+    function into the squared-Chern coefficient, and with this value the
+    family vanishes at genus 1 as well."""
+    return 2 * psi_or_zero(1, ks) if g == 1 else lambda_g_gm2_or_zero(g, ks)
+
+
+def _xsurface_partial(g: int, k: int, derivs: Key) -> Tuple[Tuple[Fraction, Key], Fraction]:
+    """The derivative of the surface x-constraint split into its leading term
+    -[1/2]^k_0 <tau_{k+1} derivs | lambda_g lambda_{g-2}>, as (coefficient,
+    key), and the sum of all other terms: _gm2 solves x = 0 for the leading
+    integral, and constraints.x_surface adds the two back.  The coefficient
+    is a product of half-integers, never 0."""
+    lead, *linear = linear_block(k, 0, -Half, derivs)
+    rest = sum((c * _gm2_slot(g, key) for c, key in linear), Fraction(0))
+    for w, left, right, _ in split_block(k, 0, -Half, derivs, 0, PSI_GRADING):
+        rest += w * psi_or_zero(0, left) * _gm2_slot(g, right)
+    # the double derivative on the (1,1) block squares the lambda_g
+    # lambda_{g-1} part of the exponent
+    for w, left, right, g1 in split_block(k, 0, Half, derivs, g, LAMBDA_GG_GRADING):
+        pair = lambda_g_gm1_or_zero(g1, left) * lambda_g_gm1_or_zero(g - g1, right)
+        rest += Half * w * pair
+    # the lambda_g lambda_{g-1} block (its exponent block carries a minus
+    # sign, so the shifted-coordinate pair comes out +constant, -t_m)
+    for c, key in linear_block(k, 1, -Half, derivs):
+        rest -= c * lambda_g_gm1_or_zero(g, key)
+    for w, left, right, _ in split_block(k, 1, -Half, derivs, 0, PSI_GRADING):
+        rest -= w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
+    return lead, rest
 
 
 # ---------------------------------------------------------------------------

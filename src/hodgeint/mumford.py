@@ -27,11 +27,11 @@ from math import comb, prod
 from typing import Dict, NamedTuple, Sequence, Tuple
 
 from .combinat import family_key, lowerings
-from .errors import DomainError, UnderdeterminedError, check_points
+from .errors import DomainError, check_points
 from .hodge import (
     lambda_cube,
     lambda_g_gm1_or_zero,
-    lambda_g_gm2_or_none,
+    lambda_g_gm2_or_zero,
     lambda_g_or_zero,
     lambda_gm1,
 )
@@ -222,14 +222,14 @@ def _top_triple(g: int, ks: Tuple[int, ...]) -> Fraction:
 
 
 # the integral family of each lambda monomial lambda_{g-j_1} lambda_{g-j_2} ...
-# below the top triple, keyed by its offsets (j_1, j_2, ...); a family
-# returning None could not determine the value
+# below the top triple, keyed by its offsets (j_1, j_2, ...): these are all
+# the monomials of the Euler classes for r <= 3
 _FAMILIES = {
     (): psi_or_zero,
     (0,): lambda_g_or_zero,
     (1,): lambda_gm1,
     (0, 1): lambda_g_gm1_or_zero,
-    (0, 2): lambda_g_gm2_or_none,
+    (0, 2): lambda_g_gm2_or_zero,
 }
 
 
@@ -245,22 +245,16 @@ def _moduli_integral(g: int, lam: LamKey, ks: Sequence[int]) -> Fraction:
     if not key:
         # only the top lambda monomial has a nonzero unpointed integral
         return Fraction(0)
-    family = _FAMILIES.get(tuple(g - i for i in lam))
-    value = None if family is None else family(g, key)
-    if value is None:
-        raise UnderdeterminedError(
-            f"no evaluation known for lambda pattern {lam} at genus {g}"
-        )
-    return value
+    return _FAMILIES[tuple(g - i for i in lam)](g, key)
 
 
 def degree0_gw(r: int, g: int, insertions: Sequence[Tuple[int, int]]) -> Fraction:
     """Degree-zero descendent invariant <tau_{k1}(h^{a1}) ...>_{g,0} on P^r.
 
     Pairs the obstruction Euler class against the inserted classes on the
-    target side and the matching psi-lambda integral on the moduli side.
-    Raises UnderdeterminedError when a required lambda integral is outside the
-    solvable families, and LimitError for more than MAX_POINTS insertions.
+    target side and the matching psi-lambda integral on the moduli side; every
+    lambda monomial of the Euler classes has a family, so a value always
+    comes back.  Raises LimitError for more than MAX_POINTS insertions.
     """
     if g < 1:
         raise DomainError("g must be >= 1")

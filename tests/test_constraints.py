@@ -1,17 +1,19 @@
 """Coefficient extraction from the constraint families.
 
 The x/y evaluators compute multi-derivatives of expressions that must vanish
-identically; the tests sweep levels, genera, and derivative patterns and also
-exercise the symbolic output of the surface x family, whose lambda_g
-lambda_{g-2} integrals are not all determined.
+identically; the tests sweep levels, genera, and derivative patterns, and
+check the surface x family against linear equations recorded while its
+lambda_g lambda_{g-2} integrals had no value beyond genus 2.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from hodgeint.combinat import multisets
 from hodgeint.constraints import x_curve, x_surface, y_curve, y_surface
 from hodgeint.errors import MAX_POINTS, DomainError, LimitError
+from hodgeint.hodge import lambda_g_gm2_or_zero
 
 F = Fraction
 
@@ -47,20 +49,24 @@ class TestSurfaceFamilies:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("g", [1, 2])
     def test_x_surface_determined_and_vanishing(self, k, g):
-        # genus <= 2 needs no unknown integrals: symbolic part must be empty
+        # genus <= 2 reads l_g l_{g-2} from the lambda_g family or the
+        # genus-1 slot, with no solve
         for derivs in DERIV_PATTERNS:
-            scalar, symbolic = x_surface(k, g, derivs)
-            assert symbolic == {}
-            assert scalar == 0
+            assert x_surface(k, g, derivs) == 0
 
-    def test_x_surface_genus_three_emits_unknowns(self):
-        scalar, symbolic = x_surface(2, 3, (1,))
-        assert symbolic  # lambda_3 lambda_1 integrals are not determined
-        for (g, key), coeff in symbolic.items():
-            assert g == 3
-            assert coeff != 0
-            # unknowns respect the dimension grading of the pair family
-            assert sum(key) == g - 1 + len(key)
+    def test_x_surface_vanishes_beyond_genus_two(self):
+        # every coefficient with g = 3..5, k <= 6 and at most three
+        # derivatives on the family's grading (k + sum D - |D| = g - 1; the
+        # others are 0 term by term): the ones the l_g l_{g-2} solve used
+        # vanish by construction, the rest check the solved values
+        count = 0
+        for g in range(3, 6):
+            for k in range(1, 7):
+                for n in range(4):
+                    for derivs in multisets(n, g - 1 - k + n):
+                        assert x_surface(k, g, derivs) == 0, (k, g, derivs)
+                        count += 1
+        assert count == 91
 
     @pytest.mark.parametrize(
         "k,g,derivs,scalar,symbolic",
@@ -90,9 +96,14 @@ class TestSurfaceFamilies:
         ],
     )
     def test_x_surface_values_beyond_genus_two(self, k, g, derivs, scalar, symbolic):
-        # exact values, lambda_g lambda_{g-2} unknowns included; the tests
-        # above only check vanishing at genus <= 2 and the unknowns' grading
-        assert x_surface(k, g, derivs) == (scalar, symbolic)
+        # linear equations recorded while l_g l_{g-2} had no value at g >= 3:
+        # scalar is the sum of the other terms and symbolic the coefficients
+        # of the l_g l_{g-2} unknowns.  Four rows, (3,3,(0,)), (2,4,(2,1)),
+        # (4,5,(1,)) and (5,5,(0,)), lead with a key the solve takes by string
+        # or dilaton, so they are equations the solve does not use
+        values = sum(c * lambda_g_gm2_or_zero(*atom) for atom, c in symbolic.items())
+        assert scalar + values == 0
+        assert x_surface(k, g, derivs) == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("g", [1, 2, 3])

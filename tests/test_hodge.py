@@ -15,7 +15,7 @@ from hodgeint.hodge import (
     lambda_cube,
     lambda_g,
     lambda_g_gm1,
-    lambda_g_gm2_or_none,
+    lambda_g_gm2_or_zero,
     lambda_gm1,
 )
 
@@ -83,14 +83,21 @@ class TestLambdaGm1:
 class TestGm2Provider:
     def test_genus_one_vanishes(self):
         # lambda_{-1} = 0
-        assert lambda_g_gm2_or_none(1, (0,)) == 0
+        assert lambda_g_gm2_or_zero(1, (0,)) == 0
 
     def test_genus_two_is_lambda_g(self):
         # lambda_0 = 1, so the pair collapses to lambda_2 alone
-        assert lambda_g_gm2_or_none(2, (1,)) == lambda_g(2, (1,))
+        assert lambda_g_gm2_or_zero(2, (1,)) == lambda_g(2, (1,))
 
-    def test_genus_three_unknown(self):
-        assert lambda_g_gm2_or_none(3, (3, 1)) is None
+    def test_solved_values(self):
+        # solved from x_surface; the recorded rows and the vanishing sweep in
+        # test_constraints.py check the relations they must satisfy
+        assert lambda_g_gm2_or_zero(3, (3,)) == F(41, 1451520)
+        assert lambda_g_gm2_or_zero(3, (2, 2)) == F(11, 51840)
+        assert lambda_g_gm2_or_zero(4, (3, 2)) == F(1879, 116121600)
+        # string and dilaton steps on top of the one-point value
+        assert lambda_g_gm2_or_zero(3, (4, 0)) == F(41, 1451520)
+        assert lambda_g_gm2_or_zero(3, (3, 1)) == 5 * F(41, 1451520)
 
 
 def _kappa_triples(g):

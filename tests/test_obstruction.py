@@ -2,13 +2,15 @@
 descendent invariants."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeint import mumford, store, verify
-from hodgeint.errors import DomainError, UnderdeterminedError
+from hodgeint.combinat import multisets
+from hodgeint.errors import DomainError
 from hodgeint.hodge import lambda_cube, lambda_g, lambda_g_gm1
 from hodgeint.mumford import (
     LambdaRingElem,
@@ -275,11 +277,28 @@ class TestDegreeZeroGW:
         assert degree0_gw(3, 2, [(3, 0)]) == 0
         assert degree0_gw(2, 2, [(0, 0)]) == 0
 
-    def test_underdetermined_raises(self):
-        with pytest.raises(UnderdeterminedError):
-            # hits <tau_3 | l_3 l_1> on the surface target, outside the
-            # solvable families
-            degree0_gw(2, 3, [(0, 3)])
+    def test_surface_lambda_gm2_value(self):
+        # the c1^2 l_3 l_1 term of the Euler class with int c_1^2 = 9 on P^2:
+        # 9 <tau_3 | l_3 l_1>_3, which raised while l_g l_{g-2} had no value
+        # at g >= 3
+        assert degree0_gw(2, 3, [(0, 3)]) == F(41, 161280) == 9 * F(41, 1451520)
+
+    def test_total_for_every_class_degree_split(self):
+        # every lambda monomial of the Euler classes for r <= 3 has a family,
+        # so each split of at most r class degrees over up to three
+        # insertions, at every level sum the moduli side can pair with,
+        # returns a value; class-0 insertions on P^2 read only c1^2 l_g l_{g-2}
+        surface_gm2 = 0
+        for r, g, n in product(range(1, 4), range(2, 7), range(1, 4)):
+            for d in range(n, 2 * g - 1 + n):
+                for ks in multisets(n, d):
+                    for powers in product(range(r + 1), repeat=n):
+                        if sum(powers) <= r:
+                            value = degree0_gw(r, g, list(zip(powers, ks)))
+                            assert isinstance(value, Fraction)
+                            if r == 2 and g > 2 and not any(powers):
+                                surface_gm2 += value != 0
+        assert surface_gm2 == 48
 
     def test_bad_insertions(self):
         with pytest.raises(DomainError):
