@@ -7,7 +7,8 @@ coefficient
     sum_i [x]^k_i t^i = (t+x)(t+x+1)...(t+x+k),
 
 which also packages ratios of Gamma functions at half-integers as rising
-products, keeping all operator coefficients rational.
+products, keeping all operator coefficients rational.  Its integer kernel
+:func:`rising_numerator` gives one coefficient of the rising product.
 
 The lambda and constraint evaluators read a coefficient of L_k on a partition
 function, built from two blocks in the shifted class weight b: the linear block
@@ -44,6 +45,7 @@ __all__ = [
     "lowerings",
     "multinomial",
     "multisets",
+    "rising_numerator",
     "runs",
     "split_block",
     "split_weights",
@@ -109,24 +111,20 @@ def bernoulli(n: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _rising_poly(x: Fraction, k: int) -> tuple:
-    # Coefficients (low to high) of prod_{j=0}^{k} (t + x + j); empty product
-    # for k = -1.  With x = p/q this is q^{-(k+1)} prod_j (q t + p + j q), so
-    # the t^i coefficient is e_{k+1-i}(p + j q) / q^{k+1-i}: build the integer
-    # polynomial prod_j (s + p + j q) and divide once per coefficient.
-    p, q = x.numerator, x.denominator
+def rising_numerator(p: int, q: int, k: int, i: int) -> int:
+    """q^{k+1-i} [p/q]^k_i, an integer for 0 <= i <= k + 1: the coefficient
+    of s^i in prod_{j=0}^{k} (s + p + j q), since prod_j (t + p/q + j) =
+    q^{-(k+1)} prod_j (q t + p + j q).  The product is kept to degree i, so
+    the cost is O(k (i + 1))."""
     coeffs = [1]
     for j in range(k + 1):
         root = p + j * q
-        coeffs = [a * root + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    if q == 1:
-        return tuple(coeffs)
-    top = len(coeffs) - 1
-    return tuple(Fraction(c, q ** (top - i)) for i, c in enumerate(coeffs))
+        coeffs = [a * root + b for a, b in zip(coeffs + [0], [0] + coeffs)][: i + 1]
+    return coeffs[i]
 
 
 register_memo(bernoulli.cache_clear)
-register_memo(_rising_poly.cache_clear)
+register_memo(rising_numerator.cache_clear)
 
 
 def bracket(x, k: int, i: int):
@@ -140,7 +138,9 @@ def bracket(x, k: int, i: int):
         raise ValueError("k must be >= -1")
     if i < 0 or i > k + 1:
         return 0
-    return _rising_poly(Fraction(x), k)[i]
+    p, q = x.numerator, x.denominator
+    n = rising_numerator(p, q, k, i)
+    return n if q == 1 else Fraction(n, q ** (k + 1 - i))
 
 
 def stirling_s2(n: int) -> int:
@@ -277,9 +277,9 @@ def split_block(
 
 def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
     """(entry, multiplicity, index of its last copy) of each distinct entry of
-    a descending key, in one scan.  Equal entries give equal terms in the
-    string and top steps, so those steps visit each once, weighted by its
-    multiplicity."""
+    a sorted key, in one scan.  Equal entries give equal terms in the string
+    and top steps, so those steps visit each once, weighted by its
+    multiplicity; operator contractions slice copies out of sorted terms."""
     n, i = len(key), 0
     while i < n:
         v, j = key[i], i + 1

@@ -35,15 +35,15 @@ MAX_POINTS = 200
 # Python 3.11, empty memo: <tau_{3g-2}>_g takes 0.25 s at g = 12, 0.5 s at 14
 # (whole commands), 1.3 s at 16 in-process; the lambda families are closed forms
 # or short solvers (c_g and the lambda_{g-1}^3 constant together 0.015 s at
-# g = 50, 0.64 s at 200; lambda_{g-1} with ten balanced points 0.66 s at
-# g = 50), and gw0 reaches only them (and psi at g = 1; P^2 with ten balanced
-# class-0 points solves lambda_g lambda_{g-2} in 0.31-0.46 s as a whole
-# command at g = 50); b_0..b_G takes 0.04 s
+# g = 50, 0.64 s at 200; lambda_{g-1} with ten balanced points 0.27-0.37 s
+# at g = 50), and gw0 reaches only them (and psi at g = 1; P^2 with ten
+# balanced class-0 points solves lambda_g lambda_{g-2} in 0.31-0.36 s as a
+# whole command at g = 50); b_0..b_G takes 0.04 s
 # at G = 100, 0.34 s at 200 and 1.4 s at 300; euler --dim 2 or 3, as a whole
 # cold command, 0.14 s and 16 MB at g = 1000 (the class alone is under 1 ms).
 # verify --max-genus, per suite, as whole cold commands: annihilation 0.1 s at
 # 14 (linear); bseq 0.7 s at 200 (2.4 s at 300); closed-vs-recursion 3.0 s at
-# 40 (15 s at 60); mumford 2.8 s at 80 (20 s at 160); euler 0.23 s at 128;
+# 40 (15 s at 60); mumford 1.0-1.1 s at 80 (8.5 s at 160); euler 0.23 s at 128;
 # cg 3.5 s at 200 (14 s at 320); table stops at the published g = 5.
 MAX_PSI_GENUS = 14
 MAX_LAMBDA_GENUS = 50

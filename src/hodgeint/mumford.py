@@ -48,8 +48,8 @@ __all__ = [
 
 LamKey = Tuple[int, ...]  # lambda indices, sorted descending, each in 1..g
 ChernKey = Tuple[int, ...]  # chern indices, sorted, each in 1..r
-CoeffPoly = Dict[ChernKey, Fraction]
-LamPoly = Dict[LamKey, Fraction]
+CoeffPoly = Dict[ChernKey, Fraction]  # int coefficients are accepted too
+LamPoly = Dict[LamKey, int]
 
 
 def _lam_key(indices) -> LamKey:
@@ -58,7 +58,7 @@ def _lam_key(indices) -> LamKey:
 
 
 @lru_cache(maxsize=None)
-def _square_rule(g: int, m: int) -> Tuple[Tuple[Fraction, LamKey], ...]:
+def _square_rule(g: int, m: int) -> Tuple[Tuple[int, LamKey], ...]:
     """lambda_m^2 - (-1)^m rel_m, the rewrite of the leading monomial
     lambda_m^2 of the m-th relation sum_{i+j=2m} (-1)^i lambda_i lambda_j,
     as ((coeff, key), ...); built alone, without the other relations."""
@@ -66,13 +66,14 @@ def _square_rule(g: int, m: int) -> Tuple[Tuple[Fraction, LamKey], ...]:
     for i in range(max(0, 2 * m - g), min(2 * m, g) + 1):
         key = _lam_key((i, 2 * m - i))
         if key != (m, m):
-            rule[key] = rule.get(key, Fraction(0)) - (-1) ** (m + i)
+            rule[key] = rule.get(key, 0) - (-1) ** (m + i)
     return tuple((c, key) for key, c in rule.items())
 
 
 @lru_cache(maxsize=None)
-def reduce_lambda_monomial(g: int, key: LamKey) -> Tuple[Tuple[Fraction, LamKey], ...]:
-    """Normal form of a product of lambda classes as ((coeff, monomial), ...).
+def reduce_lambda_monomial(g: int, key: LamKey) -> Tuple[Tuple[int, LamKey], ...]:
+    """Normal form of a product of lambda classes as ((coeff, monomial), ...),
+    with integer coefficients.
 
     Indices outside 1..g make the product zero; monomials of weighted degree
     above the dimension of the coarse space the classes live on (3g - 3 for
@@ -86,12 +87,12 @@ def reduce_lambda_monomial(g: int, key: LamKey) -> Tuple[Tuple[Fraction, LamKey]
         return ()
     p = next((p for p in range(len(key) - 1) if key[p] == key[p + 1]), None)
     if p is None:
-        return ((Fraction(1), key),)
+        return ((1, key),)
     rest = key[:p] + key[p + 2 :]
     acc: LamPoly = {}
     for coeff, tail in _square_rule(g, key[p]):
         for c, red in reduce_lambda_monomial(g, _lam_key(rest + tail)):
-            acc[red] = acc.get(red, Fraction(0)) + coeff * c
+            acc[red] = acc.get(red, 0) + coeff * c
     return tuple((c, k) for k, c in sorted(acc.items()) if c)
 
 
@@ -110,26 +111,21 @@ class LambdaRingElem(NamedTuple):
     def build(
         cls, g: int, r: int, raw: Dict[LamKey, CoeffPoly]
     ) -> "LambdaRingElem":
-        """Reduce and normalize a raw {lam key: chern poly} mapping."""
-        acc: Dict[LamKey, Dict[ChernKey, Fraction]] = {}
+        """Reduce and normalize a raw {lam key: chern poly} mapping; sums
+        stay ints for int input, and each kept coefficient is a Fraction."""
+        acc: Dict[LamKey, CoeffPoly] = {}
         for lk, cpoly in raw.items():
             for coeff, red in reduce_lambda_monomial(g, tuple(sorted(lk, reverse=True))):
+                dest = acc.setdefault(red, {})
                 for ck, cval in cpoly.items():
                     ck = tuple(sorted(ck))
-                    if sum(ck) > r:  # chern degree beyond the target dimension
-                        continue
-                    dest = acc.setdefault(red, {})
-                    new = dest.get(ck, Fraction(0)) + coeff * cval
-                    if new == 0:
-                        dest.pop(ck, None)
-                    else:
-                        dest[ck] = new
-        terms = tuple(
-            (lk, tuple(sorted(cp.items())))
+                    if sum(ck) <= r:  # else chern degree beyond the target dimension
+                        dest[ck] = dest.get(ck, 0) + coeff * cval
+        terms = (
+            (lk, tuple((ck, Fraction(c)) for ck, c in sorted(cp.items()) if c))
             for lk, cp in sorted(acc.items())
-            if cp
         )
-        return cls(g, r, terms)
+        return cls(g, r, tuple((lk, cp) for lk, cp in terms if cp))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -151,13 +147,13 @@ class LambdaRingElem(NamedTuple):
 # The monomial symmetric polynomials m_mu(x_1..x_r), |mu| <= 3, in the
 # elementary symmetric ones c_1..c_3: {mu: {chern key: coefficient}}.
 _MONOMIAL_IN_CHERN: Dict[Tuple[int, ...], CoeffPoly] = {
-    (): {(): Fraction(1)},
-    (1,): {(1,): Fraction(1)},
-    (2,): {(1, 1): Fraction(1), (2,): Fraction(-2)},
-    (1, 1): {(2,): Fraction(1)},
-    (3,): {(1, 1, 1): Fraction(1), (1, 2): Fraction(-3), (3,): Fraction(3)},
-    (2, 1): {(1, 2): Fraction(1), (3,): Fraction(-3)},
-    (1, 1, 1): {(3,): Fraction(1)},
+    (): {(): 1},
+    (1,): {(1,): 1},
+    (2,): {(1, 1): 1, (2,): -2},
+    (1, 1): {(2,): 1},
+    (3,): {(1, 1, 1): 1, (1, 2): -3, (3,): 3},
+    (2, 1): {(1, 2): 1, (3,): -3},
+    (1, 1, 1): {(3,): 1},
 }
 
 
@@ -193,9 +189,9 @@ def euler_class_genus1(r: int) -> LambdaRingElem:
     """Genus-1 obstruction Euler class: c_r - c_{r-1} lambda_1 (c_0 = 1)."""
     if r < 1:
         raise DomainError("r must be >= 1")
-    raw: Dict[LamKey, CoeffPoly] = {(): {(r,): Fraction(1)}}
+    raw: Dict[LamKey, CoeffPoly] = {(): {(r,): 1}}
     cm1: ChernKey = () if r == 1 else (r - 1,)
-    raw[(1,)] = {cm1: Fraction(-1)}
+    raw[(1,)] = {cm1: -1}
     return LambdaRingElem.build(1, r, raw)
 
 

@@ -19,10 +19,11 @@ Infinite level sums are truncated at a level cap; all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, lcm, perm
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .combinat import bracket, split_weights
+from .combinat import rising_numerator, runs
 from .errors import DomainError
 from .phase_space import Caps, Coord, Monomial, TruncatedSeries, monomial_weight
 
@@ -41,7 +42,6 @@ __all__ = [
     "enumerate_keys",
 ]
 
-Half = Fraction(1, 2)
 _ZERO = Fraction(0)
 
 TermKey = Tuple[int, Tuple[Coord, ...], Tuple[Coord, ...]]  # (hbar, mult, diff)
@@ -94,10 +94,6 @@ class CohomologyData(_CohomologyFields):
     @property
     def size(self) -> int:
         return len(self.p)
-
-    def weight(self, a: int) -> Fraction:
-        """Shifted weight b_a = p_a + (1 - r)/2."""
-        return self.p[a] + Fraction(1 - self.dim, 2)
 
     def eta_inverse(self) -> List[List[Fraction]]:
         return _invert(self.eta)
@@ -220,7 +216,10 @@ class DifferentialOperator:
         return out
 
     def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        return self + other.scale(Fraction(-1))
+        out = DifferentialOperator._from_canonical(dict(self.terms))
+        for key, c in other.terms.items():
+            out._put(key, -c)
+        return out
 
     def scale(self, c: Fraction) -> "DifferentialOperator":
         terms = {k: v * c for k, v in self.terms.items()} if c else {}
@@ -279,23 +278,6 @@ def _over(d: int, *parts: Iterable[Tuple[TermKey, int]]) -> DifferentialOperator
     )
 
 
-def _counts(coords: Tuple[Coord, ...]) -> Dict[Coord, int]:
-    out: Dict[Coord, int] = {}
-    for c in coords:
-        out[c] = out.get(c, 0) + 1
-    return out
-
-
-def _expand(base: Dict[Coord, int], extra: Dict[Coord, int]) -> Tuple[Coord, ...]:
-    total = dict(base)
-    for c, n in extra.items():
-        total[c] = total.get(c, 0) + n
-    out: List[Coord] = []
-    for c, n in sorted(total.items()):
-        out.extend([c] * n)
-    return tuple(out)
-
-
 def _contracted(left: List[Tuple[TermKey, int]], right: List[Tuple[TermKey, int]]):
     """The terms of left . right with at least one contraction, for the
     integer views (:func:`_numerators`) of two operators.
@@ -304,50 +286,36 @@ def _contracted(left: List[Tuple[TermKey, int]], right: List[Tuple[TermKey, int]
     right term.  When a coordinate carries d derivatives on the left and m
     factors on the right, s contractions on it can be chosen in
     comb(d, s) * perm(m, s) ways.  Yields one ``(key, numerator)`` pair per
-    choice, not yet combined.  Right terms are indexed by coordinate, so a
-    left term only meets the right terms that carry one of its derivative
-    coordinates.
+    choice, not yet combined.  Each coordinate's run in the sorted ``diff``
+    and ``mult`` tuples is indexed once, ``{coord: (last index, count)}``, so
+    a choice slices its s copies out of both tuples.  Right terms are indexed
+    by coordinate, so a left term only meets the right terms that carry one
+    of its derivative coordinates.
     """
     rights = []
     by_coord: Dict[Coord, List[int]] = {}
     for (h2, m2, d2), c2 in right:
-        mcounts = _counts(m2)
-        for coord in mcounts:
+        mruns = {coord: (last, m) for coord, m, last in runs(m2)}
+        for coord in mruns:
             by_coord.setdefault(coord, []).append(len(rights))
-        rights.append((h2, mcounts, _counts(d2), c2))
+        rights.append((h2, m2, d2, mruns, c2))
     for (h1, m1, d1), c1 in left:
-        dcounts = _counts(d1)
-        base = _counts(m1)
-        for i in {i for coord in dcounts for i in by_coord.get(coord, ())}:
-            h2, mcounts, d2counts, c2 = rights[i]
-            c = c1 * c2
-            shared = [coord for coord in dcounts if coord in mcounts]
-            for choice in _contractions(shared, dcounts, mcounts):
-                if not choice:
+        druns = {coord: (last, d) for coord, d, last in runs(d1)}
+        for i in {i for coord in druns for i in by_coord.get(coord, ())}:
+            h2, m2, d2, mruns, c2 = rights[i]
+            # shared coordinates, descending, so slicing one leaves the
+            # indices of the ones still to come
+            shared = [(druns[x], mruns[x]) for x in reversed(druns) if x in mruns]
+            limits = [range(min(d, m) + 1) for (_, d), (_, m) in shared]
+            for choice in product(*limits):
+                if not any(choice):
                     continue
-                ways = 1
-                newm = dict(mcounts)
-                newd = dict(dcounts)
-                for coord, s in choice.items():
-                    ways *= comb(dcounts[coord], s) * perm(mcounts[coord], s)
-                    newm[coord] -= s
-                    newd[coord] -= s
-                mult = _expand(base, newm)
-                diff = _expand(d2counts, newd)
-                yield (h1 + h2, mult, diff), c * ways
-
-
-def _contractions(shared, dcounts, mcounts):
-    """Every choice of how many derivative factors contract per shared
-    coordinate, as {coord: s} without the zero entries; {} comes first."""
-    if not shared:
-        yield {}
-        return
-    head, rest = shared[0], shared[1:]
-    for sub in _contractions(rest, dcounts, mcounts):
-        yield sub
-        for s in range(1, min(dcounts[head], mcounts[head]) + 1):
-            yield {**sub, head: s}
+                c, mult, diff = c1 * c2, m2, d1
+                for s, ((dl, d), (ml, m)) in zip(choice, shared):
+                    c *= comb(d, s) * perm(m, s)
+                    mult = mult[: ml + 1 - s] + mult[ml + 1 :]
+                    diff = diff[: dl + 1 - s] + diff[dl + 1 :]
+                yield (h1 + h2, tuple(sorted(m1 + mult)), tuple(sorted(d2 + diff))), c
 
 
 def commutator(
@@ -385,63 +353,64 @@ def general_operator(
     block with coefficients [b_c - m - 1]^k_i (index c before the Chern
     multiplication, paired through eta); the 1/(2 hbar) zero mode with the
     (k+1)-st Chern power; and the level-0 constant.
+
+    Every coefficient is summed as an integer numerator over one denominator
+    d: the weights b_a are halves of integers, so [b]^k_i is
+    rising_numerator(2b, 2, k, i) / 2^(k+1-i); the Chern powers, and eta^{-1}
+    with eta, are integer matrices over their own lcm of denominators.  A term
+    multiplies a Chern entry by an eta^{-1} or eta entry, so d is 2^(k+2)
+    times both lcms and the constant's denominator.
     """
     if k < -1:
         raise DomainError("level must be >= -1")
     n = data.size
-    eta_inv = data.eta_inverse()
-    powers = data._c1_powers(k + 2)
-    weights = [data.weight(a) for a in range(n)]
-    op = DifferentialOperator()
+    dc, powers = _integral(*data._c1_powers(k + 2))
+    de, (eta_inv, eta) = _integral(data.eta_inverse(), data.eta)
+    const = data.constant()
+    d = 2 ** (k + 2) * dc * de * const.denominator
+    twice_b = [2 * p + 1 - data.dim for p in data.p]  # b_a = p_a + (1 - r)/2
+    items: List[Tuple[TermKey, int]] = []
 
     for i in range(k + 2):
-        ci = powers[i]
-        for m in range(max(0, i - k), level_cap + 1):
-            if m + k - i > level_cap:
-                break
+        ci, unit = powers[i], d // (2 ** (k + 1 - i) * dc)
+        for m in range(max(0, i - k), level_cap + 1 - max(0, k - i)):
             for a in range(n):
-                coeff_base = bracket(weights[a] + m, k, i)
-                if coeff_base == 0:
-                    continue
-                for b in range(n):
-                    if ci[b][a] == 0:
-                        continue
-                    c = coeff_base * ci[b][a]
-                    op.add_term(c, mult=[(a, m)], diff=[(b, m + k - i)])
+                e = rising_numerator(twice_b[a] + 2 * m, 2, k, i) * unit
+                for b in range(n) if e else ():
+                    if ci[b][a]:
+                        items.append(((0, ((a, m),), ((b, m + k - i),)), e * ci[b][a]))
         # the dilaton shift t_{0,1} -> t_{0,1} - 1: its term touches level
         # 1 + k - i only, so it is kept at caps (0) that drop t_{0,1} itself
         if 1 + k - i <= level_cap:
-            shift = bracket(weights[0] + 1, k, i)
-            for b in range(n):
-                op.add_term(-shift * ci[b][0], diff=[(b, 1 + k - i)])
+            e = rising_numerator(twice_b[0] + 2, 2, k, i) * unit
+            items.extend(((0, (), ((b, 1 + k - i),)), -e * ci[b][0]) for b in range(n))
 
-    for i in range(k + 2):
-        ci = powers[i]
+        unit //= 2 * de
         for cc in range(n):
-            for m, w in split_weights(k, i, weights[cc]):
-                w = Half * w
-                for b in range(n):
-                    if ci[b][cc] == 0:
-                        continue
-                    for a in range(n):
-                        if eta_inv[a][cc] == 0:
-                            continue
-                        op.add_term(
-                            w * ci[b][cc] * eta_inv[a][cc],
-                            hbar=1,
-                            diff=[(a, m), (b, k - m - i - 1)],
-                        )
+            for m in range(k - i):
+                w = rising_numerator(twice_b[cc] - 2 * m - 2, 2, k, i) * unit
+                w = w if m % 2 else -w  # (-1)^(m+1)
+                for b in range(n) if w else ():
+                    for a in range(n) if ci[b][cc] else ():
+                        diff = tuple(sorted(((a, m), (b, k - m - i - 1))))
+                        items.append(((1, (), diff), w * ci[b][cc] * eta_inv[a][cc]))
 
-    ck1 = powers[k + 1]
+    ck1, unit = powers[k + 1], d // (2 * de * dc)
     for a in range(n):
         for b in range(n):
-            c = Half * sum(data.eta[a][cc] * ck1[cc][b] for cc in range(n))
-            if c:
-                op.add_term(c, hbar=-1, mult=[(a, 0), (b, 0)])
+            c = sum(eta[a][cc] * ck1[cc][b] for cc in range(n)) * unit
+            items.append(((-1, tuple(sorted(((a, 0), (b, 0)))), ()), c))
 
     if k == 0:
-        op.add_term(data.constant())
-    return op
+        items.append(((0, (), ()), const.numerator * (d // const.denominator)))
+    return _over(d, items)
+
+
+def _integral(*mats) -> Tuple[int, List[List[List[int]]]]:
+    """Matrices of Fractions as integer matrices over one denominator, the lcm
+    of every entry's: ``(d, [d * mat, ...])``."""
+    d = lcm(*(x.denominator for mat in mats for row in mat for x in row))
+    return d, [[[x.numerator * (d // x.denominator) for x in row] for row in mat] for mat in mats]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +430,9 @@ def apply_operator(
     the series' caps: truncation silently zeroed that source, so the computed
     value cannot be trusted.  ``source_vanishes(hbar, monomial)``, when given,
     certifies sources known to be zero on structural grounds (e.g. a grading),
-    which removes them from the taint analysis.
+    which removes them from the taint analysis.  It must be pure: it may be
+    asked about one source more than once, in any order, and is not asked
+    about a key already tainted.
 
     Boundary rule: a term ``(dh, mult, diff)`` reads the key ``(h, mono)``
     from ``(h - dh, mono / mult * diff)``, of weight ``w(mono) + w(diff) -
@@ -501,23 +472,27 @@ def apply_operator(
     layers: Dict[int, List[Monomial]] = {}
     for _, mono in enumerate_keys(Caps(weight, 0, 0), basis_size):
         layers.setdefault(monomial_weight(mono), []).append(mono)
-    for h in range(lo, hi + 1):
-        for w, monos in layers.items():
-            # the terms whose source leaves the caps, by first multiplied coordinate
-            live: Dict[Optional[Coord], List[TermKey]] = {}
-            for dh, mult, diff, _, dw in terms:
-                if w + dw > weight or not lo <= h - dh <= hi:
-                    live.setdefault(mult[0] if mult else None, []).append((dh, mult, diff))
-            for mono in monos if live else ():
-                held = dict(mono)
-                sources = (
-                    (h - dh, _source_key(held, mult, diff))
-                    for first in (None, *held)
-                    for dh, mult, diff in live.get(first, ())
-                    if all(held.get(x, 0) >= mult.count(x) for x in mult)
-                )
-                if any(source_vanishes is None or not source_vanishes(*s) for s in sources):
-                    tainted.add((h, mono))
+    window = range(lo, hi + 1)
+    for w, monos in layers.items():
+        # the terms whose source leaves the caps, with the hbar powers at
+        # which it does, by first multiplied coordinate
+        live: Dict[Optional[Coord], List[Tuple]] = {}
+        for dh, mult, diff, _, dw in terms:
+            hs = [h for h in window if w + dw > weight or not lo <= h - dh <= hi]
+            if hs:
+                live.setdefault(mult[0] if mult else None, []).append((dh, mult, diff, hs))
+        for mono in monos if live else ():
+            held = dict(mono)
+            for first in (None, *held):
+                for dh, mult, diff, hs in live.get(first, ()):
+                    todo = [h for h in hs if (h, mono) not in tainted]
+                    if todo and all(held.get(x, 0) >= mult.count(x) for x in mult):
+                        source = _source_key(held, mult, diff)
+                        tainted.update(
+                            (h, mono)
+                            for h in todo
+                            if source_vanishes is None or not source_vanishes(h - dh, source)
+                        )
     return out, tainted
 
 

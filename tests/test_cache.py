@@ -44,7 +44,7 @@ def test_reset_empties_every_memo():
             "b_constant": hodge.b_constant.cache_info().currsize,
             "gg_const": hodge.gg_const.cache_info().currsize,
             "bernoulli": combinat.bernoulli.cache_info().currsize,
-            "rising_poly": combinat._rising_poly.cache_info().currsize,
+            "rising_numerator": combinat.rising_numerator.cache_info().currsize,
             "split_weights": combinat.split_weights.cache_info().currsize,
             "square_rule": mumford._square_rule.cache_info().currsize,
             "reduce": mumford.reduce_lambda_monomial.cache_info().currsize,

@@ -215,20 +215,33 @@ def _p1xp1_skewed():
     return CohomologyData("P1xP1", 2, (0, 1, 1, 2), eta, c1, F(4), F(8))
 
 
+def _p1_fractional():
+    """P^1 in the basis 1, 3h: the pairing is 3 times a permutation matrix and
+    c_1 = 2h = (2/3)(3h), so eta^{-1} and c_1 have non-integral entries,
+    unlike every built-in target's and the skewed P^1 x P^1's."""
+    eta = ((F(0), F(3)), (F(3), F(0)))
+    c1 = ((F(0), F(0)), (F(2, 3), F(0)))
+    return CohomologyData("P1(1,3h)", 1, (0, 1), eta, c1, F(2), F(2))
+
+
 class TestSkewedPairing:
+    """Targets whose eta and eta^{-1} differ."""
+
     @staticmethod
-    def _residual_terms():
+    def _residual_terms(data):
         """Terms of [L_k, L_l] - (k - l) L_{k+l}, k, l in -1..2, at level cap
         4 from operators built at cap 12."""
-        residuals = commutator_residuals(_p1xp1_skewed(), 2, 4, 12)
+        residuals = commutator_residuals(data, 2, 4, 12)
         return sum(len(diff.terms) for _, _, diff in residuals)
 
     def test_commutators(self):
-        assert self._residual_terms() == 0
+        for maker in (_p1xp1_skewed, _p1_fractional):
+            assert self._residual_terms(maker()) == 0, maker.__name__
 
     def test_eta_in_place_of_its_inverse_is_caught(self, monkeypatch):
         monkeypatch.setattr(CohomologyData, "eta_inverse", lambda self: self.eta)
-        assert self._residual_terms() > 0
+        for maker in (_p1xp1_skewed, _p1_fractional):
+            assert self._residual_terms(maker()) > 0, maker.__name__
 
 
 # Random operators on a pool of four coordinates, so terms repeat
