@@ -13,7 +13,7 @@ above errors.MAX_PSI_GENUS, ``lambda --genus`` and ``gw0 --genus`` above
 errors.MAX_LAMBDA_GENUS, ``euler --genus`` above errors.MAX_EULER_GENUS,
 ``bseq --max-genus`` above errors.MAX_BSEQ_GENUS, ``verify --max-genus`` above
 the suite's errors.MAX_VERIFY_GENUS), 3 domain errors (unstable inputs, a
-negative ``--max-genus``) and malformed cache files.
+negative ``--max-genus``) and cache files that are malformed or cannot be opened.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if cache_path:
         try:
             cache.load_cache(cache_path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cache {cache_path}: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
     try:
@@ -234,7 +234,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if cache_path:
-        cache.save_cache(cache_path)
+        try:
+            cache.save_cache(cache_path)
+        except OSError as exc:
+            print(f"error: cache {cache_path}: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
     return code
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "graded_splits",
     "harmonic",
     "linear_block",
-    "lowerings",
     "multinomial",
     "multisets",
     "rising_numerator",
@@ -50,6 +49,7 @@ __all__ = [
     "split_block",
     "split_weights",
     "stirling_s2",
+    "string_dilaton",
 ]
 
 # (slope, offset) of a family's grading: a genus-h integral with n insertions
@@ -289,12 +289,12 @@ def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
         i = j
 
 
-def lowerings(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
-    """(entry, multiplicity, key with one copy lowered by one) of each distinct
-    positive entry of a descending key; lowering the last copy keeps the key
-    descending.  The string identity sums the integral over these keys,
-    weighted by multiplicity."""
-    for v, c, i in runs(key):
-        if not v:  # the zeros end the key
-            return
-        yield v, c, key[:i] + (v - 1,) + key[i + 1 :]
+def string_dilaton(g: int, key: Tuple[int, ...]) -> List[Tuple[int, int, Tuple[int, ...]]]:
+    """The terms (v, c, lower key) of <key>_g = sum c <lower key>_g for a
+    descending genus-g key ending in 0 or 1: the dilaton term (1, 2g - 3 +
+    len(key), key[:-1]) for a 1, else a string term per distinct positive entry
+    v, its last copy lowered by one (the key stays descending), c its count."""
+    rest = key[:-1]
+    if key[-1]:
+        return [(1, 2 * g - 3 + len(key), rest)]
+    return [(v, c, rest[:i] + (v - 1,) + rest[i + 1 :]) for v, c, i in runs(rest) if v]

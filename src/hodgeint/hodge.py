@@ -21,6 +21,11 @@ is one of the package's acceptance gates.  Both routes, and the lambda_{g-1}
 solve, sum integers and build one Fraction a value: N = value / b_g
 (lambda_g), M = value * prod (2k_i-1)!! / gg_const(g) (lambda_g
 lambda_{g-1}), and lambda_{g-1} numerators over one common denominator.
+
+The lambda classes pull back along the forgetful map, so every family obeys
+string and dilaton with the factors of pure psi and takes both steps from
+:func:`combinat.string_dilaton`, each term weighted by w(v)/w(v-1) for the w(k)
+it carries per insertion: 2v - 1 for M (w(k) = (2k-1)!!), else 1.
 """
 
 from __future__ import annotations
@@ -41,10 +46,10 @@ from .combinat import (
     family_key,
     harmonic,
     linear_block,
-    lowerings,
     multinomial,
     runs,
     split_block,
+    string_dilaton,
 )
 from .errors import DomainError
 from .psi import psi_or_zero
@@ -168,8 +173,8 @@ def lambda_g_solver(g: int, ks: Sequence[int]) -> Fraction:
     """Same values as :func:`lambda_g`, but via the constraint recursion only.
 
     Induction on n from the one-point base (g > 0) or the three-point genus-0
-    base, using the string identity for zero exponents and the top-insertion
-    reduction
+    base, using the string and dilaton identities for a trailing 0 or 1 and
+    the top-insertion reduction
 
         <tau_{k+1} tau_{k0} K> = C(k0+k+1, k0) <tau_{k0+k} K>
                                 + sum_i C(k_i+k, k_i-1) <tau_{k0} .. k_i+k .. K>
@@ -183,26 +188,26 @@ def lambda_g_solver(g: int, ks: Sequence[int]) -> Fraction:
     if key is None:
         return Fraction(0)
     b = b_constant(g)
-    return Fraction(_lg_rec(key) * b.numerator, b.denominator)
+    return Fraction(_lg_rec(g, key) * b.numerator, b.denominator)
 
 
-def _lg_rec(key: Key) -> int:
+def _lg_rec(g: int, key: Key) -> int:
     # key meets the grading, and so do all keys the steps below reach
     cached = _lambda_g_rec.get(key)
     if cached is not None:
         return cached
     if len(key) == 1 or key == (0, 0, 0):  # the base keys
         val = 1
-    elif key[-1] == 0:
-        val = sum(c * _lg_rec(low) for _, c, low in lowerings(key[:-1]))
+    elif key[-1] <= 1:
+        val = sum(c * _lg_rec(g, low) for _, c, low in string_dilaton(g, key))
     else:
-        k = key[0] - 1  # >= 1: an all-ones multiset cannot meet the grading
+        k = key[0] - 1  # >= 1
         k0 = key[1]
         rest = key[2:]
-        val = comb(k0 + k + 1, k0) * _lg_rec((k0 + k,) + rest)
+        val = comb(k0 + k + 1, k0) * _lg_rec(g, (k0 + k,) + rest)
         for ki, c, i in runs(rest):
             others = rest[:i] + rest[i + 1 :]
-            val += c * comb(ki + k, ki - 1) * _lg_rec(_canon((k0, ki + k) + others))
+            val += c * comb(ki + k, ki - 1) * _lg_rec(g, _canon((k0, ki + k) + others))
     _lambda_g_rec[key] = val
     return val
 
@@ -260,8 +265,7 @@ def _gg_closed(g: int, key: Key) -> int:
         if known is not None:  # a recorded key: M from its value
             p, q = _gg_ratio(g, key)
             return known.numerator * q // (known.denominator * p)
-        low = lowerings(key[:-1])
-        val = sum(c * (2 * v - 1) * _gg_closed(g, k) for v, c, k in low)
+        val = sum(c * (2 * v - 1) * _gg_closed(g, k) for v, c, k in string_dilaton(g, key))
         _gg_closed_memo[key] = val
     return val
 
@@ -274,9 +278,9 @@ def lambda_g_gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
 def lambda_g_gm1_solver(g: int, ks: Sequence[int]) -> Fraction:
     """Oracle for :func:`lambda_g_gm1` via the double-factorial recursion.
 
-    Base <tau_{g-1} | lambda_g lambda_{g-1}> = gg_const(g); zero exponents go
-    through the string identity, an all-ones multiset through the dilaton
-    identity, and a largest exponent k+1 >= 2 through
+    Base <tau_{g-1} | lambda_g lambda_{g-1}> = gg_const(g); a trailing 0 or 1
+    goes through the string or dilaton identity, and otherwise a largest
+    exponent k+1 >= 2 through
 
         <tau_{k+1} tau_{k0} K> =
             (2k+2k0+1)!! / ((2k+1)!! (2k0-1)!!) <tau_{k0+k} K>
@@ -284,8 +288,7 @@ def lambda_g_gm1_solver(g: int, ks: Sequence[int]) -> Fraction:
 
     Every step keeps the genus and the double-factorial ratios telescope, so
     the recursion carries the integer M = value * prod (2k_i-1)!! / gg_const(g):
-    base (2g-3)!!; the string step sums (2k_i-1) M(k_i lowered); the dilaton
-    step is (2g-3+n) M(K) for a key (1, K); the top step is
+    base (2g-3)!!; the top step is
     (2k+2k0+1) M(k0+k, K) + sum_i (2k_i-1) M(k0, k_i+k, K without k_i).
     """
     key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1, strict=True)
@@ -301,17 +304,13 @@ def _gg_rec(g: int, key: Key) -> int:
     cached = _lambda_gg_rec.get(key)
     if cached is not None:
         return cached
-    n = len(key)
-    if n == 1:
+    if len(key) == 1:
         val = double_factorial(2 * g - 3)  # key == (g-1,) by the grading
-    elif key[-1] == 0:
-        low = lowerings(key[:-1])
-        val = sum(c * (2 * v - 1) * _gg_rec(g, k) for v, c, k in low)
-    elif key[0] == 1:
-        val = (2 * g - 3 + n) * _gg_rec(g, key[1:])
+    elif key[-1] <= 1:
+        val = sum(c * (2 * v - 1) * _gg_rec(g, k) for v, c, k in string_dilaton(g, key))
     else:
         k = key[0] - 1  # >= 1
-        k0 = key[1]  # >= 1 after string reduction
+        k0 = key[1]  # >= 2 after string and dilaton reduction
         rest = key[2:]
         val = (2 * k + 2 * k0 + 1) * _gg_rec(g, (k0 + k,) + rest)
         for ki, c, i in runs(rest):
@@ -340,19 +339,16 @@ def lambda_gm1(g: int, ks: Sequence[int]) -> Fraction:
 
 
 def _gm1(g: int, key: Key) -> Fraction:
-    n = len(key)
     if g == 1:
         # lambda_0 = 1: these are pure psi integrals (same grading)
         return psi_or_zero(1, key)
     cached = lookup(TAG_LAMBDA_GM1, (g, key))
     if cached is not None:
         return cached
-    if n == 1:
+    if len(key) == 1:
         val = c_constant(g)  # the grading forces k = 2g-1
-    elif key[-1] == 0:
-        val = _dot([(c, _gm1(g, low)) for _, c, low in lowerings(key[:-1])])
-    elif key[-1] == 1:
-        val = (2 * g - 2 + n - 1) * _gm1(g, key[:-1])
+    elif key[-1] <= 1:
+        val = _dot([(c, _gm1(g, low)) for _, c, low in string_dilaton(g, key)])
     else:  # key[0] >= key[-1] >= 2
         (lead, _), partial = _xcurve_partial(g, key[0] - 1, key[1:])
         val = partial / -lead
@@ -419,10 +415,8 @@ def _gm2(g: int, key: Key) -> Fraction:
     val = _gm2_memo.get((g, key))
     if val is not None:
         return val
-    if key[-1] == 0:
-        val = sum((c * _gm2(g, low) for _, c, low in lowerings(key[:-1])), Fraction(0))
-    elif key[-1] == 1:
-        val = (2 * g - 3 + len(key)) * _gm2(g, key[:-1])
+    if key[-1] <= 1:
+        val = _dot([(c, _gm2(g, low)) for _, c, low in string_dilaton(g, key)])
     else:  # key[0] >= key[-1] >= 2; the one-point key is solved too
         (lead, _), partial = _xsurface_partial(g, key[0] - 1, key[1:])
         val = partial / -lead

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, prod
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from .combinat import family_key, lowerings
+from .combinat import family_key, string_dilaton
 from .errors import DomainError, check_points
 from .hodge import (
     lambda_cube,
@@ -207,14 +207,9 @@ def _top_triple(g: int, ks: Tuple[int, ...]) -> Fraction:
     The lambda part already has top degree, so every exponent pattern reduces
     to the unpointed integral by the string and dilaton identities alone.
     """
-    if not ks:
-        return lambda_cube(g) / 2
-    if ks[-1] == 0:
-        return sum(
-            (c * _top_triple(g, low) for _, c, low in lowerings(ks[:-1])), Fraction(0)
-        )
-    # no zeros and sum(ks) = len(ks) forces all exponents equal to 1
-    return (2 * g - 2 + len(ks) - 1) * _top_triple(g, ks[1:])
+    if ks:  # sum(ks) = len(ks): a zero ends the key, or else every entry is 1
+        return sum((c * _top_triple(g, k) for _, c, k in string_dilaton(g, ks)), Fraction(0))
+    return lambda_cube(g) / 2
 
 
 # the integral family of each lambda monomial lambda_{g-j_1} lambda_{g-j_2} ...

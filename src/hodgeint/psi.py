@@ -7,8 +7,10 @@ Insertions of level 0 and 1 are removed by the string and dilaton identities,
     N_g(0, K) = sum_i (2k_i + 1) N_g(K with k_i lowered by one),
     N_g(1, K) = 3 (2g - 2 + |K|) N_g(K),
 
-and then a top insertion of level k+1 >= 2 by the Dijkgraaf-Verlinde-Verlinde
-form of the level-k Virasoro constraint, recursing on (g, n):
+the terms of :func:`combinat.string_dilaton` weighted by w(v)/w(v-1) = 2v + 1
+for the w(k) = (2k+1)!! N carries per insertion; then a top insertion of level
+k+1 >= 2 by the Dijkgraaf-Verlinde-Verlinde form of the level-k Virasoro
+constraint, recursing on (g, n):
 
     N_g(k+1, S) = sum_j (2d_j + 1) N_g(d_j + k, S\\j)
         + 2^{D(g)-D(g-1)-1} sum_{r+s=k-1} N_{g-1}(r, s, S)
@@ -29,9 +31,9 @@ from .combinat import (
     double_factorial,
     family_key,
     graded_splits,
-    lowerings,
     multisets,
     runs,
+    string_dilaton,
 )
 from .phase_space import Caps, TruncatedSeries
 from .store import TAG_PSI, lookup, record, register_memo
@@ -88,10 +90,8 @@ def _rec(g: int, ks: Iterable[int]) -> int:
     else:  # not preloaded, or preloaded with a value that is no psi number
         if g == 0 and ks == (0, 0, 0) or g == 1 and ks == (1,):
             val = 1
-        elif ks[-1] == 0:
-            val = sum(c * (2 * v + 1) * _rec(g, low) for v, c, low in lowerings(ks[:-1]))
-        elif ks[-1] == 1:
-            val = 3 * (2 * g - 3 + n) * _rec(g, ks[:-1])
+        elif ks[-1] <= 1:
+            val = sum(c * (2 * v + 1) * _rec(g, k) for v, c, k in string_dilaton(g, ks))
         else:
             val = _top_step(g, ks[0] - 1, ks[1:])
         record(TAG_PSI, (g, ks), Fraction(val, scale))

@@ -337,3 +337,17 @@ class TestCachePlumbing:
         assert err.startswith(f"error: cache {path}: line ")
         assert err.count("\n") == 1
         assert path.read_text() == body + "\n"  # left as it was, not rewritten
+
+    def test_unreadable_or_unwritable_cache_path_is_a_domain_error(self, tmp_path, capsys):
+        # a directory failed to load and a path under a file failed to save,
+        # each with a traceback and exit 1
+        argv = ["psi", "--genus", "2", "--exponents", "4"]
+        code, out, err = run(capsys, "--cache", str(tmp_path), *argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith(f"error: cache {tmp_path}: ") and err.count("\n") == 1
+        blocker = tmp_path / "memo"
+        blocker.write_text("")
+        path = blocker / "sub.jsonl"
+        code, out, err = run(capsys, "--cache", str(path), *argv)
+        assert (code, out) == (EXIT_DOMAIN, "genus = 2\nvalue = 1/1152\n")
+        assert err.startswith(f"error: cache {path}: ") and err.count("\n") == 1

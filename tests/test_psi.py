@@ -1,5 +1,6 @@
 """Pure psi-class intersection numbers."""
 
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -11,7 +12,16 @@ from hodgeint import errors, store
 from hodgeint.combinat import multinomial
 from hodgeint.constraints import x_curve, x_surface
 from hodgeint.errors import MAX_POINTS, DomainError, LimitError
-from hodgeint.hodge import lambda_gm1
+from hodgeint.hodge import (
+    c_constant,
+    gg_const,
+    lambda_g,
+    lambda_g_gm1,
+    lambda_g_gm1_solver,
+    lambda_g_gm2_or_zero,
+    lambda_g_solver,
+    lambda_gm1,
+)
 from hodgeint.mumford import degree0_gw
 from hodgeint.psi import point_partition, psi_integral, psi_or_zero
 from hodgeint.verify import suite_annihilation
@@ -83,6 +93,37 @@ class TestStructure:
             lambda_gm1(2, [602] + [0] * 599)
         n = MAX_POINTS
         assert psi_integral(0, [n - 3] + [0] * (n - 1)) == 1
+
+    @pytest.mark.parametrize(
+        "evaluate, g, ks, want",
+        [
+            # dilaton paths: <tau_1^m K>_g = (2g-2+|K|) ... (2g-3+|K|+m) <K>_g
+            (psi_integral, 1, [1] * MAX_POINTS, F(factorial(MAX_POINTS - 1), 24)),
+            (lambda_g_solver, 2, [2] + [1] * 199, lambda_g(2, [2]) * F(factorial(201), 2)),
+            (lambda_g_gm1_solver, 2, [1] * MAX_POINTS, gg_const(2) * F(factorial(201), 2)),
+            (lambda_gm1, 2, [3] + [1] * 199, c_constant(2) * F(factorial(201), 2)),
+            (lambda_g_gm2_or_zero, 3, [3] + [1] * 199, F(41, 1451520) * F(factorial(203), 24)),
+            # string paths (psi's is the last line of the test above): each
+            # step lowers the one positive exponent
+            (lambda_g_solver, 1, [199] + [0] * 199, F(1, 24)),
+            (lambda_g_gm1_solver, 2, [200] + [0] * 199, gg_const(2)),
+            (lambda_g_gm1, 2, [200] + [0] * 199, gg_const(2)),
+            (lambda_gm1, 2, [202] + [0] * 199, c_constant(2)),
+            (lambda_g_gm2_or_zero, 3, [202] + [0] * 199, F(41, 1451520)),
+        ],
+    )
+    def test_string_and_dilaton_paths_finish_at_the_limit(self, evaluate, g, ks, want):
+        # each step takes two frames (the family's and its sum's
+        # comprehension), about 400 at the limit, from empty memos
+        assert len(ks) == MAX_POINTS and sys.getrecursionlimit() <= 1000
+        store.reset()
+        assert evaluate(g, ks) == want
+
+    def test_degree0_gw_dilaton_path_finishes_at_the_limit(self):
+        assert sys.getrecursionlimit() <= 1000
+        store.reset()
+        value = degree0_gw(3, 3, [(0, 1)] * MAX_POINTS)
+        assert value == degree0_gw(3, 3, []) * F(factorial(203), 6)
 
     def test_recursion_passes_the_limit_inside(self, monkeypatch):
         # the genus reduction of a top step adds an insertion, so a key at the

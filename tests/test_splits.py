@@ -21,11 +21,11 @@ from hodgeint.combinat import (
     bracket,
     graded_splits,
     linear_block,
-    lowerings,
     multisets,
     runs,
     split_block,
     split_weights,
+    string_dilaton,
 )
 from hodgeint.hodge import _gm1_or_zero, _xcurve_partial, lambda_g_or_zero
 from hodgeint.psi import psi_integral, psi_or_zero
@@ -268,9 +268,21 @@ def test_run_scans_match_a_counter(items):
     # a run ends where the entries >= its value end
     want = [(v, counts[v], sum(c for u, c in counts.items() if u >= v) - 1) for v in values]
     assert list(runs(key)) == want
+
+
+@given(st.lists(st.integers(0, 6), max_size=12), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_string_dilaton_terms_match_a_counter(items, g):
+    # string: a trailing 0 lowers each distinct positive entry once, weighted
+    # by its multiplicity
+    key = _desc(items)
+    counts = Counter(key)
     lowered = [
         (v, counts[v], _desc((counts - Counter([v]) + Counter([v - 1])).elements()))
-        for v in values
+        for v in sorted(counts, reverse=True)
         if v
     ]
-    assert list(lowerings(key)) == lowered
+    assert list(string_dilaton(g, key + (0,))) == lowered
+    # dilaton: a trailing 1 drops it, times 2g - 2 + (the insertions left)
+    rest = tuple(v for v in key if v)
+    assert list(string_dilaton(g, rest + (1,))) == [(1, 2 * g - 2 + len(rest), rest)]
