@@ -12,7 +12,7 @@ record off its family's closed form, after one warning on stderr.  Any other
 malformed line makes it raise ValueError.  Writing re-exports the full tables
 into a fresh temporary file in the same directory and renames it over the
 target, so processes that share one cache file never see, or clobber, a
-half-written one.
+half-written one; the command line writes only after computing a value.
 """
 
 from __future__ import annotations

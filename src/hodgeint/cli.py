@@ -233,7 +233,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    if cache_path:
+    if cache_path and store.computed_count():  # a run that computed nothing adds nothing
         try:
             cache.save_cache(cache_path)
         except OSError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, perm
+from operator import mul
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .combinat import rising_numerator, runs
@@ -98,20 +99,6 @@ class CohomologyData(_CohomologyFields):
     def eta_inverse(self) -> List[List[Fraction]]:
         return _invert(self.eta)
 
-    def _c1_powers(self, count: int) -> List[List[List[Fraction]]]:
-        """c_1^0, ..., c_1^(count-1), each from the one before."""
-        n = self.size
-        out = [[[Fraction(int(r == c)) for c in range(n)] for r in range(n)]]
-        while len(out) < count:
-            prev = out[-1]
-            out.append(
-                [
-                    [sum(self.c1[r][m] * prev[m][c] for m in range(n)) for c in range(n)]
-                    for r in range(n)
-                ]
-            )
-        return out
-
     def constant(self) -> Fraction:
         """The level-0 additive constant (1/48) * integral of
         (3 - r) c_r - 2 c_1 c_{r-1}."""
@@ -155,8 +142,11 @@ def projective(r: int) -> CohomologyData:
     )
 
 
+_POINT = projective(0)  # immutable, so every point operator shares one
+
+
 def point_data() -> CohomologyData:
-    return projective(0)
+    return _POINT
 
 
 def p1_data() -> CohomologyData:
@@ -286,32 +276,39 @@ def _contracted(left: List[Tuple[TermKey, int]], right: List[Tuple[TermKey, int]
     right term.  When a coordinate carries d derivatives on the left and m
     factors on the right, s contractions on it can be chosen in
     comb(d, s) * perm(m, s) ways.  Yields one ``(key, numerator)`` pair per
-    choice, not yet combined.  Each coordinate's run in the sorted ``diff``
-    and ``mult`` tuples is indexed once, ``{coord: (last index, count)}``, so
-    a choice slices its s copies out of both tuples.  Right terms are indexed
-    by coordinate, so a left term only meets the right terms that carry one
-    of its derivative coordinates.
+    choice, not yet combined.  Right terms are indexed once by the runs of
+    their sorted ``mult``, ``{coord: [(index, last, count), ...]}``, so a left
+    term meets only those holding one of its derivative coordinates, and a
+    choice slices its s copies out of both tuples: s = 1..min(d, m) when the
+    derivatives sit on one coordinate, else a product of choices per coordinate.
     """
-    rights = []
-    by_coord: Dict[Coord, List[int]] = {}
-    for (h2, m2, d2), c2 in right:
-        mruns = {coord: (last, m) for coord, m, last in runs(m2)}
-        for coord in mruns:
-            by_coord.setdefault(coord, []).append(len(rights))
-        rights.append((h2, m2, d2, mruns, c2))
+    by_coord: Dict[Coord, List[Tuple[int, int, int]]] = {}
+    for i, ((_, m2, _), _) in enumerate(right):
+        for coord, m, last in runs(m2):
+            by_coord.setdefault(coord, []).append((i, last, m))
     for (h1, m1, d1), c1 in left:
-        druns = {coord: (last, d) for coord, d, last in runs(d1)}
-        for i in {i for coord in druns for i in by_coord.get(coord, ())}:
-            h2, m2, d2, mruns, c2 = rights[i]
-            # shared coordinates, descending, so slicing one leaves the
-            # indices of the ones still to come
-            shared = [(druns[x], mruns[x]) for x in reversed(druns) if x in mruns]
-            limits = [range(min(d, m) + 1) for (_, d), (_, m) in shared]
-            for choice in product(*limits):
+        if d1 and d1[0] == d1[-1]:
+            d = len(d1)
+            for i, ml, m in by_coord.get(d1[0], ()):
+                (h2, m2, d2), c2 = right[i]
+                for s in range(1, min(d, m) + 1):
+                    mult = m1 + m2[: ml + 1 - s] + m2[ml + 1 :]
+                    c = c1 * c2 * comb(d, s) * perm(m, s)
+                    yield (h1 + h2, tuple(sorted(mult)), tuple(sorted(d2 + d1[s:]))), c
+            continue
+        # shared coordinates per right term, descending, so slicing one
+        # leaves the indices of the ones still to come
+        shared: Dict[int, List[Tuple[int, int, int, int]]] = {}
+        for coord, d, dl in reversed(list(runs(d1))):
+            for i, ml, m in by_coord.get(coord, ()):
+                shared.setdefault(i, []).append((dl, d, ml, m))
+        for i, pairs in shared.items():
+            (h2, m2, d2), c2 = right[i]
+            for choice in product(*(range(min(d, m) + 1) for _, d, _, m in pairs)):
                 if not any(choice):
                     continue
                 c, mult, diff = c1 * c2, m2, d1
-                for s, ((dl, d), (ml, m)) in zip(choice, shared):
+                for s, (dl, d, ml, m) in zip(choice, pairs):
                     c *= comb(d, s) * perm(m, s)
                     mult = mult[: ml + 1 - s] + mult[ml + 1 :]
                     diff = diff[: dl + 1 - s] + diff[dl + 1 :]
@@ -323,9 +320,9 @@ def commutator(
 ) -> DifferentialOperator:
     """[a, b] = a . b - b . a.
 
-    The plain products of a . b and b . a are equal term by term and
-    cancel, so only the contracted terms of each order are summed, as integer
-    numerators over the product of the two common denominators.
+    The plain products of a . b and b . a are equal term by term and cancel,
+    so only the terms :func:`_contracted` yields for each order are summed, as
+    integer numerators over the product of the two common denominators.
     """
     (da, ia), (db, ib) = _numerators(a.terms), _numerators(b.terms)
     negated = ((key, -n) for key, n in _contracted(ib, ia))
@@ -339,7 +336,7 @@ def commutator(
 def point_operator(k: int, level_cap: int) -> DifferentialOperator:
     """The point constraint operator of level k >= -1, truncated by level: the
     point case of :func:`general_operator`, with half-integer weights."""
-    return general_operator(k, point_data(), level_cap)
+    return general_operator(k, _POINT, level_cap)
 
 
 def general_operator(
@@ -356,23 +353,26 @@ def general_operator(
 
     Every coefficient is summed as an integer numerator over one denominator
     d: the weights b_a are halves of integers, so [b]^k_i is
-    rising_numerator(2b, 2, k, i) / 2^(k+1-i); the Chern powers, and eta^{-1}
-    with eta, are integer matrices over their own lcm of denominators.  A term
-    multiplies a Chern entry by an eta^{-1} or eta entry, so d is 2^(k+2)
-    times both lcms and the constant's denominator.
+    rising_numerator(2b, 2, k, i) / 2^(k+1-i); c_1 is an integer matrix over
+    its lcm of denominators dc, so its i-th power is one over dc^i, and eta^{-1}
+    with eta are over their lcm de.  A term multiplies a Chern entry by an
+    eta^{-1} or eta entry, so d is 2^(k+2) dc^(k+1) de times the constant's.
     """
     if k < -1:
         raise DomainError("level must be >= -1")
     n = data.size
-    dc, powers = _integral(*data._c1_powers(k + 2))
+    dc, (c1,) = _integral(data.c1)
+    powers = [[[int(r == c) for c in range(n)] for r in range(n)]]  # c_1^i over dc^i
+    while len(powers) < k + 2:
+        powers.append([[sum(map(mul, row, col)) for col in zip(*powers[-1])] for row in c1])
     de, (eta_inv, eta) = _integral(data.eta_inverse(), data.eta)
     const = data.constant()
-    d = 2 ** (k + 2) * dc * de * const.denominator
+    d = 2 ** (k + 2) * dc ** (k + 1) * de * const.denominator
     twice_b = [2 * p + 1 - data.dim for p in data.p]  # b_a = p_a + (1 - r)/2
     items: List[Tuple[TermKey, int]] = []
 
     for i in range(k + 2):
-        ci, unit = powers[i], d // (2 ** (k + 1 - i) * dc)
+        ci, unit = powers[i], d // (2 ** (k + 1 - i) * dc**i)
         for m in range(max(0, i - k), level_cap + 1 - max(0, k - i)):
             for a in range(n):
                 e = rising_numerator(twice_b[a] + 2 * m, 2, k, i) * unit
@@ -395,7 +395,7 @@ def general_operator(
                         diff = tuple(sorted(((a, m), (b, k - m - i - 1))))
                         items.append(((1, (), diff), w * ci[b][cc] * eta_inv[a][cc]))
 
-    ck1, unit = powers[k + 1], d // (2 * de * dc)
+    ck1, unit = powers[k + 1], d // (2 * de * dc ** (k + 1))
     for a in range(n):
         for b in range(n):
             c = sum(eta[a][cc] * ck1[cc][b] for cc in range(n)) * unit

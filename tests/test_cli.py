@@ -348,6 +348,24 @@ class TestCachePlumbing:
         blocker = tmp_path / "memo"
         blocker.write_text("")
         path = blocker / "sub.jsonl"
+        store.reset()  # so that the query computes a value, which is saved
         code, out, err = run(capsys, "--cache", str(path), *argv)
         assert (code, out) == (EXIT_DOMAIN, "genus = 2\nvalue = 1/1152\n")
         assert err.startswith(f"error: cache {path}: ") and err.count("\n") == 1
+
+    def test_commands_that_compute_nothing_leave_the_file_as_it_is(self, tmp_path, capsys):
+        # every command rewrote the whole file, with a fresh header timestamp
+        path = tmp_path / "memo.jsonl"
+        query = ["--cache", str(path), "psi", "--genus", "2", "--exponents", "4"]
+        store.reset()
+        assert run(capsys, *query)[0] == EXIT_OK
+        before = path.read_bytes()
+        for argv, shown in [(query, "value = 1/1152"), (query[:2] + ["cache-info"], "psi = ")]:
+            store.reset()
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK and shown in out
+            assert path.read_bytes() == before
+        # a command that computed nothing writes no file where there was none
+        empty = tmp_path / "empty.jsonl"
+        assert run(capsys, "--cache", str(empty), "cache-info")[0] == EXIT_OK
+        assert not empty.exists()

@@ -328,6 +328,24 @@ _CANCEL_B = [(F(3, 5), 0, [(0, 0)], [(0, 0)]), (F(-3, 5), 0, [], [])]
 _KILL = [(F(1, 7), 0, [], [(0, 0)]), (F(-1, 7), 0, [(0, 0)], [(0, 0), (0, 0)])]
 
 
+def _one_shared(d, m):
+    """Term lists a, b whose terms share one coordinate, (0, 1), with d
+    derivatives in a's term and m factors in b's; b's derivative meets a's
+    other factor, so b . a contracts on one coordinate too."""
+    return (
+        [(F(5, 6), 1, [(1, 0)], [(0, 1)] * d)],
+        [(F(-7, 4), 0, [(0, 1)] * m + [(1, 1)], [(1, 0)])],
+    )
+
+
+# a's term has derivatives on two coordinates, both factors of b's term,
+# and up to two contractions on one of them
+_TWO_SHARED = (
+    [(F(3, 8), -1, [], [(0, 0), (0, 0), (0, 1)])],
+    [(F(-2, 9), 0, [(0, 0), (0, 0), (0, 1)], [(1, 1)])],
+)
+
+
 class TestCompositionProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_terms, max_size=4), st.lists(_terms, max_size=4))
@@ -662,6 +680,13 @@ class TestIntegerKernels:
     )
     @example(_CANCEL_A, _CANCEL_B, F(0))
     @example(_REPEATED, _SHARED, F(-7, 3))
+    # each contraction shape: one shared coordinate with (d, m) derivatives
+    # and factors on it, and two shared coordinates in one pair of terms
+    @example(*_one_shared(1, 1), F(1, 2))
+    @example(*_one_shared(2, 1), F(-5, 3))
+    @example(*_one_shared(1, 2), F(7, 10))
+    @example(*_one_shared(2, 2), F(-1, 12))
+    @example(*_TWO_SHARED, F(4, 15))
     def test_commutator_and_product_equal_fraction_kernels(self, ta, tb, c):
         a, b = _operator(ta), _operator(tb)
         # b + c a cancels part of [a, b + c a] against c [a, a] = 0
