@@ -24,13 +24,11 @@ import sys
 import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
 from . import hodge, store
-from .combinat import LAMBDA_G_GRADING, LAMBDA_GG_GRADING, PSI_GRADING
-from .combinat import family_key, multinomial
+from .combinat import family_key
 from .errors import MAX_LAMBDA_GENUS, MAX_POINTS, MAX_PSI_GENUS
 
 __all__ = ["FORMAT_VERSION", "ENV_CACHE_PATH", "load_cache", "save_cache"]
@@ -78,26 +76,18 @@ def _records(path: Path) -> Iterator[Tuple[int, str, store.Key, Fraction]]:
 
 
 def _closed_form(tag: str, g: int, ks: Tuple[int, ...]) -> Optional[Fraction]:
-    """The value a record must hold where its family has a closed form: lambda_g,
-    lambda_g lambda_{g-1}, and psi at genus 0 or with one point.  None for the
-    records that stay trusted: lambda_{g-1}, the other psi, and those beyond
-    the command line's genus and insertion limits, which no command reads."""
-    if len(ks) > MAX_POINTS:
+    """The value a record must hold where its family has a closed form (the
+    row's ``closed``: lambda_g, lambda_g lambda_{g-1}, psi at genus 0 or with
+    one point), 0 off its stable range and grading.  None for the records that
+    stay trusted: lambda_{g-1}, the other psi, and those beyond the command
+    line's genus limit (psi's own for psi, the family without a --class
+    letter) and insertion limit, which no command reads."""
+    row = hodge.FAMILIES[tag]
+    cap = MAX_LAMBDA_GENUS if row.letter else MAX_PSI_GENUS
+    if row.closed is None or len(ks) > MAX_POINTS or g > cap:
         return None
-    if tag == store.TAG_LAMBDA_G and g <= MAX_LAMBDA_GENUS:
-        key = family_key(g, ks, LAMBDA_G_GRADING, nmin=1)
-        return Fraction(0) if key is None else hodge._lg_value(g, key)
-    if tag == store.TAG_LAMBDA_G_GM1 and g <= MAX_LAMBDA_GENUS:
-        key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1)
-        return Fraction(0) if key is None else hodge._gg_value(g, key)
-    if tag == store.TAG_PSI and (g == 0 or len(ks) == 1) and g <= MAX_PSI_GENUS:
-        key = family_key(g, ks, PSI_GRADING)
-        if key is None:
-            return Fraction(0)
-        if g:
-            return Fraction(1, 24**g * factorial(g))
-        return Fraction(multinomial(len(key) - 3, key))
-    return None
+    key = family_key(g, ks, row.grading, row.gmin, row.nmin)
+    return Fraction(0) if key is None else row.closed(g, key)
 
 
 def _parse_line(line: str, lineno: int) -> dict:

@@ -37,7 +37,7 @@ from .errors import (
     LimitError,
     check_limit,
 )
-from .hodge import c_constant, lambda_cube, lambda_g, lambda_g_gm1, lambda_gm1
+from .hodge import FAMILIES, c_constant, lambda_cube
 from .mumford import degree0_gw, euler_class, euler_class_genus1
 from .psi import psi_integral
 from .series1d import b_sequence
@@ -51,6 +51,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 _TARGET_DIMS = {"P1": 1, "P2": 2, "P3": 3}
+_CLASSES = {row.letter: row for row in FAMILIES.values() if row.letter}
 
 
 def _parse_exponents(text: str) -> List[int]:
@@ -100,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--class",
         dest="family",
-        choices=("g", "gg", "gm1", "cube", "c"),
+        choices=[*_CLASSES, "cube", "c"],
         required=True,
-        help="g: lambda_g; gg: lambda_g lambda_{g-1}; gm1: lambda_{g-1}; "
-        "cube: lambda_{g-1}^3 (n=0); c: the one-point constant c_g",
+        help="".join(f"{letter}: {row.name}; " for letter, row in _CLASSES.items())
+        + "cube: lambda_{g-1}^3 (n=0); c: the one-point constant c_g",
     )
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--exponents", default=None)
@@ -145,13 +146,12 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "lambda":
         g = args.genus
         check_limit("--genus", g, MAX_LAMBDA_GENUS)
-        fn = {"g": lambda_g, "gg": lambda_g_gm1, "gm1": lambda_gm1}.get(args.family)
-        if fn is None:
+        if args.family in ("cube", "c"):
             value = lambda_cube(g) if args.family == "cube" else c_constant(g)
         elif args.exponents is None:
             raise DomainError(f"--exponents required for --class {args.family}")
         else:
-            value = fn(g, _parse_exponents(args.exponents))
+            value = _CLASSES[args.family].strict(g, _parse_exponents(args.exponents))
         print(_emit({"class": args.family, "genus": g, "value": str(value)}, fmt))
         return EXIT_OK
 

@@ -15,7 +15,9 @@ function, built from two blocks in the shifted class weight b: the linear block
 (:func:`linear_block`) and the order-hbar split block (:func:`split_weights`,
 :func:`split_block`), which splits through :func:`graded_splits` as psi does.
 :func:`family_key` is the one gate every integral family's entries pass:
-canonical key, stability, insertion limit and grading.
+canonical key, stability, insertion limit and grading; :class:`Family`
+builds a family's entries on it, and :func:`reduction` is every family's
+recursion.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from math import comb, factorial, lcm, prod
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Sequence, Tuple, Union
 
 from .errors import DomainError, check_points
 from .store import register_memo
@@ -35,6 +38,8 @@ __all__ = [
     "LAMBDA_GM2_GRADING",
     "LAMBDA_G_GRADING",
     "PSI_GRADING",
+    "Family",
+    "Key",
     "bernoulli",
     "bracket",
     "double_factorial",
@@ -44,6 +49,7 @@ __all__ = [
     "linear_block",
     "multinomial",
     "multisets",
+    "reduction",
     "rising_numerator",
     "runs",
     "split_block",
@@ -59,6 +65,9 @@ LAMBDA_G_GRADING = (2, -3)  # lambda_g: d = 2h - 3 + n
 LAMBDA_GM1_GRADING = (2, -2)  # lambda_{h-1}: d = 2h - 2 + n
 LAMBDA_GG_GRADING = (1, -2)  # lambda_h lambda_{h-1}: d = h - 2 + n
 LAMBDA_GM2_GRADING = (1, -1)  # lambda_h lambda_{h-2}: d = h - 1 + n
+
+Key = Tuple[int, ...]
+Value = Union[int, Fraction]
 
 
 def family_key(
@@ -92,6 +101,45 @@ def family_key(
     check_points(n)
     slope, offset = grading
     return key if sum(key) - n == slope * g + offset else None
+
+
+class Family(NamedTuple):
+    """A row of the family table ``hodge.FAMILIES``: one integral family of
+    psi classes against a lambda monomial."""
+
+    name: str  # its store tag, which names its cache records, or its sweep name
+    letter: Optional[str]  # its `lambda --class` letter
+    offsets: Key  # its lambda monomial, as the j of each lambda_{g-j}
+    grading: Tuple[int, int]
+    gmin: int
+    nmin: int
+    evaluate: Callable[[int, Key], Fraction]  # on a key that passed family_key
+    closed: Optional[Callable]  # what its cache record at such a key must hold
+    seeds: Tuple[Tuple[int, Key], ...]  # nonzero keys for the string-dilaton sweep
+    entries: Dict[Tuple[int, Key], Value]  # its memoized values, which the sweep checks
+    strict: Optional[Callable[[int, Iterable[int]], Fraction]] = None  # see named
+    or_zero: Optional[Callable[[int, Iterable[int]], Fraction]] = None
+
+    def named(self, strict_name: Optional[str] = None) -> "Family":
+        """The row with its entries, named strict_name (default: the row's
+        name) and the row's name + "_or_zero"."""
+        grading, gmin, nmin, evaluate = self.grading, self.gmin, self.nmin, self.evaluate
+
+        def strict(g: int, ks: Iterable[int]) -> Fraction:
+            """The genus-g integral with insertions ks, 0 off the grading; raises
+            DomainError below gmin or nmin, for unstable (g, n) or a negative
+            exponent, and LimitError beyond MAX_POINTS insertions."""
+            key = family_key(g, ks, grading, gmin, nmin, strict=True)
+            return Fraction(0) if key is None else evaluate(g, key)
+
+        def or_zero(g: int, ks: Iterable[int]) -> Fraction:
+            """Like the strict entry, but 0 where it raises DomainError (for sums)."""
+            key = family_key(g, ks, grading, gmin, nmin)
+            return Fraction(0) if key is None else evaluate(g, key)
+
+        strict.__name__ = strict.__qualname__ = strict_name or self.name
+        or_zero.__name__ = or_zero.__qualname__ = self.name + "_or_zero"
+        return self._replace(strict=strict, or_zero=or_zero)
 
 
 @lru_cache(maxsize=None)
@@ -298,3 +346,67 @@ def string_dilaton(g: int, key: Tuple[int, ...]) -> List[Tuple[int, int, Tuple[i
     if key[-1]:
         return [(1, 2 * g - 3 + len(key), rest)]
     return [(v, c, rest[:i] + (v - 1,) + rest[i + 1 :]) for v, c, i in runs(rest) if v]
+
+
+# the memo of every reduction; store.reset() empties each
+REDUCTION_MEMOS: List[Dict[Tuple[int, Key], Value]] = []
+
+
+def reduction(weight: Tuple[int, int], base: Optional[Callable], top: Optional[Callable],
+              record: Optional[Callable] = None) -> Callable[[int, Key], Value]:
+    """A family's recursion rec(g, key) on descending genus-g keys, memoized
+    by (g, key) in ``rec.memo``: the memo's value, else base(g, key) unless
+    None, else for a key ending in 0 or 1 the sum over the terms (v, c, lower
+    key) of :func:`string_dilaton`, else top(g, key), which removes a top
+    insertion >= 2 through rec on canonical keys.  The memo is read before
+    each descent, so a known term costs no call.
+
+    The weight rule, for every family: where the recursion carries a factor
+    w(k) per insertion k, the term of v weighs c w(v)/w(v-1) = c (a v + b),
+    (a, b) = weight: (2, 1) for psi's N (w(k) = (2k+1)!!), (2, -1) for
+    lambda_g lambda_{g-1}'s M (w(k) = (2k-1)!!), (0, 1) for w = 1.  Integer
+    terms sum as integers, Fractions over one common denominator.
+
+    Sum and top values are memoized and passed to record((g, key), value).
+    Base values are memoized only with a record hook, whose base reads the
+    persistent cache and records its own base keys; other bases are closed,
+    or held by another table.
+    """
+    a, b = weight
+    memo: Dict[Tuple[int, Key], Value] = {}
+    REDUCTION_MEMOS.append(memo)
+    register_memo(memo.clear)
+
+    def rec(g: int, key: Key) -> Value:
+        gk = (g, key)
+        val = memo.get(gk)
+        if val is not None:
+            return val
+        val = base(g, key)
+        if val is not None:
+            if record is not None:
+                memo[gk] = val
+            return val
+        if key[-1] > 1:
+            val = top(g, key)
+        else:
+            num, den = 0, 1
+            for v, c, low in string_dilaton(g, key):
+                x = memo.get((g, low))
+                if x is None:
+                    x = rec(g, low)
+                if type(x) is int:
+                    num += c * (a * v + b) * x
+                else:
+                    d = x.denominator
+                    m = lcm(den, d)
+                    num = num * (m // den) + c * (a * v + b) * x.numerator * (m // d)
+                    den = m
+            val = num if type(x) is int else Fraction(num, den)
+        memo[gk] = val
+        if record is not None:
+            record(gk, val)
+        return val
+
+    rec.memo = memo  # type: ignore[attr-defined]
+    return rec

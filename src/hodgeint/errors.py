@@ -20,15 +20,13 @@ __all__ = [
 
 # Every entry, the sum entries psi_or_zero, lambda_*_or_zero and degree0_gw
 # included, checks this through combinat.family_key.  String and dilaton
-# reduction recurse once per insertion, two frames at a time (the family's
-# step and the comprehension of its sum over combinat.string_dilaton): with
-# Python 3.11, counted below the entry, 200 insertions reach 399-410 frames
-# on either path (all zeros but one, or all ones but one) for psi, every
-# lambda family, the two solvers, x_curve and degree0_gw.  A top reduction
-# needs every exponent >= 2, so it removes at most 3g - 3 insertions (psi,
-# about 4 frames each: 60 at g = 6 with 15 points) or 2g - 2 (lambda_{g-1},
-# about 4).  Many more insertions would exhaust Python's default recursion
-# limit of 1000.
+# steps recurse once per insertion, one frame each (combinat.reduction sums a
+# step in its own loop): with Python 3.11, counted below the entry, 200
+# insertions reach 203-213 frames on either path (all zeros but one, or all
+# ones but one) for psi, every lambda family, the solvers and degree0_gw, of
+# Python's default recursion limit of 1000.  A top step needs every exponent
+# >= 2, so it removes at most 3g - 3 insertions (psi, about 3 frames each: 45
+# at g = 6 with 15 points) or 2g - 2 (lambda_{g-1}, 5 each: 307 at g = 31).
 MAX_POINTS = 200
 
 # Largest genus the command line accepts, so that no single cold command runs

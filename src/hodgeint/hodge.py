@@ -1,17 +1,13 @@
 """Integrals of lambda classes against psi classes.
 
-Five families are covered, named by the lambda-class factor paired with the
-psi monomial:
-
-* ``lambda_g``            -- closed multinomial form, genus constant b_g;
-* ``lambda_g_gm1``        -- lambda_g lambda_{g-1}, closed double-factorial form;
-* ``lambda_gm1``          -- lambda_{g-1} alone, no closed form is known; values
-                             come from the n = 1 constants c_g and the curve
-                             constraint relations;
-* ``lambda_g_gm2_or_zero`` -- lambda_g lambda_{g-2}, no closed form is known
-                             beyond g = 2; values are solved from the surface
-                             constraint relations, one-point keys included;
-* ``lambda_cube``         -- the n = 0 integrals of lambda_{g-1}^3.
+The families are the rows of the family table :data:`FAMILIES`, psi's row
+among them: lambda_g by a closed multinomial form (genus constant b_g),
+lambda_g lambda_{g-1} by a closed double-factorial form, lambda_{g-1} (no
+closed form known) from the one-point constants c_g and the curve constraint
+relations, and lambda_g lambda_{g-2} (no closed form beyond g = 2) solved
+from the surface constraint relations, one-point keys included.  Each row
+gives a strict entry and an ``_or_zero`` entry for sums.  ``lambda_cube`` is
+the n = 0 integral of lambda_{g-1}^3.
 
 Each closed form ships with an independent recursion solver
 (``lambda_g_solver`` / ``lambda_g_gm1_solver``) that only ever uses the
@@ -23,17 +19,18 @@ solve, sum integers and build one Fraction a value: N = value / b_g
 lambda_{g-1}), and lambda_{g-1} numerators over one common denominator.
 
 The lambda classes pull back along the forgetful map, so every family obeys
-string and dilaton with the factors of pure psi and takes both steps from
-:func:`combinat.string_dilaton`, each term weighted by w(v)/w(v-1) for the w(k)
-it carries per insertion: 2v - 1 for M (w(k) = (2k-1)!!), else 1.
+string and dilaton with the factors of pure psi.  Each recursion is a
+:func:`combinat.reduction`, which takes both steps under its weight rule
+(w(v)/w(v-1) = 2v - 1 for M, whose w(k) is (2k-1)!!, else 1); a family
+supplies its base and its top step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, lcm, prod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .combinat import (
     LAMBDA_G_GRADING,
@@ -41,18 +38,19 @@ from .combinat import (
     LAMBDA_GM1_GRADING,
     LAMBDA_GM2_GRADING,
     PSI_GRADING,
+    Family,
+    Key,
     bernoulli,
     double_factorial,
-    family_key,
     harmonic,
     linear_block,
     multinomial,
+    reduction,
     runs,
     split_block,
-    string_dilaton,
 )
 from .errors import DomainError
-from .psi import psi_or_zero
+from .psi import PSI, psi_or_zero
 from .series1d import b_closed_form
 from .store import (
     TAG_LAMBDA_G,
@@ -61,9 +59,11 @@ from .store import (
     lookup,
     record,
     register_memo,
+    tables,
 )
 
 __all__ = [
+    "FAMILIES",
     "b_constant",
     "c_constant",
     "gg_const",
@@ -80,12 +80,7 @@ __all__ = [
     "hodge_table",
 ]
 
-Key = Tuple[int, ...]
 Half = Fraction(1, 2)
-
-
-def _canon(ks: Sequence[int]) -> Key:
-    return tuple(sorted(ks, reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +133,7 @@ def lambda_cube(g: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# lambda_g family
-
-
-def lambda_g(g: int, ks: Sequence[int]) -> Fraction:
-    """<tau_{k1}...tau_{kn} | lambda_g>_g by the closed multinomial form."""
-    key = family_key(g, ks, LAMBDA_G_GRADING, nmin=1, strict=True)
-    return Fraction(0) if key is None else _lambda_g(g, key)
+# lambda_g family: a closed multinomial form, and a solver
 
 
 def _lambda_g(g: int, key: Key) -> Fraction:
@@ -157,20 +146,9 @@ def _lg_value(g: int, key: Key) -> Fraction:
     return Fraction(multinomial(2 * g + len(key) - 3, key) * b.numerator, b.denominator)
 
 
-def lambda_g_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    key = family_key(g, ks, LAMBDA_G_GRADING, nmin=1)
-    return Fraction(0) if key is None else _lambda_g(g, key)
-
-
-# the solvers' integers by key alone: the grading fixes the genus
-_lambda_g_rec: Dict[Key, int] = {}
-_lambda_gg_rec: Dict[Key, int] = {}
-register_memo(_lambda_g_rec.clear)
-register_memo(_lambda_gg_rec.clear)
-
-
-def lambda_g_solver(g: int, ks: Sequence[int]) -> Fraction:
-    """Same values as :func:`lambda_g`, but via the constraint recursion only.
+def _lg_solve(g: int, key: Key) -> Fraction:
+    """lambda_g_solver: the values of :func:`lambda_g`, but via the constraint
+    recursion only.
 
     Induction on n from the one-point base (g > 0) or the three-point genus-0
     base, using the string and dilaton identities for a trailing 0 or 1 and
@@ -184,56 +162,38 @@ def lambda_g_solver(g: int, ks: Sequence[int]) -> Fraction:
     N = value / b_g, with base N = 1 at the one-point key and at (0, 0, 0),
     and b_g (b_0 = 1) enters once, here.
     """
-    key = family_key(g, ks, LAMBDA_G_GRADING, nmin=1, strict=True)
-    if key is None:
-        return Fraction(0)
     b = b_constant(g)
     return Fraction(_lg_rec(g, key) * b.numerator, b.denominator)
 
 
-def _lg_rec(g: int, key: Key) -> int:
-    # key meets the grading, and so do all keys the steps below reach
-    cached = _lambda_g_rec.get(key)
-    if cached is not None:
-        return cached
-    if len(key) == 1 or key == (0, 0, 0):  # the base keys
-        val = 1
-    elif key[-1] <= 1:
-        val = sum(c * _lg_rec(g, low) for _, c, low in string_dilaton(g, key))
-    else:
-        k = key[0] - 1  # >= 1
-        k0 = key[1]
-        rest = key[2:]
-        val = comb(k0 + k + 1, k0) * _lg_rec(g, (k0 + k,) + rest)
-        for ki, c, i in runs(rest):
-            others = rest[:i] + rest[i + 1 :]
-            val += c * comb(ki + k, ki - 1) * _lg_rec(g, _canon((k0, ki + k) + others))
-    _lambda_g_rec[key] = val
+def _lg_top(g: int, key: Key) -> int:
+    k, k0, rest = key[0] - 1, key[1], key[2:]  # k >= 1
+    val = comb(k0 + k + 1, k0) * _lg_rec(g, (k0 + k,) + rest)
+    for ki, c, i in runs(rest):
+        others = rest[:i] + rest[i + 1 :]
+        low = tuple(sorted((k0, ki + k) + others, reverse=True))
+        val += c * comb(ki + k, ki - 1) * _lg_rec(g, low)
     return val
 
 
+# N of the keys the solver has reached, from 1 at the one-point key and (0, 0, 0)
+_lg_rec = reduction((0, 1), lambda g, key: 1 if len(key) == 1 or key == (0, 0, 0) else None,
+                    _lg_top)
+
+
 # ---------------------------------------------------------------------------
-# lambda_g lambda_{g-1} family
-
-
-def lambda_g_gm1(g: int, ks: Sequence[int]) -> Fraction:
-    """<tau_{k1}...tau_{kn} | lambda_g lambda_{g-1}>_g, closed form.
-
-    For all exponents positive:
-
-        (2g+n-3)! (2g-1)!! / ((2g-1)! prod (2k_i-1)!!) * gg_const(g);
-
-    zero exponents are removed by the string identity first.
-    """
-    key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1, strict=True)
-    return Fraction(0) if key is None else _lambda_g_gm1(g, key)
+# lambda_g lambda_{g-1} family: a closed double-factorial form, and a solver
+#
+# For all exponents positive the closed form is
+#     (2g+n-3)! (2g-1)!! / ((2g-1)! prod (2k_i-1)!!) * gg_const(g);
+# zero exponents are removed by the string identity first.
 
 
 def _lambda_g_gm1(g: int, key: Key) -> Fraction:
     v = lookup(TAG_LAMBDA_G_GM1, (g, key))
     if v is None:  # recorded, so the memo of M drops it
         v = record(TAG_LAMBDA_G_GM1, (g, key), _gg_value(g, key))
-        _gg_closed_memo.pop(key, None)
+        _gg_closed.memo.pop((g, key), None)
     return v
 
 
@@ -247,36 +207,28 @@ def _gg_ratio(g: int, key: Key) -> Tuple[int, int]:
     return c.numerator, c.denominator * prod(double_factorial(2 * k - 1) for k in key)
 
 
-# M of the keys with two zeros or more reached and not in the table (by key)
-_gg_closed_memo: Dict[Key, int] = {}
-register_memo(_gg_closed_memo.clear)
-
-
-def _gg_closed(g: int, key: Key) -> int:
+def _gg_closed_base(g: int, key: Key) -> Optional[int]:
     # M: (2g+n-3)! (2g-1)!! / (2g-1)! = (2g+n-3)! / (2^{g-1} (g-1)!) with no
-    # zero, and string steps sum_v c (2v-1) M(v lowered).  One zero keeps the
-    # base: its step's weights sum to 2(g-2+n) - (n-1) = base(n) / base(n-1).
+    # zero.  One zero keeps the base: its string step's weights sum to
+    # 2(g-2+n) - (n-1) = base(n) / base(n-1).  A recorded key: M from its value.
     n = len(key)
     if n < 3 or key[-2]:
         return factorial(2 * g + n - 3) // (factorial(g - 1) << g - 1)
-    val = _gg_closed_memo.get(key)
-    if val is None:
-        known = lookup(TAG_LAMBDA_G_GM1, (g, key))
-        if known is not None:  # a recorded key: M from its value
-            p, q = _gg_ratio(g, key)
-            return known.numerator * q // (known.denominator * p)
-        val = sum(c * (2 * v - 1) * _gg_closed(g, k) for v, c, k in string_dilaton(g, key))
-        _gg_closed_memo[key] = val
-    return val
+    known = lookup(TAG_LAMBDA_G_GM1, (g, key))
+    if known is None:
+        return None
+    p, q = _gg_ratio(g, key)
+    return known.numerator * q // (known.denominator * p)
 
 
-def lambda_g_gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1)
-    return Fraction(0) if key is None else _lambda_g_gm1(g, key)
+# M of the keys with two zeros or more reached and not in the table; a key
+# ending above 1 has no zero, so no top step is needed
+_gg_closed = reduction((2, -1), _gg_closed_base, None)
 
 
-def lambda_g_gm1_solver(g: int, ks: Sequence[int]) -> Fraction:
-    """Oracle for :func:`lambda_g_gm1` via the double-factorial recursion.
+def _gg_solve(g: int, key: Key) -> Fraction:
+    """lambda_g_gm1_solver: an oracle for :func:`lambda_g_gm1` via the
+    double-factorial recursion.
 
     Base <tau_{g-1} | lambda_g lambda_{g-1}> = gg_const(g); a trailing 0 or 1
     goes through the string or dilaton identity, and otherwise a largest
@@ -291,73 +243,50 @@ def lambda_g_gm1_solver(g: int, ks: Sequence[int]) -> Fraction:
     base (2g-3)!!; the top step is
     (2k+2k0+1) M(k0+k, K) + sum_i (2k_i-1) M(k0, k_i+k, K without k_i).
     """
-    key = family_key(g, ks, LAMBDA_GG_GRADING, gmin=1, nmin=1, strict=True)
-    if key is None:
-        return Fraction(0)
     c = gg_const(g)
     scale = prod(double_factorial(2 * k - 1) for k in key)
     return Fraction(_gg_rec(g, key) * c.numerator, scale * c.denominator)
 
 
-def _gg_rec(g: int, key: Key) -> int:
-    # key meets the grading, and so do all keys the steps below reach
-    cached = _lambda_gg_rec.get(key)
-    if cached is not None:
-        return cached
-    if len(key) == 1:
-        val = double_factorial(2 * g - 3)  # key == (g-1,) by the grading
-    elif key[-1] <= 1:
-        val = sum(c * (2 * v - 1) * _gg_rec(g, k) for v, c, k in string_dilaton(g, key))
-    else:
-        k = key[0] - 1  # >= 1
-        k0 = key[1]  # >= 2 after string and dilaton reduction
-        rest = key[2:]
-        val = (2 * k + 2 * k0 + 1) * _gg_rec(g, (k0 + k,) + rest)
-        for ki, c, i in runs(rest):
-            others = rest[:i] + rest[i + 1 :]
-            val += c * (2 * ki - 1) * _gg_rec(g, _canon((k0, ki + k) + others))
-    _lambda_gg_rec[key] = val
+def _gg_top(g: int, key: Key) -> int:
+    k, k0, rest = key[0] - 1, key[1], key[2:]  # k >= 1, k0 >= 2
+    val = (2 * k + 2 * k0 + 1) * _gg_rec(g, (k0 + k,) + rest)
+    for ki, c, i in runs(rest):
+        others = rest[:i] + rest[i + 1 :]
+        low = tuple(sorted((k0, ki + k) + others, reverse=True))
+        val += c * (2 * ki - 1) * _gg_rec(g, low)
     return val
 
 
+# M of the keys the solver has reached, from (2g-3)!! at the one-point key (g-1,)
+_gg_rec = reduction((2, -1), lambda g, key: double_factorial(2 * g - 3) if len(key) == 1
+                    else None, _gg_top)
+
+
 # ---------------------------------------------------------------------------
-# lambda_{g-1} family (best effort)
+# lambda_{g-1} family
+#
+# No closed form is known.  n = 1 gives the constant c_g, and g = 1 the pure
+# psi integrals (lambda_0 = 1, same grading).  Zero and one exponents are
+# removed by string/dilaton, and a top insertion by coefficient extraction
+# from the curve constraint relations, which expresses it through
+# lambda_{g-1} values with fewer insertions plus known lambda_g values.
 
 
-def lambda_gm1(g: int, ks: Sequence[int]) -> Fraction:
-    """<tau_{k1}...tau_{kn} | lambda_{g-1}>_g.
-
-    No closed form is known.  n = 1 returns the constant c_g; otherwise zero
-    and one exponents are removed by string/dilaton and a top insertion is
-    removed by coefficient extraction from the curve constraint relations,
-    which expresses it through lambda_{g-1} values with fewer insertions plus
-    known lambda_g values.  One of these always applies: once no exponent is
-    0 or 1, the top one is at least 2.
-    """
-    key = family_key(g, ks, LAMBDA_GM1_GRADING, gmin=1, nmin=1, strict=True)
-    return Fraction(0) if key is None else _gm1(g, key)
-
-
-def _gm1(g: int, key: Key) -> Fraction:
+def _gm1_base(g: int, key: Key) -> Optional[Fraction]:
     if g == 1:
-        # lambda_0 = 1: these are pure psi integrals (same grading)
         return psi_or_zero(1, key)
-    cached = lookup(TAG_LAMBDA_GM1, (g, key))
-    if cached is not None:
-        return cached
-    if len(key) == 1:
-        val = c_constant(g)  # the grading forces k = 2g-1
-    elif key[-1] <= 1:
-        val = _dot([(c, _gm1(g, low)) for _, c, low in string_dilaton(g, key)])
-    else:  # key[0] >= key[-1] >= 2
-        (lead, _), partial = _xcurve_partial(g, key[0] - 1, key[1:])
-        val = partial / -lead
-    return record(TAG_LAMBDA_GM1, (g, key), val)
+    v = lookup(TAG_LAMBDA_GM1, (g, key))
+    if v is None and len(key) == 1:  # the grading forces k = 2g-1
+        v = record(TAG_LAMBDA_GM1, (g, key), c_constant(g))
+    return v
 
 
-def _gm1_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    key = family_key(g, ks, LAMBDA_GM1_GRADING, gmin=1, nmin=1)
-    return Fraction(0) if key is None else _gm1(g, key)
+def _solve(split: Callable, g: int, key: Key) -> Fraction:
+    # the top step of the solved families: the leading integral of x = 0,
+    # from the other terms of the x-constraint split, which holds them
+    (lead, _), rest = split(g, key[0] - 1, key[1:])
+    return rest / -lead
 
 
 def _xcurve_partial(g: int, k: int, derivs: Key) -> Tuple[Tuple[int, Key], Fraction]:
@@ -378,50 +307,28 @@ def _xcurve_partial(g: int, k: int, derivs: Key) -> Tuple[Tuple[int, Key], Fract
             lam[h] -= w * multinomial(sum(left), left) * multinomial(sum(right), right)
         b = [b_constant(h) for h in range(g + 1)]
         terms += [(s, b[h] * b[g - h]) for h, s in enumerate(lam) if s]
-    return lead, _dot(terms, 2)
+    d = lcm(*(x.denominator for _, x in terms))  # the terms over one denominator
+    return lead, Fraction(sum(c * x.numerator * (d // x.denominator) for c, x in terms), 2 * d)
 
 
-def _dot(terms: List[Tuple[int, Fraction]], s: int = 1) -> Fraction:
-    # sum c x / s over the terms, summed over one common denominator
-    d = lcm(*(x.denominator for _, x in terms))
-    n = sum(c * x.numerator * (d // x.denominator) for c, x in terms)
-    return Fraction(n, s * d)
+_gm1 = reduction((0, 1), _gm1_base, partial(_solve, _xcurve_partial),
+                 partial(record, TAG_LAMBDA_GM1))
 
 
 # ---------------------------------------------------------------------------
 # lambda_g lambda_{g-2} family (solved from the surface constraints)
+#
+# g = 1 gives 0 (lambda_{-1} = 0), and g = 2 the lambda_g family (lambda_0 =
+# 1).  Beyond that no closed form is known: zero and one exponents are
+# removed by string/dilaton, and a top insertion, the one-point key's too, by
+# solving the surface x-constraint for it, as lambda_{g-1} is solved from the
+# curve one; every other unknown there has fewer insertions.
 
 
-def lambda_g_gm2_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    """<tau_{k1}...tau_{kn} | lambda_g lambda_{g-2}>_g, 0 off the family.
-
-    g = 1 gives 0 (lambda_{-1} = 0); g = 2 reduces to the lambda_g family
-    (lambda_0 = 1).  Beyond that no closed form is known: zero and one
-    exponents are removed by string/dilaton, and a top insertion by solving
-    the surface x-constraint for it, as lambda_{g-1} is solved from the curve
-    one; every other unknown there has fewer insertions.
-    """
-    key = family_key(g, ks, LAMBDA_GM2_GRADING, gmin=1, nmin=1)
-    if key is None or g == 1:
-        return Fraction(0)
-    return lambda_g_or_zero(2, key) if g == 2 else _gm2(g, key)
-
-
-_gm2_memo: Dict[Tuple[int, Key], Fraction] = {}
-register_memo(_gm2_memo.clear)
-
-
-def _gm2(g: int, key: Key) -> Fraction:
-    val = _gm2_memo.get((g, key))
-    if val is not None:
-        return val
-    if key[-1] <= 1:
-        val = _dot([(c, _gm2(g, low)) for _, c, low in string_dilaton(g, key)])
-    else:  # key[0] >= key[-1] >= 2; the one-point key is solved too
-        (lead, _), partial = _xsurface_partial(g, key[0] - 1, key[1:])
-        val = partial / -lead
-    _gm2_memo[(g, key)] = val
-    return val
+def _gm2_base(g: int, key: Key) -> Optional[Fraction]:
+    if g > 2:
+        return None
+    return Fraction(0) if g == 1 else _lambda_g(2, key)
 
 
 def _gm2_slot(g: int, ks: Iterable[int]) -> Fraction:
@@ -456,6 +363,42 @@ def _xsurface_partial(g: int, k: int, derivs: Key) -> Tuple[Tuple[Fraction, Key]
     for w, left, right, _ in split_block(k, 1, -Half, derivs, 0, PSI_GRADING):
         rest -= w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
     return lead, rest
+
+
+_gm2 = reduction((0, 1), _gm2_base, partial(_solve, _xsurface_partial))
+
+
+# ---------------------------------------------------------------------------
+# the family table: a row per family, read by the command line (its
+# `lambda --class` letters), the cache (its closed forms), the verify sweep
+# (its seeds and entries) and mumford (its lambda offsets).  The store tags
+# name the cache records, so they stay in store.
+
+FAMILIES: Dict[str, Family] = {
+    row.name: row
+    for row in (
+        PSI,
+        Family(TAG_LAMBDA_G, "g", (0,), LAMBDA_G_GRADING, 0, 1, _lambda_g, _lg_value,
+               ((3, (4, 1, 1, 1)),), tables()[TAG_LAMBDA_G]).named(),
+        Family(TAG_LAMBDA_G_GM1, "gg", (0, 1), LAMBDA_GG_GRADING, 1, 1, _lambda_g_gm1,
+               _gg_value, ((3, (2, 1, 1)),), tables()[TAG_LAMBDA_G_GM1]).named(),
+        Family(TAG_LAMBDA_GM1, "gm1", (1,), LAMBDA_GM1_GRADING, 1, 1, _gm1, None,
+               ((3, (5, 1)),), tables()[TAG_LAMBDA_GM1]).named(),
+        Family("lambda_g_gm2", "gm2", (0, 2), LAMBDA_GM2_GRADING, 1, 1, _gm2, None,
+               ((3, (3, 1)), (3, (2, 2))), _gm2.memo).named(),
+    )
+}
+# <tau_{k1}...tau_{kn} | lambda class>_g: the strict entries raise DomainError
+# off the stable range, the or-zero ones give 0 there (see Family); a solver is
+# the strict entry of its family with the solve as evaluator
+lambda_g, lambda_g_or_zero = FAMILIES[TAG_LAMBDA_G].strict, FAMILIES[TAG_LAMBDA_G].or_zero
+lambda_g_gm1 = FAMILIES[TAG_LAMBDA_G_GM1].strict
+lambda_g_gm1_or_zero = FAMILIES[TAG_LAMBDA_G_GM1].or_zero
+lambda_gm1, _gm1_or_zero = FAMILIES[TAG_LAMBDA_GM1].strict, FAMILIES[TAG_LAMBDA_GM1].or_zero
+lambda_g_gm2_or_zero = FAMILIES["lambda_g_gm2"].or_zero
+lambda_g_solver = FAMILIES[TAG_LAMBDA_G]._replace(evaluate=_lg_solve).named("lambda_g_solver").strict
+lambda_g_gm1_solver = FAMILIES[TAG_LAMBDA_G_GM1]._replace(evaluate=_gg_solve).named(
+    "lambda_g_gm1_solver").strict
 
 
 # ---------------------------------------------------------------------------

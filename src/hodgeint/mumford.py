@@ -26,16 +26,9 @@ from functools import lru_cache
 from math import comb, prod
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from .combinat import family_key, string_dilaton
+from .combinat import family_key, reduction
 from .errors import DomainError, check_points
-from .hodge import (
-    lambda_cube,
-    lambda_g_gm1_or_zero,
-    lambda_g_gm2_or_zero,
-    lambda_g_or_zero,
-    lambda_gm1,
-)
-from .psi import psi_or_zero
+from .hodge import FAMILIES, lambda_cube
 from .store import register_memo
 
 __all__ = [
@@ -199,29 +192,11 @@ def euler_class_genus1(r: int) -> LambdaRingElem:
 # degree-zero descendents for projective-space targets
 
 
-def _top_triple(g: int, ks: Tuple[int, ...]) -> Fraction:
-    """<tau_{ks} | lambda_g lambda_{g-1} lambda_{g-2}> (lambda_2 lambda_1 for
-    g = 2) for a descending key, assuming the dimension constraint
-    sum(ks) = len(ks).
-
-    The lambda part already has top degree, so every exponent pattern reduces
-    to the unpointed integral by the string and dilaton identities alone.
-    """
-    if ks:  # sum(ks) = len(ks): a zero ends the key, or else every entry is 1
-        return sum((c * _top_triple(g, k) for _, c, k in string_dilaton(g, ks)), Fraction(0))
-    return lambda_cube(g) / 2
-
-
-# the integral family of each lambda monomial lambda_{g-j_1} lambda_{g-j_2} ...
-# below the top triple, keyed by its offsets (j_1, j_2, ...): these are all
-# the monomials of the Euler classes for r <= 3
-_FAMILIES = {
-    (): psi_or_zero,
-    (0,): lambda_g_or_zero,
-    (1,): lambda_gm1,
-    (0, 1): lambda_g_gm1_or_zero,
-    (0, 2): lambda_g_gm2_or_zero,
-}
+# <tau_{ks} | lambda_g lambda_{g-1} lambda_{g-2}> (lambda_2 lambda_1 for g = 2)
+# for a descending key with sum(ks) = len(ks): the lambda part already has top
+# degree, so a zero ends the key, or else every entry is 1, and the string and
+# dilaton steps alone reduce it to the unpointed integral
+_top_triple = reduction((0, 1), lambda g, ks: None if ks else lambda_cube(g) / 2, None)
 
 
 def _moduli_integral(g: int, lam: LamKey, ks: Sequence[int]) -> Fraction:
@@ -236,7 +211,9 @@ def _moduli_integral(g: int, lam: LamKey, ks: Sequence[int]) -> Fraction:
     if not key:
         # only the top lambda monomial has a nonzero unpointed integral
         return Fraction(0)
-    return _FAMILIES[tuple(g - i for i in lam)](g, key)
+    # every other monomial of the Euler classes (r <= 3) is a family's
+    offsets = tuple(g - i for i in lam)
+    return next(row for row in FAMILIES.values() if row.offsets == offsets).evaluate(g, key)
 
 
 def degree0_gw(r: int, g: int, insertions: Sequence[Tuple[int, int]]) -> Fraction:

@@ -7,9 +7,9 @@ Insertions of level 0 and 1 are removed by the string and dilaton identities,
     N_g(0, K) = sum_i (2k_i + 1) N_g(K with k_i lowered by one),
     N_g(1, K) = 3 (2g - 2 + |K|) N_g(K),
 
-the terms of :func:`combinat.string_dilaton` weighted by w(v)/w(v-1) = 2v + 1
-for the w(k) = (2k+1)!! N carries per insertion; then a top insertion of level
-k+1 >= 2 by the Dijkgraaf-Verlinde-Verlinde form of the level-k Virasoro
+by :func:`combinat.reduction` under its weight rule, here w(v)/w(v-1) = 2v + 1
+for the w(k) = (2k+1)!! that N carries per insertion; then a top insertion of
+level k+1 >= 2 by the Dijkgraaf-Verlinde-Verlinde form of the level-k Virasoro
 constraint, recursing on (g, n):
 
     N_g(k+1, S) = sum_j (2d_j + 1) N_g(d_j + k, S\\j)
@@ -24,94 +24,90 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .combinat import (
     PSI_GRADING,
+    Family,
+    Key,
     double_factorial,
-    family_key,
     graded_splits,
+    multinomial,
     multisets,
+    reduction,
     runs,
-    string_dilaton,
 )
 from .phase_space import Caps, TruncatedSeries
-from .store import TAG_PSI, lookup, record, register_memo
+from .store import TAG_PSI, lookup, record, tables
 
-__all__ = ["psi_integral", "psi_or_zero", "point_partition"]
+__all__ = ["PSI", "psi_integral", "psi_or_zero", "point_partition"]
 
-# N_g(K) of every key the recursion has reached
-_psi_rec: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-register_memo(_psi_rec.clear)
-
-
-def psi_integral(g: int, ks: Sequence[int]) -> Fraction:
-    """<tau_{k1} ... tau_{kn}>_g, exact.
-
-    Returns 0 on dimension mismatch (sum k != 3g - 3 + n); raises DomainError
-    for unstable (g, n) and LimitError for more than MAX_POINTS insertions.
-    """
-    key = family_key(g, ks, PSI_GRADING, strict=True)
-    return Fraction(0) if key is None else _psi(g, key)
+def _psi(g: int, key: Key) -> Fraction:
+    # key is a canonical key on the grading
+    cached = lookup(TAG_PSI, (g, key))
+    return Fraction(_rec(g, key), _scale(g, key)) if cached is None else cached
 
 
-def psi_or_zero(g: int, ks: Iterable[int]) -> Fraction:
-    """Like psi_integral but unstable inputs count as 0 (used inside sums);
-    more than MAX_POINTS insertions still raise LimitError."""
-    key = family_key(g, ks, PSI_GRADING)
-    return Fraction(0) if key is None else _psi(g, key)
-
-
-def _psi(g: int, ks: Tuple[int, ...]) -> Fraction:
-    # ks is a canonical key on the grading
-    cached = lookup(TAG_PSI, (g, ks))
-    return Fraction(_rec(g, ks), _scale(g, ks)) if cached is None else cached
-
-
-def _scale(g: int, ks: Tuple[int, ...]) -> int:
+def _scale(g: int, key: Key) -> int:
     # N_g(K) / <tau_K>_g
-    return 2 ** max(4 * g - 1, 0) * prod(double_factorial(2 * k + 1) for k in ks)
+    return 2 ** max(4 * g - 1, 0) * prod(double_factorial(2 * k + 1) for k in key)
 
 
-def _rec(g: int, ks: Iterable[int]) -> int:
-    # N_g(ks), and 0 off the stable range or the grading.  The genus reduction
-    # adds an insertion, so the insertion limit is left to the public entries.
-    ks = tuple(sorted(ks, reverse=True))
-    val = _psi_rec.get((g, ks))
-    if val is not None:
-        return val
-    n = len(ks)
-    if g < 0 or 2 * g - 2 + n <= 0 or sum(ks) - n != 3 * g - 3:
-        return 0
-    scale = _scale(g, ks)
-    loaded = lookup(TAG_PSI, (g, ks))
-    if loaded is not None and scale % loaded.denominator == 0:
-        val = loaded.numerator * (scale // loaded.denominator)
-    else:  # not preloaded, or preloaded with a value that is no psi number
-        if g == 0 and ks == (0, 0, 0) or g == 1 and ks == (1,):
-            val = 1
-        elif ks[-1] <= 1:
-            val = sum(c * (2 * v + 1) * _rec(g, k) for v, c, k in string_dilaton(g, ks))
-        else:
-            val = _top_step(g, ks[0] - 1, ks[1:])
-        record(TAG_PSI, (g, ks), Fraction(val, scale))
-    _psi_rec[g, ks] = val
-    return val
+def _base(g: int, key: Key) -> Optional[int]:
+    # N of a preloaded key, unless that value is no psi number, and of the base keys
+    loaded = lookup(TAG_PSI, (g, key))
+    if loaded is not None:
+        scale = _scale(g, key)
+        if scale % loaded.denominator == 0:
+            return loaded.numerator * (scale // loaded.denominator)
+    if g == 0 and key == (0, 0, 0) or g == 1 and key == (1,):
+        _record((g, key), 1)
+        return 1
+    return None
 
 
-def _top_step(g: int, k: int, rest: Tuple[int, ...]) -> int:
-    # N_g(k + 1, rest) by the DVV step of the module docstring
-    # a top key has g >= 2 (all exponents >= 2), so D(g) - D(g-1) - 1 = 3
-    val = sum(_rec(g - 1, rest + (r, k - 1 - r)) for r in range(k)) << 3
+def _record(gk: Tuple[int, Key], n: int) -> None:
+    record(TAG_PSI, gk, Fraction(n, _scale(*gk)))
+
+
+def _top(g: int, key: Key) -> int:
+    # N_g(k + 1, rest) by the DVV step of the module docstring, on the sorted
+    # keys it reaches, all stable and on the grading; a top key has g >= 2
+    # (all exponents >= 2), so D(g) - D(g-1) - 1 = 3
+    k, rest = key[0] - 1, key[1:]
+    val = sum(_rec(g - 1, tuple(sorted(rest + (r, k - 1 - r), reverse=True)))
+              for r in range(k)) << 3
     for d, c, i in runs(rest):
-        val += c * (2 * d + 1) * _rec(g, rest[:i] + rest[i + 1 :] + (d + k,))
+        low = tuple(sorted(rest[:i] + rest[i + 1 :] + (d + k,), reverse=True))
+        val += c * (2 * d + 1) * _rec(g, low)
     for c, left, right, excess in graded_splits(rest):
         # the left factor (r, left) has genus g1 = (r + 2 + excess) / 3, so the
         # r of one split step by 3; excess >= 0 keeps g1 and g - g1 >= 1
         for g1 in range(-(-(2 + excess) // 3), (k + 1 + excess) // 3 + 1):
             r = 3 * g1 - 2 - excess
-            val += c * _rec(g1, (r,) + left) * _rec(g - g1, (k - 1 - r,) + right)
+            lk = tuple(sorted((r,) + left, reverse=True))
+            rk = tuple(sorted((k - 1 - r,) + right, reverse=True))
+            val += c * _rec(g1, lk) * _rec(g - g1, rk)
     return val
+
+
+def _closed(g: int, key: Key) -> Optional[Fraction]:
+    # the closed forms at genus 0 and with one point
+    if g == 0:
+        return Fraction(multinomial(len(key) - 3, key))
+    return Fraction(1, 24**g * factorial(g)) if len(key) == 1 else None
+
+
+# N_g(K) of every key the recursion has reached.  The genus reduction adds
+# an insertion, so the insertion limit is left to the entries.
+_rec = reduction((2, 1), _base, _top, _record)
+_psi_rec = _rec.memo
+
+PSI = Family(TAG_PSI, None, (), PSI_GRADING, 0, 0, _psi, _closed, ((3, (7,)), (2, (3, 2))),
+             tables()[TAG_PSI]).named("psi_integral")
+# <tau_{k1} ... tau_{kn}>_g: psi_integral raises DomainError for unstable
+# (g, n) and psi_or_zero, for sums, gives 0 there (see Family)
+psi_integral, psi_or_zero = PSI.strict, PSI.or_zero
 
 
 def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:

@@ -33,7 +33,7 @@ TAG_LAMBDA_G_GM1 = "lambda_g_gm1"
 TAG_LAMBDA_GM1 = "lambda_gm1"
 
 # Tags that are written through to the persistent cache.  Recursion-solver
-# oracles keep private in-memory memos instead (see hodge.py): mixing them with
+# oracles keep their reduction's memo instead (see hodge.py): mixing them with
 # the closed-form tables would break the dual-route checks.
 CACHED_TAGS = (TAG_PSI, TAG_LAMBDA_G, TAG_LAMBDA_G_GM1, TAG_LAMBDA_GM1)
 
@@ -41,8 +41,8 @@ Key = Tuple[int, Tuple[int, ...]]
 
 _tables: Dict[str, Dict[Key, Fraction]] = {t: {} for t in CACHED_TAGS}
 _computed = 0
-# clear() of every memo kept outside the tables: the solver memos in hodge.py
-# and the lru_caches of combinat.py and mumford.py
+# clear() of every memo kept outside the tables: each combinat.reduction memo
+# and the lru_caches of combinat.py, hodge.py and mumford.py
 _other_memos: List[Callable[[], None]] = []
 
 

@@ -13,17 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from . import store
 from .combinat import multisets, stirling_s2
 from .hodge import (
+    FAMILIES,
     b_constant,
     c_constant,
     hodge_table,
-    lambda_g,
-    lambda_g_gm1,
     lambda_g_gm1_solver,
     lambda_g_solver,
-    lambda_gm1,
 )
 from .mumford import (
     LambdaRingElem,
@@ -43,7 +40,7 @@ from .operators import (
     point_operator,
 )
 from .phase_space import monomial_degree, monomial_weight
-from .psi import point_partition, psi_integral
+from .psi import point_partition
 from .series1d import b_closed_form, b_sequence
 
 __all__ = ["SUITES", "run_suite", "GOLDEN_TABLE", "commutator_residuals",
@@ -84,16 +81,14 @@ _CLOSED_FORM_MAX_POINTS = 4  # insertions per key of the closed-form suite
 
 def suite_closed_vs_recursion(max_genus: int = 3) -> List[Check]:
     checks: List[Check] = []
-    for g in range(0, max_genus + 1):
-        for n in range(3 if g == 0 else 1, _CLOSED_FORM_MAX_POINTS + 1):
-            for ks in multisets(n, 2 * g - 3 + n):
-                a, b = lambda_g(g, ks), lambda_g_solver(g, ks)
-                checks.append((f"lambda_g g={g} ks={ks}", a == b, f"{a} vs {b}"))
-    for g in range(1, max_genus + 1):
-        for n in range(1, _CLOSED_FORM_MAX_POINTS + 1):
-            for ks in multisets(n, g - 2 + n):
-                a, b = lambda_g_gm1(g, ks), lambda_g_gm1_solver(g, ks)
-                checks.append((f"lambda_g_gm1 g={g} ks={ks}", a == b, f"{a} vs {b}"))
+    for row, solver in ((FAMILIES["lambda_g"], lambda_g_solver),
+                        (FAMILIES["lambda_g_gm1"], lambda_g_gm1_solver)):
+        slope, offset = row.grading
+        for g in range(row.gmin, max_genus + 1):
+            for n in range(max(row.nmin, 3 - 2 * g), _CLOSED_FORM_MAX_POINTS + 1):
+                for ks in multisets(n, slope * g + offset + n):
+                    a, b = row.strict(g, ks), solver(g, ks)
+                    checks.append((f"{row.name} g={g} ks={ks}", a == b, f"{a} vs {b}"))
     return checks
 
 
@@ -238,30 +233,17 @@ def suite_cg(max_genus: int = 5) -> List[Check]:
     return checks
 
 
-_TAG_EVAL: Dict[str, Callable[[int, Tuple[int, ...]], Fraction]] = {
-    store.TAG_PSI: psi_integral,
-    store.TAG_LAMBDA_G: lambda_g,
-    store.TAG_LAMBDA_G_GM1: lambda_g_gm1,
-    store.TAG_LAMBDA_GM1: lambda_gm1,
-}
-
-
-# a nonzero key or two per table, so that a sweep in a fresh process has
-# entries (a key off its family's dimension is 0 and is not recorded)
-_SEEDS = ((store.TAG_PSI, 3, (7,)), (store.TAG_PSI, 2, (3, 2)),
-          (store.TAG_LAMBDA_G, 3, (4, 1, 1, 1)), (store.TAG_LAMBDA_G_GM1, 3, (2, 1, 1)),
-          (store.TAG_LAMBDA_GM1, 3, (5, 1)))
-
-
 def suite_string_dilaton() -> List[Check]:
-    """String and dilaton identities over every memoized integral, the seeds
-    included; a line that swept no entry tested nothing, so it fails."""
-    for tag, g, ks in _SEEDS:
-        _TAG_EVAL[tag](g, ks)
+    """String and dilaton identities over every memoized integral of each
+    family, in table order, each family after its nonzero seeds (so that a
+    fresh process has entries; seeded in turn, none adds entries to a family
+    swept before it); a line that swept no entry tested nothing, so it fails."""
     checks: List[Check] = []
-    for tag, table in store.tables().items():
-        fn = _TAG_EVAL[tag]
-        keys = list(table.keys())
+    for row in FAMILIES.values():
+        fn = row.strict
+        for g, ks in row.seeds:
+            fn(g, ks)
+        keys = list(row.entries)
         string_ok = dilaton_ok = bool(keys)
         for (g, ks) in keys:
             n = len(ks)
@@ -273,8 +255,9 @@ def suite_string_dilaton() -> List[Check]:
                 string_ok = False
             if fn(g, ks + (1,)) != (2 * g - 2 + n) * fn(g, ks):
                 dilaton_ok = False
-        checks.append((f"string identity over {tag} ({len(keys)} entries)", string_ok, ""))
-        checks.append((f"dilaton identity over {tag} ({len(keys)} entries)", dilaton_ok, ""))
+        name = f"over {row.name} ({len(keys)} entries)"
+        checks.append((f"string identity {name}", string_ok, ""))
+        checks.append((f"dilaton identity {name}", dilaton_ok, ""))
     return checks
 
 

@@ -31,16 +31,16 @@ def test_reset_empties_every_memo():
             hodge.lambda_g_gm1_solver(3, [2, 1]),
             hodge.lambda_g_gm1(3, [4, 2, 0, 0, 0]),
             hodge.lambda_gm1(3, [4, 2]),
+            hodge.FAMILIES["lambda_g_gm2"].strict(3, [3, 1]),
             mumford.euler_class(2, 3),
+            mumford.degree0_gw(3, 2, [(0, 1)]),
         )
 
     def sizes():
         return {
             "tables": sum(len(t) for t in store.tables().values()),
-            "psi_rec": len(psi._psi_rec),
-            "lambda_g_rec": len(hodge._lambda_g_rec),
-            "lambda_gg_rec": len(hodge._lambda_gg_rec),
-            "gg_closed": len(hodge._gg_closed_memo),
+            # every recursion's memo, so that a new one is covered here too
+            **{f"reduction {i}": len(m) for i, m in enumerate(combinat.REDUCTION_MEMOS)},
             "b_constant": hodge.b_constant.cache_info().currsize,
             "gg_const": hodge.gg_const.cache_info().currsize,
             "bernoulli": combinat.bernoulli.cache_info().currsize,
@@ -52,14 +52,13 @@ def test_reset_empties_every_memo():
 
     first = compute()
     assert all(sizes().values()), sizes()
-    # the psi recursion, the solvers and the lambda_g lambda_{g-1} closed form
-    # carry integer multiples of their values, keyed by the key alone where
-    # the grading fixes the genus
-    for memo in (hodge._lambda_g_rec, hodge._lambda_gg_rec, hodge._gg_closed_memo):
-        assert all(type(x) is int for key in memo for x in key)
-    for memo in (psi._psi_rec, hodge._lambda_g_rec, hodge._lambda_gg_rec):
+    # the recursions are keyed by (genus, key); psi, the solvers and the
+    # lambda_g lambda_{g-1} closed form carry integer multiples of their values
+    for memo in combinat.REDUCTION_MEMOS:
+        assert all(type(g) is int and all(type(x) is int for x in key) for g, key in memo)
+    integral = (psi._psi_rec, hodge._lg_rec.memo, hodge._gg_rec.memo, hodge._gg_closed.memo)
+    for memo in integral:
         assert all(type(v) is int for v in memo.values())
-    assert all(type(v) is int for v in hodge._gg_closed_memo.values())
     store.reset()
     assert not any(sizes().values()), sizes()
     assert store.computed_count() == 0

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hodgeint import store, verify
+from hodgeint import hodge, store
 from hodgeint.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from hodgeint.errors import (
     MAX_BSEQ_GENUS,
@@ -102,6 +102,22 @@ class TestQueries:
         assert (code, err) == (EXIT_OK, "")
         assert out.splitlines()[-1] == "value = 41/161280"
 
+    def test_lambda_gm2(self, capsys):
+        # 1/9 of the P^2 value above, as c_1^2 = 9 h^2 there; this class
+        # exited 2 with "invalid choice"
+        argv = ["lambda", "--class", "gm2", "--genus", "3", "--exponents", "3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "class = gm2\ngenus = 3\nvalue = 41/1451520\n"
+
+    @pytest.mark.parametrize("cls", ["g", "gg", "gm1", "gm2"])
+    @pytest.mark.parametrize("genus,exponents", [("0", "0"), ("1", ""), ("0", "1,-1,0")])
+    def test_lambda_unstable_input_is_a_domain_error(self, capsys, cls, genus, exponents):
+        argv = ["lambda", "--class", cls, "--genus", genus, "--exponents", exponents]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cache_info(self, capsys):
         code, out, _ = run(capsys, "cache-info")
         assert code == EXIT_OK
@@ -156,15 +172,19 @@ class TestVerify:
         # eight lines over 0 entries each
         code, out, _ = run(capsys, "verify", "--suite", "string-dilaton")
         *lines, summary = out.splitlines()
-        assert code == EXIT_OK and summary == "8/8 checks passed"
+        n = 2 * len(hodge.FAMILIES)  # a string and a dilaton line per family
+        assert code == EXIT_OK and summary == f"{n}/{n} checks passed"
         swept = [int(re.search(r"\((\d+) entries\)", line).group(1)) for line in lines]
-        assert len(swept) == 8 and min(swept) > 0, swept
+        assert len(swept) == n and min(swept) > 0, swept
+        assert "[pass] dilaton identity over lambda_g_gm2 (" in out
 
     def test_string_dilaton_over_no_entry_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "_SEEDS", ())
+        for name, row in list(hodge.FAMILIES.items()):
+            monkeypatch.setitem(hodge.FAMILIES, name, row._replace(seeds=()))
         code, out, _ = run(capsys, "verify", "--suite", "string-dilaton")
+        n = 2 * len(hodge.FAMILIES)
         assert code == EXIT_VERIFY_FAILED
-        assert out.count("[FAIL]") == 8 and out.endswith("0/8 checks passed\n")
+        assert out.count("[FAIL]") == n and out.endswith(f"0/{n} checks passed\n")
 
     @pytest.mark.parametrize("suite", ["commutators", "string-dilaton"])
     def test_max_genus_rejected_without_genus(self, capsys, suite):

@@ -52,7 +52,8 @@ class TestClosedVsRecursion:
             assert lambda_g_gm1(3, ks) == hodge.lambda_g_gm1_solver(3, ks)
         table = store.tables()[store.TAG_LAMBDA_G_GM1]
         assert sorted(table) == sorted((3, ks) for ks in keys)
-        assert not set(hodge._gg_closed_memo) & set(keys) and hodge._gg_closed_memo
+        memo = hodge._gg_closed.memo  # keyed by (genus, key)
+        assert not set(memo) & {(3, ks) for ks in keys} and memo
         store.reset()
 
 
