@@ -1,9 +1,18 @@
 """Exact intersection numbers of psi and lambda classes on moduli of stable
 curves: closed forms, constraint recursions, obstruction-bundle Euler classes,
 and degree-zero descendent invariants, all over ``fractions.Fraction``.
+
+``import hodgeint`` loads the psi/lambda core: ``errors``, ``store``,
+``combinat``, ``phase_space``, ``psi``, ``series1d`` and ``hodge``.  The layers
+that test the core load on first use: the constraint families
+(``constraints``), the obstruction-bundle Euler classes (``mumford``) and the
+operators L_k (``operators``).  Their public names below resolve through the
+module ``__getattr__``, which imports the defining submodule the first time
+one of them is read.
 """
 
-from .constraints import x_curve, x_surface, y_curve, y_surface
+import importlib
+
 from .errors import DomainError
 from .hodge import (
     b_constant,
@@ -17,24 +26,6 @@ from .hodge import (
     lambda_g_gm1_solver,
     lambda_g_solver,
     lambda_gm1,
-)
-from .mumford import (
-    LambdaRingElem,
-    degree0_gw,
-    euler_class,
-    euler_class_genus1,
-)
-from .operators import (
-    CohomologyData,
-    DifferentialOperator,
-    apply_operator,
-    commutator,
-    general_operator,
-    p1_data,
-    p2_data,
-    p3_data,
-    point_data,
-    point_operator,
 )
 from .psi import point_partition, psi_integral
 from .series1d import b_closed_form, b_sequence
@@ -77,3 +68,38 @@ __all__ = [
     "b_sequence",
     "b_closed_form",
 ]
+
+# public name -> the submodule that defines it, imported on first access
+_DEFERRED = {
+    **dict.fromkeys(("x_curve", "y_curve", "x_surface", "y_surface"), "constraints"),
+    **dict.fromkeys(
+        ("LambdaRingElem", "euler_class", "euler_class_genus1", "degree0_gw"), "mumford"
+    ),
+    **dict.fromkeys(
+        (
+            "CohomologyData",
+            "DifferentialOperator",
+            "point_operator",
+            "general_operator",
+            "commutator",
+            "apply_operator",
+            "point_data",
+            "p1_data",
+            "p2_data",
+            "p3_data",
+        ),
+        "operators",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_DEFERRED[name]}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_DEFERRED))

@@ -191,15 +191,16 @@ _lg_rec = reduction((0, 1), lambda g, key: 1 if len(key) == 1 or key == (0, 0, 0
 
 def _lambda_g_gm1(g: int, key: Key) -> Fraction:
     v = lookup(TAG_LAMBDA_G_GM1, (g, key))
-    if v is None:  # recorded, so the memo of M drops it
-        v = record(TAG_LAMBDA_G_GM1, (g, key), _gg_value(g, key))
-        _gg_closed.memo.pop((g, key), None)
-    return v
+    return record(TAG_LAMBDA_G_GM1, (g, key), _gg_value(g, key)) if v is None else v
 
 
 def _gg_value(g: int, key: Key) -> Fraction:
+    # the value goes to the table, recorded here or preloaded by the cache
+    # after this check, so the memo of M drops the key
     p, q = _gg_ratio(g, key)
-    return Fraction(_gg_closed(g, key) * p, q)
+    m = _gg_closed(g, key)
+    _gg_closed.memo.pop((g, key), None)
+    return Fraction(m * p, q)
 
 
 def _gg_ratio(g: int, key: Key) -> Tuple[int, int]:

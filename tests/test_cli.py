@@ -186,6 +186,22 @@ class TestVerify:
         assert code == EXIT_VERIFY_FAILED
         assert out.count("[FAIL]") == n and out.endswith(f"0/{n} checks passed\n")
 
+    def test_unknown_suite_is_a_usage_error(self, capsys):
+        from hodgeint.verify import SUITES
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "no-such-suite"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'no-such-suite'" in err and "Traceback" not in err
+        assert all(repr(name) in err for name in SUITES)
+
+    def test_suite_choices_are_the_suites(self):
+        # the parser lists the suites without importing hodgeint.verify
+        from hodgeint import cli, verify
+
+        assert cli._SUITES == tuple(sorted(verify.SUITES))
+
     @pytest.mark.parametrize("suite", ["commutators", "string-dilaton"])
     def test_max_genus_rejected_without_genus(self, capsys, suite):
         code, out, err = run(capsys, "verify", "--suite", suite, "--max-genus", "1")

@@ -1,18 +1,40 @@
 """The package runs on the standard library alone: no process imports sympy,
-and importing it stays cheap."""
+and importing it stays cheap: ``import hodgeint`` and the psi/lambda commands
+load none of the layers that test the core."""
 
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 _LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
 
+# the layers that load on first use, and the CLI's suites and csv writer
+_LAZY_MODULES = ["hodgeint.constraints", "hodgeint.mumford", "hodgeint.operators",
+                 "hodgeint.verify", "csv"]
+_LOADED_DEFERRED = f"print([m for m in {_LAZY_MODULES!r} if m in sys.modules])"
 
-def _run(code):
+_CLI = (
+    "import runpy, sys\n"
+    "sys.argv = ['hodgeint', *{argv!r}]\n"
+    "try:\n"
+    "    runpy.run_module('hodgeint.cli', run_name='__main__')\n"
+    "except SystemExit as exc:\n"
+    "    print('exit', exc.code)\n"
+)
+
+
+def _run(code, cli_argv=None):
+    """stdout of ``code`` in a fresh interpreter, run after the command
+    ``python -m hodgeint.cli *cli_argv`` when that is given."""
+    if cli_argv is not None:
+        code = _CLI.format(argv=list(cli_argv)) + code
     done = subprocess.run(
         [sys.executable, "-c", code],
         cwd=ROOT,
@@ -36,16 +58,7 @@ def test_import_loads_no_dataclasses_or_inspect():
 
 
 def test_euler_command_loads_no_sympy():
-    # python -m hodgeint.cli euler --dim 2 --genus 3, then list sympy modules
-    out = _run(
-        "import runpy, sys\n"
-        "sys.argv = ['hodgeint', 'euler', '--dim', '2', '--genus', '3']\n"
-        "try:\n"
-        "    runpy.run_module('hodgeint.cli', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    print('exit', exc.code)\n"
-        + _LOADED
-    )
+    out = _run(_LOADED, ["euler", "--dim", "2", "--genus", "3"])
     assert out.splitlines() == [
         "class = (1)*c1*c1*lam3*lam1 + (-1)*c1*lam3*lam2",
         "dim = 2",
@@ -53,6 +66,83 @@ def test_euler_command_loads_no_sympy():
         "exit 0",
         "[]",
     ]
+
+
+def test_import_defers_the_testing_layers():
+    assert _run(f"import sys, hodgeint; {_LOADED_DEFERRED}") == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--genus", "2", "--exponents", "4"],
+        ["lambda", "--class", "gg", "--genus", "3", "--exponents", "2"],
+        ["lambda", "--class", "gm2", "--genus", "3", "--exponents", "3"],
+        ["--format", "json", "bseq", "--max-genus", "5"],
+        ["cache-info"],
+    ],
+)
+def test_core_commands_load_no_deferred_layer(argv):
+    *_, code, loaded = _run(_LOADED_DEFERRED, argv).splitlines()
+    assert (code, loaded) == ("exit 0", "[]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["euler", "--dim", "2", "--genus", "3"],
+        ["gw0", "--target", "P1", "--genus", "2", "--insertions", "1:2"],
+        ["gw0", "--target", "P2", "--genus", "3", "--insertions", "0:3"],
+    ],
+)
+def test_euler_and_gw0_load_mumford_alone(argv):
+    *_, code, loaded = _run(_LOADED_DEFERRED, argv).splitlines()
+    assert (code, loaded) == ("exit 0", "['hodgeint.mumford']")
+
+
+def test_csv_format_loads_csv_alone():
+    argv = ["--format", "csv", "bseq", "--max-genus", "2"]
+    *_, code, loaded = _run(_LOADED_DEFERRED, argv).splitlines()
+    assert (code, loaded) == ("exit 0", "['csv']")
+
+
+def test_deferred_table_is_the_rest_of_all():
+    # in a fresh interpreter, the names of __all__ that import hodgeint has
+    # not bound are exactly the keys of the name -> module table, and dir()
+    # lists every name of __all__ before any is read
+    code = (
+        "import hodgeint\n"
+        "unbound = [n for n in hodgeint.__all__ if n not in vars(hodgeint)]\n"
+        "print(sorted(unbound) == sorted(hodgeint._DEFERRED))\n"
+        "print(set(hodgeint.__all__) <= set(dir(hodgeint)))"
+    )
+    assert _run(code) == "True\nTrue\n"
+
+
+def test_every_public_name_resolves_to_its_definition():
+    import hodgeint
+
+    for name in hodgeint.__all__:
+        value = getattr(hodgeint, name)
+        module = hodgeint._DEFERRED.get(name)
+        if module is not None:
+            assert value is getattr(importlib.import_module(f"hodgeint.{module}"), name)
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "from hodgeint import *\n"
+        "import hodgeint\n"
+        "print(all(globals()[n] is getattr(hodgeint, n) for n in hodgeint.__all__))"
+    )
+    assert _run(code) == "True\n"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    import hodgeint
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        hodgeint.no_such_name
 
 
 def test_no_sympy_import_in_sources():

@@ -4,6 +4,8 @@ A standard-library AST scan, like test_no_unused_imports.py.  A definition
 counts as used when a module under src/ names it outside the definition's own
 body (a bare name, an attribute or an imported name) or lists it in an
 ``__all__``; a name used only by tests, or only by its own recursion, is dead.
+A module's PEP 562 hooks, ``__getattr__`` and ``__dir__``, count as used: the
+interpreter calls them.
 """
 
 import ast
@@ -11,6 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def _names(node):
@@ -28,7 +31,7 @@ def dead_definitions(sources):
     """(module, name) of each module-level def or class in ``sources``
     ({module: source text}) that nothing outside its own body refers to."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    exported, uses = set(), {}
+    exported, uses = set(MODULE_HOOKS), {}
     for tree in trees.values():
         for name in _names(tree):
             uses[name] = uses.get(name, 0) + 1
@@ -65,9 +68,16 @@ def test_scanner_sees_dead_and_used_definitions():
         ),
         "other.py": "from a import _attr_only\ndef imported(): return a._by_attribute\n",
         "b.py": "def _attr_only(): pass\ndef _by_attribute(): pass\ndef _dead(): pass\n",
+        "lazy.py": (
+            "def __getattr__(name): return _load(name)\n"
+            "def __dir__(): return []\n"
+            "def _load(name): return name\n"
+            "def _unused_beside_hooks(): pass\n"
+        ),
     }
     assert dead_definitions(sources) == [
         ("a.py", "_Unused"),
         ("a.py", "_recursive"),
         ("b.py", "_dead"),
+        ("lazy.py", "_unused_beside_hooks"),
     ]
