@@ -1,23 +1,23 @@
-"""Persistent memo cache: JSON-lines file mirroring the in-memory tables.
+"""Persistent memo cache: a JSON-lines file of the saved memos' values.
 
-Layout: a header line ``{"format": "hodgeint-cache-v1", ...}`` followed by one
-record per integral::
+Layout: a header line ``{"format": "hodgeint-cache-v2", ...}`` followed by one
+record per memo entry of :func:`store.tables`, psi's and lambda_{g-1}'s::
 
     {"tag": "psi", "genus": 2, "exponents": [4], "value": "1/1152"}
 
 Rationals are stored as their ``str``: ``"p/q"``, or ``"p"`` when q = 1.  A
 header with an unknown format version makes the loader refuse the file
 (returning 0 entries) so values are recomputed rather than misread; so does a
-record off its family's closed form, after one warning on stderr.  Any other
-malformed line makes it raise ValueError.  Writing re-exports the full tables
-into a fresh temporary file in the same directory and renames it over the
-target, so processes that share one cache file never see, or clobber, a
-half-written one; the command line writes only after computing a value.
+psi record that no psi value can be (see :func:`_checked_entry`), after one
+warning on stderr.  Any other malformed line makes it raise ValueError.
+Writing exports the full memos into a fresh temporary file in the same
+directory and renames it over the target, so processes that share one cache
+file never see, or clobber, a half-written one; the command line writes only
+after its saved memos grew.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import sys
@@ -27,41 +27,76 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
-from . import hodge, store
-from .combinat import family_key
-from .errors import MAX_LAMBDA_GENUS, MAX_POINTS, MAX_PSI_GENUS
+from . import store
+from .combinat import PSI_GRADING, Value, family_key
+from .errors import MAX_POINTS, MAX_PSI_GENUS
+from .hodge import FAMILIES
+from .psi import closed_form, memo_entry
 
 __all__ = ["FORMAT_VERSION", "ENV_CACHE_PATH", "load_cache", "save_cache"]
 
-FORMAT_VERSION = "hodgeint-cache-v1"
+FORMAT_VERSION = "hodgeint-cache-v2"
 ENV_CACHE_PATH = "HODGEINT_CACHE"
 
 
 def load_cache(path: Union[str, Path]) -> int:
-    """Preload table entries from a cache file; returns the number loaded.
+    """Insert a cache file's records into the saved memos; returns the number
+    inserted.
 
-    Missing files, version mismatches and a record off its closed form (see
-    :func:`_closed_form`; one warning on stderr) load nothing, so the caller
-    recomputes; a file of any other shape than the layout above raises
-    ValueError naming the offending line.
+    Every record is checked before any is inserted.  Missing files, version
+    mismatches and a psi record that no psi value can be (one warning on
+    stderr) insert nothing, so the caller recomputes; a file of any other
+    shape than the layout above raises ValueError naming the offending line.
     """
     path = Path(path)
     if not path.exists():
         return 0
-    loaded = 0
+    entries = []
     for lineno, tag, (g, ks), value in _records(path):
-        want = _closed_form(tag, g, ks)
-        if want is not None and value != want:
+        try:
+            entry = _checked_entry(tag, g, ks, value)
+        except _NoValue as want:
             bad = f"{tag} at genus {g}, exponents {list(ks)} is {value}, not {want}"
-            warn = f"warning: cache {path}: line {lineno}: {bad}; the file is ignored"
-            print(warn, file=sys.stderr)
-            # none of the file's values stays (a memo entry dropped is recomputed)
-            for _, done, key, _ in itertools.islice(_records(path), loaded):
-                store.tables()[done].pop(key, None)
+            print(f"warning: cache {path}: line {lineno}: {bad}; the file is ignored",
+                  file=sys.stderr)
             return 0
-        store.preload(tag, (g, ks), value)
-        loaded += 1
-    return loaded
+        if entry is not None:
+            entries.append((store.tables()[tag], (g, ks), entry))
+    for memo, key, entry in entries:
+        memo[key] = entry
+    return len(entries)
+
+
+class _NoValue(Exception):
+    """Raised with what a record's value must be, for a value its family
+    cannot have there."""
+
+
+def _checked_entry(tag: str, g: int, ks: Tuple[int, ...], value: Fraction) -> Optional[Value]:
+    """The memo entry a record loads as, or None for one left out.
+
+    lambda_{g-1} records stay trusted and load as their value.  A psi record
+    loads as the recursion's integer N (see :func:`psi.memo_entry`); at genus
+    0 and with one point its value must be the closed form, and everywhere it
+    must be on psi's integer scale.  A psi record of an integral that is 0
+    (off the grading, unstable or with a negative exponent) must hold 0 and is
+    left out, as is one beyond the command line's genus and insertion limits,
+    which no command reads.  Raises _NoValue otherwise.
+    """
+    if tag == store.TAG_LAMBDA_GM1:
+        return value
+    if g > MAX_PSI_GENUS or len(ks) > MAX_POINTS:
+        return None
+    key = family_key(g, ks, PSI_GRADING)
+    want = Fraction(0) if key is None else closed_form(g, key)
+    if want is not None and value != want:
+        raise _NoValue(want)
+    if key is None:
+        return None
+    entry = memo_entry(g, key, value)
+    if entry is None:
+        raise _NoValue("on psi's integer scale")
+    return entry
 
 
 def _records(path: Path) -> Iterator[Tuple[int, str, store.Key, Fraction]]:
@@ -73,21 +108,6 @@ def _records(path: Path) -> Iterator[Tuple[int, str, store.Key, Fraction]]:
         for lineno, line in enumerate(fh, start=2):
             if line.strip():
                 yield (lineno, *_parse_record(_parse_line(line, lineno), lineno))
-
-
-def _closed_form(tag: str, g: int, ks: Tuple[int, ...]) -> Optional[Fraction]:
-    """The value a record must hold where its family has a closed form (the
-    row's ``closed``: lambda_g, lambda_g lambda_{g-1}, psi at genus 0 or with
-    one point), 0 off its stable range and grading.  None for the records that
-    stay trusted: lambda_{g-1}, the other psi, and those beyond the command
-    line's genus limit (psi's own for psi, the family without a --class
-    letter) and insertion limit, which no command reads."""
-    row = hodge.FAMILIES[tag]
-    cap = MAX_LAMBDA_GENUS if row.letter else MAX_PSI_GENUS
-    if row.closed is None or len(ks) > MAX_POINTS or g > cap:
-        return None
-    key = family_key(g, ks, row.grading, row.gmin, row.nmin)
-    return Fraction(0) if key is None else row.closed(g, key)
 
 
 def _parse_line(line: str, lineno: int) -> dict:
@@ -110,7 +130,7 @@ def _parse_record(rec: dict, lineno: int):
     if missing:
         raise ValueError(f"line {lineno}: record lacks {', '.join(missing)}")
     tag, genus, exps, value = rec["tag"], rec["genus"], rec["exponents"], rec["value"]
-    if tag not in store.CACHED_TAGS:
+    if tag not in store.tables():
         raise ValueError(f"line {lineno}: unknown cache tag {tag!r}")
     if not _is_int(genus) or not isinstance(exps, list) or not all(map(_is_int, exps)):
         raise ValueError(f"line {lineno}: genus and exponents must be integers")
@@ -124,7 +144,8 @@ def _parse_record(rec: dict, lineno: int):
 
 
 def save_cache(path: Union[str, Path]) -> int:
-    """Export every memoized entry; returns the number written."""
+    """Export every saved memo's entries as values (each family's evaluator
+    reads its memo); returns the number written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -133,12 +154,13 @@ def save_cache(path: Union[str, Path]) -> int:
             now = datetime.now(timezone.utc).isoformat()
             header = {"format": FORMAT_VERSION, "created": now}
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for tag in store.CACHED_TAGS:
-                for (g, ks), value in sorted(store.tables()[tag].items()):
+            for tag, memo in store.tables().items():
+                for g, ks in sorted(memo):
+                    value = FAMILIES[tag].evaluate(g, ks)
                     rec = dict(tag=tag, genus=g, exponents=list(ks), value=str(value))
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return sum(len(store.tables()[tag]) for tag in store.CACHED_TAGS)
+    return sum(map(len, store.tables().values()))

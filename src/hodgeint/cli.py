@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=_SUITES, required=True)
     p.add_argument("--max-genus", type=int, default=None)
 
-    p = sub.add_parser("cache-info", help="show memo table sizes")
+    p = sub.add_parser("cache-info", help="show the sizes of the saved memos")
     return parser
 
 
@@ -216,12 +216,14 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK if checks and failed == 0 else EXIT_VERIFY_FAILED
 
     if args.command == "cache-info":
-        payload = {tag: len(tbl) for tag, tbl in store.tables().items()}
-        payload["computed_this_run"] = store.computed_count()
-        print(_emit(payload, fmt))
+        print(_emit({tag: len(memo) for tag, memo in store.tables().items()}, fmt))
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _saved_entries() -> int:
+    return sum(map(len, store.tables().values()))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -234,6 +236,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cache {cache_path}: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
+    loaded = _saved_entries()
     try:
         code = _run(args)
     except LimitError as exc:
@@ -242,7 +245,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    if cache_path and store.computed_count():  # a run that computed nothing adds nothing
+    if cache_path and _saved_entries() > loaded:  # a run that added nothing saves nothing
         try:
             cache.save_cache(cache_path)
         except OSError as exc:

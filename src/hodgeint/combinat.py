@@ -107,16 +107,15 @@ class Family(NamedTuple):
     """A row of the family table ``hodge.FAMILIES``: one integral family of
     psi classes against a lambda monomial."""
 
-    name: str  # its store tag, which names its cache records, or its sweep name
+    name: str  # its sweep name, and the tag of its cache records if it is saved
     letter: Optional[str]  # its `lambda --class` letter
     offsets: Key  # its lambda monomial, as the j of each lambda_{g-j}
     grading: Tuple[int, int]
     gmin: int
     nmin: int
     evaluate: Callable[[int, Key], Fraction]  # on a key that passed family_key
-    closed: Optional[Callable]  # what its cache record at such a key must hold
     seeds: Tuple[Tuple[int, Key], ...]  # nonzero keys for the string-dilaton sweep
-    entries: Dict[Tuple[int, Key], Value]  # its memoized values, which the sweep checks
+    entries: Dict[Tuple[int, Key], Value]  # its memo, whose keys the sweep checks
     strict: Optional[Callable[[int, Iterable[int]], Fraction]] = None  # see named
     or_zero: Optional[Callable[[int, Iterable[int]], Fraction]] = None
 
@@ -352,14 +351,16 @@ def string_dilaton(g: int, key: Tuple[int, ...]) -> List[Tuple[int, int, Tuple[i
 REDUCTION_MEMOS: List[Dict[Tuple[int, Key], Value]] = []
 
 
-def reduction(weight: Tuple[int, int], base: Optional[Callable], top: Optional[Callable],
-              record: Optional[Callable] = None) -> Callable[[int, Key], Value]:
+def reduction(weight: Tuple[int, int], base: Callable,
+              top: Optional[Callable]) -> Callable[[int, Key], Value]:
     """A family's recursion rec(g, key) on descending genus-g keys, memoized
     by (g, key) in ``rec.memo``: the memo's value, else base(g, key) unless
     None, else for a key ending in 0 or 1 the sum over the terms (v, c, lower
     key) of :func:`string_dilaton`, else top(g, key), which removes a top
     insertion >= 2 through rec on canonical keys.  The memo is read before
-    each descent, so a known term costs no call.
+    each descent, so a known term costs no call, and every value is memoized,
+    base values too: a base that answers every key makes rec a memoized
+    closed form.
 
     The weight rule, for every family: where the recursion carries a factor
     w(k) per insertion k, the term of v weighs c w(v)/w(v-1) = c (a v + b),
@@ -367,10 +368,8 @@ def reduction(weight: Tuple[int, int], base: Optional[Callable], top: Optional[C
     lambda_g lambda_{g-1}'s M (w(k) = (2k-1)!!), (0, 1) for w = 1.  Integer
     terms sum as integers, Fractions over one common denominator.
 
-    Sum and top values are memoized and passed to record((g, key), value).
-    Base values are memoized only with a record hook, whose base reads the
-    persistent cache and records its own base keys; other bases are closed,
-    or held by another table.
+    The memo is the family's only store of values; the persistent cache
+    saves psi's and lambda_{g-1}'s (see :mod:`hodgeint.store`).
     """
     a, b = weight
     memo: Dict[Tuple[int, Key], Value] = {}
@@ -383,13 +382,9 @@ def reduction(weight: Tuple[int, int], base: Optional[Callable], top: Optional[C
         if val is not None:
             return val
         val = base(g, key)
-        if val is not None:
-            if record is not None:
-                memo[gk] = val
-            return val
-        if key[-1] > 1:
+        if val is None and key[-1] > 1:
             val = top(g, key)
-        else:
+        elif val is None:
             num, den = 0, 1
             for v, c, low in string_dilaton(g, key):
                 x = memo.get((g, low))
@@ -404,8 +399,6 @@ def reduction(weight: Tuple[int, int], base: Optional[Callable], top: Optional[C
                     den = m
             val = num if type(x) is int else Fraction(num, den)
         memo[gk] = val
-        if record is not None:
-            record(gk, val)
         return val
 
     rec.memo = memo  # type: ignore[attr-defined]

@@ -6,8 +6,11 @@ lambda_g lambda_{g-1} by a closed double-factorial form, lambda_{g-1} (no
 closed form known) from the one-point constants c_g and the curve constraint
 relations, and lambda_g lambda_{g-2} (no closed form beyond g = 2) solved
 from the surface constraint relations, one-point keys included.  Each row
-gives a strict entry and an ``_or_zero`` entry for sums.  ``lambda_cube`` is
-the n = 0 integral of lambda_{g-1}^3.
+gives a strict entry and an ``_or_zero`` entry for sums, and keeps its
+values in one memo, its reduction's: the cache saves lambda_{g-1}'s (see
+:mod:`hodgeint.store`), and the closed forms, reductions whose base answers
+every key, are memoized in the process only.  ``lambda_cube`` is the n = 0
+integral of lambda_{g-1}^3.
 
 Each closed form ships with an independent recursion solver
 (``lambda_g_solver`` / ``lambda_g_gm1_solver``) that only ever uses the
@@ -52,15 +55,7 @@ from .combinat import (
 from .errors import DomainError
 from .psi import PSI, psi_or_zero
 from .series1d import b_closed_form
-from .store import (
-    TAG_LAMBDA_G,
-    TAG_LAMBDA_G_GM1,
-    TAG_LAMBDA_GM1,
-    lookup,
-    record,
-    register_memo,
-    tables,
-)
+from .store import TAG_LAMBDA_GM1, register_memo, tables
 
 __all__ = [
     "FAMILIES",
@@ -136,14 +131,13 @@ def lambda_cube(g: int) -> Fraction:
 # lambda_g family: a closed multinomial form, and a solver
 
 
-def _lambda_g(g: int, key: Key) -> Fraction:
-    v = lookup(TAG_LAMBDA_G, (g, key))
-    return record(TAG_LAMBDA_G, (g, key), _lg_value(g, key)) if v is None else v
-
-
 def _lg_value(g: int, key: Key) -> Fraction:
     b = b_constant(g)
     return Fraction(multinomial(2 * g + len(key) - 3, key) * b.numerator, b.denominator)
+
+
+# the closed form at the keys asked for, memoized in this process, never saved
+_lambda_g = reduction((0, 1), _lg_value, None)
 
 
 def _lg_solve(g: int, key: Key) -> Fraction:
@@ -189,42 +183,31 @@ _lg_rec = reduction((0, 1), lambda g, key: 1 if len(key) == 1 or key == (0, 0, 0
 # zero exponents are removed by the string identity first.
 
 
-def _lambda_g_gm1(g: int, key: Key) -> Fraction:
-    v = lookup(TAG_LAMBDA_G_GM1, (g, key))
-    return record(TAG_LAMBDA_G_GM1, (g, key), _gg_value(g, key)) if v is None else v
-
-
 def _gg_value(g: int, key: Key) -> Fraction:
-    # the value goes to the table, recorded here or preloaded by the cache
-    # after this check, so the memo of M drops the key
-    p, q = _gg_ratio(g, key)
-    m = _gg_closed(g, key)
-    _gg_closed.memo.pop((g, key), None)
-    return Fraction(m * p, q)
+    return _gg_from_m(g, key, _gg_closed(g, key))
 
 
-def _gg_ratio(g: int, key: Key) -> Tuple[int, int]:
-    c = gg_const(g)  # value / M = gg_const(g) / prod (2k_i-1)!!
-    return c.numerator, c.denominator * prod(double_factorial(2 * k - 1) for k in key)
+def _gg_from_m(g: int, key: Key, m: int) -> Fraction:
+    # the value M gg_const(g) / prod (2k_i-1)!! of either route's M
+    c = gg_const(g)
+    return Fraction(m * c.numerator, c.denominator * prod(double_factorial(2 * k - 1) for k in key))
 
 
 def _gg_closed_base(g: int, key: Key) -> Optional[int]:
     # M: (2g+n-3)! (2g-1)!! / (2g-1)! = (2g+n-3)! / (2^{g-1} (g-1)!) with no
     # zero.  One zero keeps the base: its string step's weights sum to
-    # 2(g-2+n) - (n-1) = base(n) / base(n-1).  A recorded key: M from its value.
+    # 2(g-2+n) - (n-1) = base(n) / base(n-1).
     n = len(key)
     if n < 3 or key[-2]:
         return factorial(2 * g + n - 3) // (factorial(g - 1) << g - 1)
-    known = lookup(TAG_LAMBDA_G_GM1, (g, key))
-    if known is None:
-        return None
-    p, q = _gg_ratio(g, key)
-    return known.numerator * q // (known.denominator * p)
+    return None
 
 
-# M of the keys with two zeros or more reached and not in the table; a key
-# ending above 1 has no zero, so no top step is needed
+# M of the keys reached; a key ending above 1 has no zero, so no top step is
+# needed
 _gg_closed = reduction((2, -1), _gg_closed_base, None)
+# the closed form at the keys asked for, memoized in this process, never saved
+_lambda_g_gm1 = reduction((0, 1), _gg_value, None)
 
 
 def _gg_solve(g: int, key: Key) -> Fraction:
@@ -244,9 +227,7 @@ def _gg_solve(g: int, key: Key) -> Fraction:
     base (2g-3)!!; the top step is
     (2k+2k0+1) M(k0+k, K) + sum_i (2k_i-1) M(k0, k_i+k, K without k_i).
     """
-    c = gg_const(g)
-    scale = prod(double_factorial(2 * k - 1) for k in key)
-    return Fraction(_gg_rec(g, key) * c.numerator, scale * c.denominator)
+    return _gg_from_m(g, key, _gg_rec(g, key))
 
 
 def _gg_top(g: int, key: Key) -> int:
@@ -277,10 +258,7 @@ _gg_rec = reduction((2, -1), lambda g, key: double_factorial(2 * g - 3) if len(k
 def _gm1_base(g: int, key: Key) -> Optional[Fraction]:
     if g == 1:
         return psi_or_zero(1, key)
-    v = lookup(TAG_LAMBDA_GM1, (g, key))
-    if v is None and len(key) == 1:  # the grading forces k = 2g-1
-        v = record(TAG_LAMBDA_GM1, (g, key), c_constant(g))
-    return v
+    return c_constant(g) if len(key) == 1 else None  # the grading forces k = 2g-1
 
 
 def _solve(split: Callable, g: int, key: Key) -> Fraction:
@@ -312,8 +290,9 @@ def _xcurve_partial(g: int, k: int, derivs: Key) -> Tuple[Tuple[int, Key], Fract
     return lead, Fraction(sum(c * x.numerator * (d // x.denominator) for c, x in terms), 2 * d)
 
 
-_gm1 = reduction((0, 1), _gm1_base, partial(_solve, _xcurve_partial),
-                 partial(record, TAG_LAMBDA_GM1))
+# the values of the keys reached, the memo the cache saves
+_gm1 = reduction((0, 1), _gm1_base, partial(_solve, _xcurve_partial))
+tables()[TAG_LAMBDA_GM1] = _gm1.memo
 
 
 # ---------------------------------------------------------------------------
@@ -371,34 +350,34 @@ _gm2 = reduction((0, 1), _gm2_base, partial(_solve, _xsurface_partial))
 
 # ---------------------------------------------------------------------------
 # the family table: a row per family, read by the command line (its
-# `lambda --class` letters), the cache (its closed forms), the verify sweep
-# (its seeds and entries) and mumford (its lambda offsets).  The store tags
-# name the cache records, so they stay in store.
+# `lambda --class` letters), the cache (the evaluators of the saved rows), the
+# verify sweep (its seeds and memo) and mumford (its lambda offsets).  Each
+# row's memo is its reduction's.
 
 FAMILIES: Dict[str, Family] = {
     row.name: row
     for row in (
         PSI,
-        Family(TAG_LAMBDA_G, "g", (0,), LAMBDA_G_GRADING, 0, 1, _lambda_g, _lg_value,
-               ((3, (4, 1, 1, 1)),), tables()[TAG_LAMBDA_G]).named(),
-        Family(TAG_LAMBDA_G_GM1, "gg", (0, 1), LAMBDA_GG_GRADING, 1, 1, _lambda_g_gm1,
-               _gg_value, ((3, (2, 1, 1)),), tables()[TAG_LAMBDA_G_GM1]).named(),
-        Family(TAG_LAMBDA_GM1, "gm1", (1,), LAMBDA_GM1_GRADING, 1, 1, _gm1, None,
-               ((3, (5, 1)),), tables()[TAG_LAMBDA_GM1]).named(),
-        Family("lambda_g_gm2", "gm2", (0, 2), LAMBDA_GM2_GRADING, 1, 1, _gm2, None,
+        Family("lambda_g", "g", (0,), LAMBDA_G_GRADING, 0, 1, _lambda_g,
+               ((3, (4, 1, 1, 1)),), _lambda_g.memo).named(),
+        Family("lambda_g_gm1", "gg", (0, 1), LAMBDA_GG_GRADING, 1, 1, _lambda_g_gm1,
+               ((3, (2, 1, 1)),), _lambda_g_gm1.memo).named(),
+        Family(TAG_LAMBDA_GM1, "gm1", (1,), LAMBDA_GM1_GRADING, 1, 1, _gm1,
+               ((3, (5, 1)),), _gm1.memo).named(),
+        Family("lambda_g_gm2", "gm2", (0, 2), LAMBDA_GM2_GRADING, 1, 1, _gm2,
                ((3, (3, 1)), (3, (2, 2))), _gm2.memo).named(),
     )
 }
 # <tau_{k1}...tau_{kn} | lambda class>_g: the strict entries raise DomainError
 # off the stable range, the or-zero ones give 0 there (see Family); a solver is
 # the strict entry of its family with the solve as evaluator
-lambda_g, lambda_g_or_zero = FAMILIES[TAG_LAMBDA_G].strict, FAMILIES[TAG_LAMBDA_G].or_zero
-lambda_g_gm1 = FAMILIES[TAG_LAMBDA_G_GM1].strict
-lambda_g_gm1_or_zero = FAMILIES[TAG_LAMBDA_G_GM1].or_zero
+lambda_g, lambda_g_or_zero = FAMILIES["lambda_g"].strict, FAMILIES["lambda_g"].or_zero
+lambda_g_gm1 = FAMILIES["lambda_g_gm1"].strict
+lambda_g_gm1_or_zero = FAMILIES["lambda_g_gm1"].or_zero
 lambda_gm1, _gm1_or_zero = FAMILIES[TAG_LAMBDA_GM1].strict, FAMILIES[TAG_LAMBDA_GM1].or_zero
 lambda_g_gm2_or_zero = FAMILIES["lambda_g_gm2"].or_zero
-lambda_g_solver = FAMILIES[TAG_LAMBDA_G]._replace(evaluate=_lg_solve).named("lambda_g_solver").strict
-lambda_g_gm1_solver = FAMILIES[TAG_LAMBDA_G_GM1]._replace(evaluate=_gg_solve).named(
+lambda_g_solver = FAMILIES["lambda_g"]._replace(evaluate=_lg_solve).named("lambda_g_solver").strict
+lambda_g_gm1_solver = FAMILIES["lambda_g_gm1"]._replace(evaluate=_gg_solve).named(
     "lambda_g_gm1_solver").strict
 
 

@@ -18,13 +18,16 @@ constraint, recursing on (g, n):
 
 With every exponent in S at least 2, the grading gives both factors of a split
 genus >= 1, so every split exponent is 0: the 1/2 of genus-0 splits never arises.
+
+The recursion's memo of N is the one store of psi values, and the persistent
+cache saves it; only this module converts between N and the value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from typing import Optional, Tuple
+from typing import Optional
 
 from .combinat import (
     PSI_GRADING,
@@ -38,36 +41,26 @@ from .combinat import (
     runs,
 )
 from .phase_space import Caps, TruncatedSeries
-from .store import TAG_PSI, lookup, record, tables
+from .store import TAG_PSI, tables
 
 __all__ = ["PSI", "psi_integral", "psi_or_zero", "point_partition"]
 
+
 def _psi(g: int, key: Key) -> Fraction:
     # key is a canonical key on the grading
-    cached = lookup(TAG_PSI, (g, key))
-    return Fraction(_rec(g, key), _scale(g, key)) if cached is None else cached
+    return Fraction(_rec(g, key), _scale(g, key))
+
+
+def memo_entry(g: int, key: Key, value: Fraction) -> Optional[int]:
+    """The memo's N of a psi value at a canonical key, or None where value
+    times the scale is no integer, which no psi value is."""
+    n, r = divmod(value.numerator * _scale(g, key), value.denominator)
+    return None if r else n
 
 
 def _scale(g: int, key: Key) -> int:
     # N_g(K) / <tau_K>_g
     return 2 ** max(4 * g - 1, 0) * prod(double_factorial(2 * k + 1) for k in key)
-
-
-def _base(g: int, key: Key) -> Optional[int]:
-    # N of a preloaded key, unless that value is no psi number, and of the base keys
-    loaded = lookup(TAG_PSI, (g, key))
-    if loaded is not None:
-        scale = _scale(g, key)
-        if scale % loaded.denominator == 0:
-            return loaded.numerator * (scale // loaded.denominator)
-    if g == 0 and key == (0, 0, 0) or g == 1 and key == (1,):
-        _record((g, key), 1)
-        return 1
-    return None
-
-
-def _record(gk: Tuple[int, Key], n: int) -> None:
-    record(TAG_PSI, gk, Fraction(n, _scale(*gk)))
 
 
 def _top(g: int, key: Key) -> int:
@@ -91,20 +84,26 @@ def _top(g: int, key: Key) -> int:
     return val
 
 
-def _closed(g: int, key: Key) -> Optional[Fraction]:
-    # the closed forms at genus 0 and with one point
+def _base(g: int, key: Key) -> Optional[int]:
+    return 1 if g == 0 and key == (0, 0, 0) or g == 1 and key == (1,) else None
+
+
+def closed_form(g: int, key: Key) -> Optional[Fraction]:
+    """<tau_key>_g at genus 0 and with one point, else None: what a cached
+    psi value at a canonical key must be."""
     if g == 0:
         return Fraction(multinomial(len(key) - 3, key))
     return Fraction(1, 24**g * factorial(g)) if len(key) == 1 else None
 
 
-# N_g(K) of every key the recursion has reached.  The genus reduction adds
-# an insertion, so the insertion limit is left to the entries.
-_rec = reduction((2, 1), _base, _top, _record)
-_psi_rec = _rec.memo
+# N_g(K) of every key the recursion has reached, the memo the cache saves.
+# The genus reduction adds an insertion, so the insertion limit is left to
+# the entries.
+_rec = reduction((2, 1), _base, _top)
+_psi_rec = tables()[TAG_PSI] = _rec.memo
 
-PSI = Family(TAG_PSI, None, (), PSI_GRADING, 0, 0, _psi, _closed, ((3, (7,)), (2, (3, 2))),
-             tables()[TAG_PSI]).named("psi_integral")
+PSI = Family(TAG_PSI, None, (), PSI_GRADING, 0, 0, _psi, ((3, (7,)), (2, (3, 2))),
+             _psi_rec).named("psi_integral")
 # <tau_{k1} ... tau_{kn}>_g: psi_integral raises DomainError for unstable
 # (g, n) and psi_or_zero, for sums, gives 0 there (see Family)
 psi_integral, psi_or_zero = PSI.strict, PSI.or_zero

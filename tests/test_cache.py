@@ -1,4 +1,4 @@
-"""Persistent memo cache: round trips, version guard, preload accounting."""
+"""Persistent memo cache: round trips, version guard, record checks."""
 
 import json
 import os
@@ -27,6 +27,7 @@ def test_reset_empties_every_memo():
     def compute():
         return (
             psi_integral(3, [7]),
+            hodge.lambda_g(3, [4, 1, 1, 1]),
             hodge.lambda_g_solver(3, [3, 2, 1]),
             hodge.lambda_g_gm1_solver(3, [2, 1]),
             hodge.lambda_g_gm1(3, [4, 2, 0, 0, 0]),
@@ -61,43 +62,52 @@ def test_reset_empties_every_memo():
         assert all(type(v) is int for v in memo.values())
     store.reset()
     assert not any(sizes().values()), sizes()
-    assert store.computed_count() == 0
     assert compute() == first
 
 
-def test_recursion_reads_a_preloaded_sub_key():
-    # <tau_4>_2 is reached from <tau_7>_3 through a split
-    table = store.tables()[store.TAG_PSI]
-    store.preload(store.TAG_PSI, (2, (4,)), F(1, 1152))
-    assert psi_integral(3, [7]) == F(1, 82944)
-    assert store.computed_count() == len(table) - 1
-    assert type(psi._psi_rec[2, (4,)]) is int
+def test_the_saved_memos_are_the_recursions_memos():
+    # psi's values were kept twice, in the recursion's memo of N and in a
+    # table of Fractions that the cache saved, and the two could disagree
+    assert list(store.tables()) == ["psi", "lambda_gm1"]
+    assert store.tables()["psi"] is psi._rec.memo is hodge.FAMILIES["psi"].entries
+    assert store.tables()["lambda_gm1"] is hodge._gm1.memo is hodge.FAMILIES["lambda_gm1"].entries
 
 
-def test_recursion_recomputes_a_preloaded_value_off_the_scale():
-    # N_2(4) = 2^7 * 9!! * <tau_4>_2 is an integer; for 1/2^40 it is not, so
-    # that value is no psi number
-    table = store.tables()[store.TAG_PSI]
-    store.preload(store.TAG_PSI, (2, (4,)), F(1, 2**40))
+def test_recursion_reads_a_preloaded_sub_key(tmp_path):
+    # <tau_3 tau_2 tau_1>_2 = 4 <tau_3 tau_2>_2 by dilaton; the loaded record
+    # (twice the true 29/5760, on psi's scale) is trusted and read
+    path = tmp_path / "memo.jsonl"
+    _write_records(path, {"tag": "psi", "genus": 2, "exponents": [3, 2], "value": "29/2880"})
+    assert cache.load_cache(path) == 1
+    assert type(psi._psi_rec[2, (3, 2)]) is int
+    assert psi_integral(2, [3, 2, 1]) == 4 * F(29, 2880)
+
+
+def test_recursion_recomputes_a_preloaded_value_off_the_scale(tmp_path, capsys):
+    # N_2(3, 2) = 2^7 * 7!! * 5!! * <tau_3 tau_2>_2 is an integer; for 1/2^40 it
+    # is not, so that value is no psi number: the file is ignored, and
+    # <tau_7>_3, whose genus reduction reaches (3, 2), is recomputed
+    path = tmp_path / "memo.jsonl"
+    off = {"tag": "psi", "genus": 2, "exponents": [3, 2], "value": f"1/{2**40}"}
+    _write_records(path, off)
+    assert cache.load_cache(path) == 0
+    assert "is 1/1099511627776, not on psi's integer scale" in capsys.readouterr().err
     assert psi_integral(3, [7]) == F(1, 82944)
-    assert store.computed_count() == len(table)
-    assert psi_integral(2, [4]) == F(1, 1152)
+    assert psi_integral(2, [3, 2]) == F(29, 5760)
 
 
 def test_round_trip(tmp_path):
     path = tmp_path / "memo.jsonl"
     psi_integral(2, [4])
+    hodge.lambda_gm1(2, [3, 1])
+    saved = {tag: dict(memo) for tag, memo in store.tables().items()}
     n_written = cache.save_cache(path)
-    assert n_written == len(
-        [1 for tag in store.CACHED_TAGS for _ in store.tables()[tag]]
-    )
+    assert n_written == sum(map(len, saved.values())) == len(path.read_text().splitlines()) - 1
     store.reset()
     assert cache.load_cache(path) == n_written
-    assert store.lookup(store.TAG_PSI, (2, (4,))) == F(1, 1152)
-    # preloaded values do not count as computed
-    assert store.computed_count() == 0
+    assert store.tables() == saved
     assert psi_integral(2, [4]) == F(1, 1152)
-    assert store.computed_count() == 0
+    assert store.tables() == saved  # nothing recomputed
 
 
 def test_header_format(tmp_path):
@@ -121,7 +131,7 @@ def test_version_mismatch_loads_nothing(tmp_path):
         + "\n"
     )
     assert cache.load_cache(path) == 0
-    assert store.lookup(store.TAG_PSI, (2, (4,))) is None
+    assert not any(store.tables().values())
 
 
 def test_missing_file(tmp_path):
@@ -161,8 +171,10 @@ def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
         def __str__(self):
             raise RuntimeError("disk full")
 
-    # the save fails midway, at the record of a value it cannot write
-    monkeypatch.setitem(store.tables()[store.TAG_PSI], (2, (4,)), Unwritable())
+    # the save fails midway, at the record of a value it cannot write (psi's
+    # records come first, and the lambda_{g-1} memo holds values)
+    hodge.lambda_gm1(2, [3])
+    monkeypatch.setitem(store.tables()[store.TAG_LAMBDA_GM1], (2, (3,)), Unwritable())
     with pytest.raises(RuntimeError):
         cache.save_cache(path)
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
@@ -195,17 +207,21 @@ def test_concurrent_saves_leave_a_loadable_file(tmp_path):
 
 def test_rational_serialization(tmp_path):
     # "p/q", with the "/q" left out when q = 1, both ways through the file;
-    # multi-point psi records, which the loader does not check
+    # multi-point psi records, which the loader does not check beyond the scale
     path = tmp_path / "memo.jsonl"
-    store.preload(store.TAG_PSI, (5, (13, 1)), F(3))
-    store.preload(store.TAG_PSI, (6, (16, 1)), F(-7, 4))
+    _write_records(
+        path,
+        {"tag": "psi", "genus": 5, "exponents": [13, 1], "value": "3"},
+        {"tag": "psi", "genus": 6, "exponents": [16, 1], "value": "-7/4"},
+    )
+    assert cache.load_cache(path) == 2
     cache.save_cache(path)
     lines = path.read_text().splitlines()
     assert [json.loads(line)["value"] for line in lines[1:]] == ["3", "-7/4"]
     path.write_text("\n".join(lines).replace('"3"', '"5"') + "\n")
     store.reset()
     assert cache.load_cache(path) == 2
-    assert store.tables()[store.TAG_PSI] == {(5, (13, 1)): F(5), (6, (16, 1)): F(-7, 4)}
+    assert psi_integral(5, [13, 1]) == 5 and psi_integral(6, [16, 1]) == F(-7, 4)
 
 
 def _write_records(path, *records):
@@ -216,9 +232,9 @@ def _write_records(path, *records):
 @pytest.mark.parametrize(
     "tag, genus, exponents, value",
     [
-        ("lambda_g", 2, [2, 1], "1/7"),  # 7/1920 by the multinomial form
-        ("lambda_g_gm1", 3, [3, 2, 0, 0], "1/7"),  # through string steps
-        ("lambda_g_gm1", 3, [2, 1], "0"),  # 0 on the grading
+        ("psi", 3, [6, 2], "1/49"),  # off the scale 2^11 13!! 5!!, which 7 divides once
+        ("psi", 2, [2, 2, 2], "1/7"),  # off the scale 2^7 (5!!)^3
+        ("psi", 2, [5, -1], "1"),  # a negative exponent: 0
         ("psi", 2, [4], "1/7"),  # one point: 1/(24^g g!)
         ("psi", 0, [1, 0, 0, 0], "2"),  # genus 0: multinomial(n-3; K)
         ("psi", 1, [2], "1/7"),  # off the grading: 0
@@ -241,18 +257,21 @@ def test_record_off_its_closed_form_voids_the_file(
 
 def test_closed_form_records_load_and_the_rest_stay_trusted(tmp_path):
     path = tmp_path / "memo.jsonl"
-    gg = str(hodge.lambda_g_gm1(3, [3, 2, 0, 0]))
     records = [
-        {"tag": "lambda_g", "genus": 2, "exponents": [2, 1], "value": "7/1920"},
-        {"tag": "lambda_g_gm1", "genus": 3, "exponents": [3, 2, 0, 0], "value": gg},
         {"tag": "psi", "genus": 0, "exponents": [1, 0, 0, 0], "value": "1"},
         {"tag": "psi", "genus": 2, "exponents": [4], "value": "1/1152"},
-        # no closed form: loaded as they are
+        # no closed form: loaded as they are (1/7 is on psi's scale here)
         {"tag": "psi", "genus": 2, "exponents": [3, 2], "value": "1/7"},
         {"tag": "lambda_gm1", "genus": 2, "exponents": [3], "value": "1/7"},
     ]
-    store.reset()
     _write_records(path, *records)
     assert cache.load_cache(path) == len(records)
-    assert store.computed_count() == 0
-    assert store.lookup(store.TAG_LAMBDA_GM1, (2, (3,))) == F(1, 7)
+    assert psi_integral(2, [3, 2]) == hodge.lambda_gm1(2, [3]) == F(1, 7)
+    # a zero integral holding 0, and a record beyond the genus limit, which
+    # no command reads, stay out of the memo
+    store.reset()
+    zero = {"tag": "psi", "genus": 2, "exponents": [4, 2], "value": "0"}  # off the grading
+    beyond = {"tag": "psi", "genus": 10**12, "exponents": [3 * 10**12 - 2], "value": "1"}
+    _write_records(path, zero, beyond)
+    assert cache.load_cache(path) == 0
+    assert not any(store.tables().values())

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from hodgeint import hodge, store
+from hodgeint import cache, hodge, store
 from hodgeint.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from hodgeint.errors import (
     MAX_BSEQ_GENUS,
@@ -321,9 +321,48 @@ class TestCachePlumbing:
         store.reset()
         code, out, _ = run(capsys, "--cache", path, "cache-info")
         assert code == EXIT_OK
-        assert "computed_this_run = 0" in out
+        # the saved memos only: psi's four keys, none of lambda_{g-1}
+        assert out == "lambda_gm1 = 0\npsi = 4\n"
 
-    _HEADER = json.dumps({"format": "hodgeint-cache-v1"})
+    def test_closed_forms_write_no_cache(self, tmp_path, capsys):
+        # lambda_g and lambda_g lambda_{g-1} records were saved, and checked
+        # on load by recomputing the closed form they held
+        path = tmp_path / "memo.jsonl"
+        for family, exponents, value in (("g", "4,1,1", "31/32256"), ("gg", "3,1,0", "1/20160")):
+            argv = ["--cache", str(path), "lambda", "--class", family, "--genus", "3"]
+            code, out, _ = run(capsys, *argv, "--exponents", exponents)
+            assert (code, out.splitlines()[-1]) == (EXIT_OK, f"value = {value}")
+        assert not path.exists()
+
+    def test_format_v1_file_loads_nothing_and_is_rewritten_as_v2(self, tmp_path, capsys):
+        path = tmp_path / "memo.jsonl"
+        v1 = {"tag": "lambda_g", "genus": 2, "exponents": [2, 1], "value": "7/1920"}
+        path.write_text(json.dumps({"format": "hodgeint-cache-v1"}) + "\n" + json.dumps(v1))
+        code, out, err = run(capsys, "--cache", str(path), "cache-info")
+        assert (code, out, err) == (EXIT_OK, "lambda_gm1 = 0\npsi = 0\n", "")
+        assert run(capsys, "--cache", str(path), "psi", "--genus", "2", "--exponents", "4")[0] == 0
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines[0]["format"] == cache.FORMAT_VERSION == "hodgeint-cache-v2"
+        assert {rec["tag"] for rec in lines[1:]} == {"psi"}
+
+    @pytest.mark.parametrize("exponents", ["3,2", "4,2,0"])
+    def test_record_off_the_psi_scale_is_recomputed(self, tmp_path, capsys, exponents):
+        # printed "value = 1/1099511627776" with exit 0 for 3,2; 4,2,0, whose
+        # string step reaches (3, 2), ignored the record and wrote 29/5760 back
+        path = tmp_path / "memo.jsonl"
+        off = {**self._RECORD, "exponents": [3, 2], "value": f"1/{2**40}"}
+        path.write_text(self._HEADER + "\n" + json.dumps(off) + "\n")
+        argv = ["--cache", str(path), "psi", "--genus", "2", "--exponents", exponents]
+        code, out, err = run(capsys, *argv)
+        want = {"3,2": "29/5760", "4,2,0": "11/1440"}[exponents]
+        assert (code, out) == (EXIT_OK, f"genus = 2\nvalue = {want}\n")
+        assert err == (f"warning: cache {path}: line 2: psi at genus 2, exponents [3, 2] is "
+                       f"1/{2**40}, not on psi's integer scale; the file is ignored\n")
+        store.reset()
+        code, out, err = run(capsys, *argv[:6], "3,2")
+        assert (code, out, err) == (EXIT_OK, "genus = 2\nvalue = 29/5760\n", "")
+
+    _HEADER = json.dumps({"format": cache.FORMAT_VERSION})
     _RECORD = {"tag": "psi", "genus": 2, "exponents": [4], "value": "1/1152"}
 
     def test_tampered_closed_form_record_is_recomputed(self, tmp_path, capsys):

@@ -40,45 +40,6 @@ class TestClosedVsRecursion:
         assert lambda_g(0, (0, 0, 0)) == psi_integral(0, (0, 0, 0))
         assert lambda_g(0, (1, 0, 0, 0)) == psi_integral(0, (1, 0, 0, 0))
 
-    def test_lambda_g_gm1_memo_and_table_share_no_key(self):
-        # the string steps of (4, 2, 0, 0, 0) reach (3, 2, 0, 0), asked for
-        # before and read back from the table, and (4, 1, 0, 0), kept in the
-        # memo of M until it is asked for itself
-        from hodgeint import hodge, store
-
-        store.reset()
-        keys = [(3, 2, 0, 0), (4, 2, 0, 0, 0), (4, 1, 0, 0)]
-        for ks in keys:
-            assert lambda_g_gm1(3, ks) == hodge.lambda_g_gm1_solver(3, ks)
-        table = store.tables()[store.TAG_LAMBDA_G_GM1]
-        assert sorted(table) == sorted((3, ks) for ks in keys)
-        memo = hodge._gg_closed.memo  # keyed by (genus, key)
-        assert not set(memo) & {(3, ks) for ks in keys} and memo
-        store.reset()
-
-    def test_lambda_g_gm1_cache_load_leaves_memo_and_table_disjoint(self, tmp_path):
-        # the load checks each record against the closed form, whose string
-        # steps memoize M, then preloads the key into the table
-        import json
-
-        from hodgeint import cache, hodge, store
-
-        keys = [(3, 2, 0, 0), (4, 2, 0, 0, 0), (4, 1, 0, 0)]
-        records = [{"format": cache.FORMAT_VERSION}] + [
-            {"tag": "lambda_g_gm1", "genus": 3, "exponents": list(ks),
-             "value": str(hodge.lambda_g_gm1_solver(3, ks))}
-            for ks in keys
-        ]
-        path = tmp_path / "memo.jsonl"
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        store.reset()
-        assert cache.load_cache(path) == len(keys)
-        table = store.tables()[store.TAG_LAMBDA_G_GM1]
-        assert sorted(table) == sorted((3, ks) for ks in keys)
-        memo = hodge._gg_closed.memo
-        assert not set(memo) & set(table) and memo
-        store.reset()
-
 
 class TestLambdaGm1:
     def test_one_point_is_c_constant(self):
