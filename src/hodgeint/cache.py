@@ -8,8 +8,8 @@ record per memo entry of :func:`store.tables`, psi's and lambda_{g-1}'s::
 Rationals are stored as their ``str``: ``"p/q"``, or ``"p"`` when q = 1.  A
 header with an unknown format version makes the loader refuse the file
 (returning 0 entries) so values are recomputed rather than misread; so does a
-psi record that no psi value can be (see :func:`_checked_entry`), after one
-warning on stderr.  Any other malformed line makes it raise ValueError.
+record that no value of its family can be (see :func:`_checked_entry`), after
+one warning on stderr.  Any other malformed line makes it raise ValueError.
 Writing exports the full memos into a fresh temporary file in the same
 directory and renames it over the target, so processes that share one cache
 file never see, or clobber, a half-written one; the command line writes only
@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
 from . import store
-from .combinat import PSI_GRADING, Value, family_key
-from .errors import MAX_POINTS, MAX_PSI_GENUS
+from .combinat import Value, family_key
+from .errors import MAX_LAMBDA_GENUS, MAX_POINTS, MAX_PSI_GENUS
 from .hodge import FAMILIES
 from .psi import closed_form, memo_entry
 
@@ -38,14 +38,17 @@ __all__ = ["FORMAT_VERSION", "ENV_CACHE_PATH", "load_cache", "save_cache"]
 FORMAT_VERSION = "hodgeint-cache-v2"
 ENV_CACHE_PATH = "HODGEINT_CACHE"
 
+# the largest genus the command line reads of each saved family
+_MAX_GENUS = {store.TAG_PSI: MAX_PSI_GENUS, store.TAG_LAMBDA_GM1: MAX_LAMBDA_GENUS}
+
 
 def load_cache(path: Union[str, Path]) -> int:
     """Insert a cache file's records into the saved memos; returns the number
     inserted.
 
     Every record is checked before any is inserted.  Missing files, version
-    mismatches and a psi record that no psi value can be (one warning on
-    stderr) insert nothing, so the caller recomputes; a file of any other
+    mismatches and a record that no value of its family can be (one warning
+    on stderr) insert nothing, so the caller recomputes; a file of any other
     shape than the layout above raises ValueError naming the offending line.
     """
     path = Path(path)
@@ -75,24 +78,28 @@ class _NoValue(Exception):
 def _checked_entry(tag: str, g: int, ks: Tuple[int, ...], value: Fraction) -> Optional[Value]:
     """The memo entry a record loads as, or None for one left out.
 
-    lambda_{g-1} records stay trusted and load as their value.  A psi record
-    loads as the recursion's integer N (see :func:`psi.memo_entry`); at genus
-    0 and with one point its value must be the closed form, and everywhere it
-    must be on psi's integer scale.  A psi record of an integral that is 0
-    (off the grading, unstable or with a negative exponent) must hold 0 and is
-    left out, as is one beyond the command line's genus and insertion limits,
-    which no command reads.  Raises _NoValue otherwise.
+    A record of an integral that its family row makes 0 (off the grading,
+    below the row's genus or insertion minimum, unstable or with a negative
+    exponent) must hold 0 and is left out, as is one beyond the command line's
+    genus and insertion limits, which no command reads.  Other lambda_{g-1}
+    records stay trusted and load as their value.  A psi record loads as the
+    recursion's integer N (see :func:`psi.memo_entry`); at genus 0 and with
+    one point its value must be the closed form, and everywhere it must be on
+    psi's integer scale.  Raises _NoValue otherwise.
     """
+    if g > _MAX_GENUS[tag] or len(ks) > MAX_POINTS:
+        return None
+    row = FAMILIES[tag]
+    key = family_key(g, ks, row.grading, row.gmin, row.nmin)
+    if key is None:
+        if value:
+            raise _NoValue(0)
+        return None
     if tag == store.TAG_LAMBDA_GM1:
         return value
-    if g > MAX_PSI_GENUS or len(ks) > MAX_POINTS:
-        return None
-    key = family_key(g, ks, PSI_GRADING)
-    want = Fraction(0) if key is None else closed_form(g, key)
+    want = closed_form(g, key)
     if want is not None and value != want:
         raise _NoValue(want)
-    if key is None:
-        return None
     entry = memo_entry(g, key, value)
     if entry is None:
         raise _NoValue("on psi's integer scale")

@@ -38,10 +38,10 @@ MAX_POINTS = 200
 # balanced points 0.21 s as a whole command at g = 50), and gw0 reaches only
 # them (and psi at g = 1; P^2 with ten balanced class-0 points solves
 # lambda_g lambda_{g-2} in 0.19 s as a whole command at g = 50); bseq takes
-# 0.21 s at G = 100 and 0.70 s at 200 as whole commands, 3.0 s in-process at
+# 0.11 s at G = 100 and 0.27 s at 200 as whole commands, 0.60 s in-process at
 # 300; euler --dim 3, as a whole cold command, 0.11 s and 16 MB at g = 1000
 # (the class alone is under 1 ms).  verify --max-genus, per suite, as whole
-# cold commands: annihilation 0.13 s at 14 (linear); bseq 1.4 s at 200 (5.3 s
+# cold commands: annihilation 0.13 s at 14 (linear); bseq 0.90 s at 200 (2.4 s
 # in-process at 300); closed-vs-recursion 3.0 s at 40 (13 s in-process at 60);
 # mumford 0.78 s at 80 (7.0 s in-process at 160); euler 0.14 s at 128; cg
 # 2.7 s at 200 (13 s in-process at 320); table stops at the published g = 5.

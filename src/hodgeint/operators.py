@@ -5,7 +5,10 @@ A :class:`DifferentialOperator` is a finite normal-ordered sum of terms
     coefficient * hbar^h * (product of coordinates) * (product of derivatives),
 
 with coordinates labelled ``(class index, descendent level)`` as in
-:mod:`hodgeint.phase_space`.
+:mod:`hodgeint.phase_space`.  Operators are subtracted, scaled, filtered by
+level and bracketed (:func:`commutator`, which sums only the contracted terms
+of the two products), and act on truncated series (:func:`apply_operator`);
+no product of two operators is formed.
 
 One builder, :func:`general_operator`, makes the level-k operator of any
 target from its even cohomology (:class:`CohomologyData`): bracket
@@ -199,12 +202,6 @@ class DifferentialOperator:
     ) -> None:
         self._put((hbar, tuple(sorted(mult)), tuple(sorted(diff))), coeff)
 
-    def __add__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        out = DifferentialOperator._from_canonical(dict(self.terms))
-        for key, c in other.terms.items():
-            out._put(key, c)
-        return out
-
     def __sub__(self, other: "DifferentialOperator") -> "DifferentialOperator":
         out = DifferentialOperator._from_canonical(dict(self.terms))
         for key, c in other.terms.items():
@@ -227,23 +224,6 @@ class DifferentialOperator:
                 if all(k <= level_cap for _, k in mult + diff)
             }
         )
-
-    def __mul__(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        """Normal-ordered composition self . other.
-
-        Each pair of terms gives its plain product, in which no derivative of
-        the left factor acts on the right factor, plus the terms of
-        :func:`_contracted`, in which at least one does (Leibniz).  Both are
-        summed as integer numerators over the product of the two common
-        denominators.
-        """
-        (da, left), (db, right) = _numerators(self.terms), _numerators(other.terms)
-        plain = (
-            ((h1 + h2, tuple(sorted(m1 + m2)), tuple(sorted(d1 + d2))), c1 * c2)
-            for (h1, m1, d1), c1 in left
-            for (h2, m2, d2), c2 in right
-        )
-        return _over(da * db, plain, _contracted(left, right))
 
     def __repr__(self):
         return f"DifferentialOperator<{len(self.terms)} terms>"

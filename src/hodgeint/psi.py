@@ -26,6 +26,7 @@ cache saves it; only this module converts between N and the value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from typing import Optional
 
@@ -41,7 +42,7 @@ from .combinat import (
     runs,
 )
 from .phase_space import Caps, TruncatedSeries
-from .store import TAG_PSI, tables
+from .store import TAG_PSI, register_memo, tables
 
 __all__ = ["PSI", "psi_integral", "psi_or_zero", "point_partition"]
 
@@ -59,8 +60,12 @@ def memo_entry(g: int, key: Key, value: Fraction) -> Optional[int]:
 
 
 def _scale(g: int, key: Key) -> int:
-    # N_g(K) / <tau_K>_g
-    return 2 ** max(4 * g - 1, 0) * prod(double_factorial(2 * k + 1) for k in key)
+    # N_g(K) / <tau_K>_g, read for every value converted, the cache's included
+    return prod(map(_odd_factorial, key), start=1 << max(4 * g - 1, 0))
+
+
+_odd_factorial = lru_cache(maxsize=None)(lambda k: double_factorial(2 * k + 1))  # (2k+1)!!
+register_memo(_odd_factorial.cache_clear)
 
 
 def _top(g: int, key: Key) -> int:

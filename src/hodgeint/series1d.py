@@ -7,7 +7,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import List
 
 from .combinat import bernoulli
@@ -20,15 +20,18 @@ def b_sequence(gmax: int) -> List[Fraction]:
     coefficients b_g of t^{2g} in (t/2)/sin(t/2) = 1 / (sin(t/2) / (t/2)).
 
     In u = t^2, sin(t/2)/(t/2) = sum_k s_k u^k with s_k = (-1)^k / ((2k+1)! 4^k),
-    so its inverse has inv_0 = 1 and inv_m = -sum_{k=1..m} s_k inv_{m-k}.
-    Returns [b_0, ..., b_gmax].
+    so its inverse has inv_0 = 1 and inv_m = -sum_{k=1..m} s_k inv_{m-k}, summed
+    as integer numerators over one common denominator.  Returns [b_0, ..., b_gmax].
     """
     if gmax < 0:
         raise ValueError("gmax must be >= 0")
-    s = [Fraction((-1) ** k, factorial(2 * k + 1) * 4**k) for k in range(gmax + 1)]
+    den = [factorial(2 * k + 1) * 4**k for k in range(gmax + 1)]  # of (-1)^k s_k
     inv = [Fraction(1)]
     for m in range(1, gmax + 1):
-        inv.append(-sum(s[k] * inv[m - k] for k in range(1, m + 1)))
+        terms = [((-1) ** (k + 1) * inv[m - k].numerator, den[k] * inv[m - k].denominator)
+                 for k in range(1, m + 1)]
+        d = lcm(*(q for _, q in terms))
+        inv.append(Fraction(sum(p * (d // q) for p, q in terms), d))
     return inv
 
 

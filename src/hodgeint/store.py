@@ -25,7 +25,7 @@ Key = Tuple[int, Tuple[int, ...]]
 # enter their reduction memos here
 _tables: Dict[str, Dict[Key, Union[int, Fraction]]] = {}
 # clear() of every memo: each combinat.reduction memo and the lru_caches of
-# combinat.py, hodge.py and mumford.py
+# combinat.py, psi.py, hodge.py and mumford.py
 _memos: List[Callable[[], None]] = []
 
 

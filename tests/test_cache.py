@@ -239,6 +239,11 @@ def _write_records(path, *records):
         ("psi", 0, [1, 0, 0, 0], "2"),  # genus 0: multinomial(n-3; K)
         ("psi", 1, [2], "1/7"),  # off the grading: 0
         ("psi", -1, [5], "1"),  # no genus -1: 0
+        # lambda_{g-1} records pass their row's gate too: 0 at a negative
+        # exponent, below the row's genus 1, off its grading
+        ("lambda_gm1", 2, [-3], "1"),
+        ("lambda_gm1", 0, [1, 0, 0], "1"),
+        ("lambda_gm1", 2, [1, 1, 1, 1], "1"),
     ],
 )
 def test_record_off_its_closed_form_voids_the_file(
@@ -275,3 +280,18 @@ def test_closed_form_records_load_and_the_rest_stay_trusted(tmp_path):
     _write_records(path, zero, beyond)
     assert cache.load_cache(path) == 0
     assert not any(store.tables().values())
+
+
+def test_lambda_gm1_records_of_zero_integrals_and_beyond_the_limit_stay_out(tmp_path):
+    # loaded into the memo, and saved again on every write, before the
+    # lambda_{g-1} records passed their row's gate
+    path = tmp_path / "memo.jsonl"
+    records = [
+        {"tag": "lambda_gm1", "genus": 2, "exponents": [1, 1, 1, 1], "value": "0"},
+        {"tag": "lambda_gm1", "genus": 1, "exponents": [], "value": "0"},
+        {"tag": "lambda_gm1", "genus": 51, "exponents": [101], "value": "1"},
+        {"tag": "lambda_gm1", "genus": 2, "exponents": [3], "value": "1/480"},
+    ]
+    _write_records(path, *records)
+    assert cache.load_cache(path) == 1
+    assert store.tables()["lambda_gm1"] == {(2, (3,)): F(1, 480)}

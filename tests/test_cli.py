@@ -365,6 +365,18 @@ class TestCachePlumbing:
     _HEADER = json.dumps({"format": cache.FORMAT_VERSION})
     _RECORD = {"tag": "psi", "genus": 2, "exponents": [4], "value": "1/1152"}
 
+    @pytest.mark.parametrize("genus, exponents", [(2, [-3]), (0, [1, 0, 0])])
+    def test_lambda_gm1_record_off_its_domain_is_ignored(self, tmp_path, capsys, genus, exponents):
+        # loaded without a warning, then the sweep exited 3 with "exponents
+        # must be >= 0" (or "genus must be >= 1"), blaming the command line
+        path = tmp_path / "memo.jsonl"
+        bad = {"tag": "lambda_gm1", "genus": genus, "exponents": exponents, "value": "1"}
+        path.write_text(self._HEADER + "\n" + json.dumps(bad) + "\n")
+        code, out, err = run(capsys, "--cache", str(path), "verify", "--suite", "string-dilaton")
+        assert code == EXIT_OK and out.count("[pass]") == 10
+        assert err == (f"warning: cache {path}: line 2: lambda_gm1 at genus {genus}, exponents "
+                       f"{exponents} is 1, not 0; the file is ignored\n")
+
     def test_tampered_closed_form_record_is_recomputed(self, tmp_path, capsys):
         # printed "value = 1/7" with exit 0
         path = tmp_path / "memo.jsonl"
