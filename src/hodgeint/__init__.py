@@ -32,43 +32,6 @@ from .series1d import b_closed_form, b_sequence
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "psi_integral",
-    "point_partition",
-    "b_constant",
-    "c_constant",
-    "gg_const",
-    "lambda_g",
-    "lambda_g_solver",
-    "lambda_g_gm1",
-    "lambda_g_gm1_solver",
-    "lambda_gm1",
-    "lambda_cube",
-    "kappa_lambda_integral",
-    "hodge_table",
-    "x_curve",
-    "y_curve",
-    "x_surface",
-    "y_surface",
-    "CohomologyData",
-    "DifferentialOperator",
-    "point_operator",
-    "general_operator",
-    "commutator",
-    "apply_operator",
-    "point_data",
-    "p1_data",
-    "p2_data",
-    "p3_data",
-    "LambdaRingElem",
-    "euler_class",
-    "euler_class_genus1",
-    "degree0_gw",
-    "b_sequence",
-    "b_closed_form",
-]
-
 # public name -> the submodule that defines it, imported on first access
 _DEFERRED = {
     **dict.fromkeys(("x_curve", "y_curve", "x_surface", "y_surface"), "constraints"),
@@ -91,6 +54,27 @@ _DEFERRED = {
         "operators",
     ),
 }
+
+# the names `import hodgeint` binds, then the deferred ones
+__all__ = [
+    "DomainError",
+    "psi_integral",
+    "point_partition",
+    "b_constant",
+    "c_constant",
+    "gg_const",
+    "lambda_g",
+    "lambda_g_solver",
+    "lambda_g_gm1",
+    "lambda_g_gm1_solver",
+    "lambda_gm1",
+    "lambda_cube",
+    "kappa_lambda_integral",
+    "hodge_table",
+    "b_sequence",
+    "b_closed_form",
+]
+__all__ += _DEFERRED
 
 
 def __getattr__(name):

@@ -162,10 +162,12 @@ def save_cache(path: Union[str, Path]) -> int:
             header = {"format": FORMAT_VERSION, "created": now}
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for tag, memo in store.tables().items():
+                # a record as the bytes of json.dumps(record, sort_keys=True)
+                line = '{"exponents": [%s], "genus": %d, "tag": ' + json.dumps(tag)
+                line += ', "value": "%s"}\n'
+                evaluate = FAMILIES[tag].evaluate
                 for g, ks in sorted(memo):
-                    value = FAMILIES[tag].evaluate(g, ks)
-                    rec = dict(tag=tag, genus=g, exponents=list(ks), value=str(value))
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                    fh.write(line % (", ".join(map(str, ks)), g, evaluate(g, ks)))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

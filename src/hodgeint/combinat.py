@@ -145,16 +145,17 @@ class Family(NamedTuple):
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n with the convention B_1 = -1/2.
 
-    Computed from the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0.
+    Computed from the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0, summed as
+    integer numerators over one common denominator.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(1)
-    s = Fraction(0)
-    for k in range(n):
-        s += comb(n + 1, k) * bernoulli(k)
-    return -s / (n + 1)
+    bs = [bernoulli(k) for k in range(n)]
+    d = lcm(*(x.denominator for x in bs))
+    s = sum(comb(n + 1, k) * x.numerator * (d // x.denominator) for k, x in enumerate(bs) if x)
+    return Fraction(-s, (n + 1) * d)
 
 
 @lru_cache(maxsize=None)
@@ -362,11 +363,16 @@ def reduction(weight: Tuple[int, int], base: Callable,
     base values too: a base that answers every key makes rec a memoized
     closed form.
 
-    The weight rule, for every family: where the recursion carries a factor
-    w(k) per insertion k, the term of v weighs c w(v)/w(v-1) = c (a v + b),
-    (a, b) = weight: (2, 1) for psi's N (w(k) = (2k+1)!!), (2, -1) for
-    lambda_g lambda_{g-1}'s M (w(k) = (2k-1)!!), (0, 1) for w = 1.  Integer
-    terms sum as integers, Fractions over one common denominator.
+    The weight rule, for every family: the recursion carries w(k) =
+    prod_{v=1..k} (a v + b) per insertion k, (a, b) = weight, and a v + b is
+    the coefficient of an insertion v in both steps the driver owns.  The
+    string step sums c (a v + b) rec(g, key with one v lowered by one) over
+    the distinct v, c its count (the dilaton term is v = 1).  The raise step
+    of the linear block of L_k, ``rec.linear(g, key)``, sums c (a v + b)
+    rec(g, key[1:] with one v raised by key[0] - 1) over the distinct v of
+    key[1:].  ``rec.scale(key)`` is prod w(k_i), 1 on ().  So (2, 1) gives
+    w(k) = (2k+1)!!, (1, 0) k!, (2, -1) (2k-1)!! and (0, 1) w = 1.  Integer
+    string terms sum as integers, Fractions over one common denominator.
 
     The memo is the family's only store of values; the persistent cache
     saves psi's and lambda_{g-1}'s (see :mod:`hodgeint.store`).
@@ -375,6 +381,8 @@ def reduction(weight: Tuple[int, int], base: Callable,
     memo: Dict[Tuple[int, Key], Value] = {}
     REDUCTION_MEMOS.append(memo)
     register_memo(memo.clear)
+    w = lru_cache(maxsize=None)(lambda k: prod(a * v + b for v in range(1, k + 1)))
+    register_memo(w.cache_clear)
 
     def rec(g: int, key: Key) -> Value:
         gk = (g, key)
@@ -401,5 +409,14 @@ def reduction(weight: Tuple[int, int], base: Callable,
         memo[gk] = val
         return val
 
-    rec.memo = memo  # type: ignore[attr-defined]
+    def linear(g: int, key: Key) -> Value:
+        k, rest, val = key[0] - 1, key[1:], 0
+        for v, c, i in runs(rest):
+            low = tuple(sorted(rest[:i] + rest[i + 1 :] + (v + k,), reverse=True))
+            x = memo.get((g, low))
+            val += c * (a * v + b) * (rec(g, low) if x is None else x)
+        return val
+
+    rec.memo, rec.linear = memo, linear  # type: ignore[attr-defined]
+    rec.scale = lambda key: prod(map(w, key))  # type: ignore[attr-defined]
     return rec

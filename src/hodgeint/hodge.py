@@ -16,23 +16,22 @@ Each closed form ships with an independent recursion solver
 (``lambda_g_solver`` / ``lambda_g_gm1_solver``) that only ever uses the
 constraint recursion together with the string/dilaton identities and the
 one-point base value, never the closed formula.  Agreement of the two routes
-is one of the package's acceptance gates.  Both routes, and the lambda_{g-1}
-solve, sum integers and build one Fraction a value: N = value / b_g
-(lambda_g), M = value * prod (2k_i-1)!! / gg_const(g) (lambda_g
-lambda_{g-1}), and lambda_{g-1} numerators over one common denominator.
+is one of the package's acceptance gates.  The lambda_g solver carries
+weight (1, 0) and genus constant b_g, both lambda_g lambda_{g-1} routes
+(2, -1) and gg_const(g), and the lambda_{g-1} solve sums numerators over one
+common denominator; each builds one Fraction a value.
 
 The lambda classes pull back along the forgetful map, so every family obeys
 string and dilaton with the factors of pure psi.  Each recursion is a
-:func:`combinat.reduction`, which takes both steps under its weight rule
-(w(v)/w(v-1) = 2v - 1 for M, whose w(k) is (2k-1)!!, else 1); a family
-supplies its base and its top step.
+:func:`combinat.reduction`, which takes both steps under its weight rule; a
+family supplies its base and its top step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, lcm, prod
+from math import factorial, lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .combinat import (
@@ -49,7 +48,6 @@ from .combinat import (
     linear_block,
     multinomial,
     reduction,
-    runs,
     split_block,
 )
 from .errors import DomainError
@@ -141,38 +139,24 @@ _lambda_g = reduction((0, 1), _lg_value, None)
 
 
 def _lg_solve(g: int, key: Key) -> Fraction:
-    """lambda_g_solver: the values of :func:`lambda_g`, but via the constraint
-    recursion only.
-
-    Induction on n from the one-point base (g > 0) or the three-point genus-0
-    base, using the string and dilaton identities for a trailing 0 or 1 and
-    the top-insertion reduction
-
-        <tau_{k+1} tau_{k0} K> = C(k0+k+1, k0) <tau_{k0+k} K>
-                                + sum_i C(k_i+k, k_i-1) <tau_{k0} .. k_i+k .. K>
-
-    for a largest exponent k+1 >= 2.  Never consults the closed form.  Every
-    step keeps the genus, so the recursion carries the integer
-    N = value / b_g, with base N = 1 at the one-point key and at (0, 0, 0),
-    and b_g (b_0 = 1) enters once, here.
-    """
+    """lambda_g_solver, by the curve y-constraint: weight (1, 0), genus constant b_g."""
+    # value / b_g is an integer, a multinomial
     b = b_constant(g)
-    return Fraction(_lg_rec(g, key) * b.numerator, b.denominator)
+    return Fraction(_lg_rec(g, key) // _lg_rec.scale(key) * b.numerator, b.denominator)
 
 
-def _lg_top(g: int, key: Key) -> int:
-    k, k0, rest = key[0] - 1, key[1], key[2:]  # k >= 1
-    val = comb(k0 + k + 1, k0) * _lg_rec(g, (k0 + k,) + rest)
-    for ki, c, i in runs(rest):
-        others = rest[:i] + rest[i + 1 :]
-        low = tuple(sorted((k0, ki + k) + others, reverse=True))
-        val += c * comb(ki + k, ki - 1) * _lg_rec(g, low)
-    return val
+def _y_top(a: int, rec: Callable, g: int, key: Key) -> int:
+    # the top step of both solvers, the curve (a = 1) or surface (a = 2)
+    # y-constraint on key = (k + 1, k0) + K with k >= 1
+    k, k0 = key[0] - 1, key[1]
+    return a * (k + 1) * rec(g, (k0 + k,) + key[2:]) + rec.linear(g, key)
 
 
-# N of the keys the solver has reached, from 1 at the one-point key and (0, 0, 0)
-_lg_rec = reduction((0, 1), lambda g, key: 1 if len(key) == 1 or key == (0, 0, 0) else None,
-                    _lg_top)
+# prod k_i! value / b_g of the keys the solver has reached, from (2g-2)! at the
+# one-point key and 1 at (0, 0, 0)
+_lg_rec = reduction((1, 0), lambda g, key: factorial(2 * g - 2) if len(key) == 1
+                    else 1 if key == (0, 0, 0) else None,
+                    lambda g, key: _y_top(1, _lg_rec, g, key))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +168,13 @@ _lg_rec = reduction((0, 1), lambda g, key: 1 if len(key) == 1 or key == (0, 0, 0
 
 
 def _gg_value(g: int, key: Key) -> Fraction:
-    return _gg_from_m(g, key, _gg_closed(g, key))
+    return _gg_from_m(_gg_closed, g, key)
 
 
-def _gg_from_m(g: int, key: Key, m: int) -> Fraction:
+def _gg_from_m(rec: Callable, g: int, key: Key) -> Fraction:
     # the value M gg_const(g) / prod (2k_i-1)!! of either route's M
     c = gg_const(g)
-    return Fraction(m * c.numerator, c.denominator * prod(double_factorial(2 * k - 1) for k in key))
+    return Fraction(rec(g, key) * c.numerator, c.denominator * rec.scale(key))
 
 
 def _gg_closed_base(g: int, key: Key) -> Optional[int]:
@@ -211,38 +195,14 @@ _lambda_g_gm1 = reduction((0, 1), _gg_value, None)
 
 
 def _gg_solve(g: int, key: Key) -> Fraction:
-    """lambda_g_gm1_solver: an oracle for :func:`lambda_g_gm1` via the
-    double-factorial recursion.
-
-    Base <tau_{g-1} | lambda_g lambda_{g-1}> = gg_const(g); a trailing 0 or 1
-    goes through the string or dilaton identity, and otherwise a largest
-    exponent k+1 >= 2 through
-
-        <tau_{k+1} tau_{k0} K> =
-            (2k+2k0+1)!! / ((2k+1)!! (2k0-1)!!) <tau_{k0+k} K>
-          + sum_i (2k+2k_i-1)!! / ((2k+1)!! (2k_i-3)!!) <tau_{k0} .. k_i+k .. K>.
-
-    Every step keeps the genus and the double-factorial ratios telescope, so
-    the recursion carries the integer M = value * prod (2k_i-1)!! / gg_const(g):
-    base (2g-3)!!; the top step is
-    (2k+2k0+1) M(k0+k, K) + sum_i (2k_i-1) M(k0, k_i+k, K without k_i).
-    """
-    return _gg_from_m(g, key, _gg_rec(g, key))
-
-
-def _gg_top(g: int, key: Key) -> int:
-    k, k0, rest = key[0] - 1, key[1], key[2:]  # k >= 1, k0 >= 2
-    val = (2 * k + 2 * k0 + 1) * _gg_rec(g, (k0 + k,) + rest)
-    for ki, c, i in runs(rest):
-        others = rest[:i] + rest[i + 1 :]
-        low = tuple(sorted((k0, ki + k) + others, reverse=True))
-        val += c * (2 * ki - 1) * _gg_rec(g, low)
-    return val
+    """lambda_g_gm1_solver, by the surface y-constraint: weight (2, -1), genus
+    constant gg_const(g)."""
+    return _gg_from_m(_gg_rec, g, key)
 
 
 # M of the keys the solver has reached, from (2g-3)!! at the one-point key (g-1,)
 _gg_rec = reduction((2, -1), lambda g, key: double_factorial(2 * g - 3) if len(key) == 1
-                    else None, _gg_top)
+                    else None, lambda g, key: _y_top(2, _gg_rec, g, key))
 
 
 # ---------------------------------------------------------------------------

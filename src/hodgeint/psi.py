@@ -1,16 +1,11 @@
 """Pure psi intersection numbers on moduli of stable pointed curves.
 
 The recursion runs over the integer N_g(K) = 2^{D(g)} prod_{k in K} (2k+1)!!
-<tau_K>_g, with D(0) = 0 and D(g) = 4g - 1, from N_0(0,0,0) = N_1(1) = 1.
-Insertions of level 0 and 1 are removed by the string and dilaton identities,
-
-    N_g(0, K) = sum_i (2k_i + 1) N_g(K with k_i lowered by one),
-    N_g(1, K) = 3 (2g - 2 + |K|) N_g(K),
-
-by :func:`combinat.reduction` under its weight rule, here w(v)/w(v-1) = 2v + 1
-for the w(k) = (2k+1)!! that N carries per insertion; then a top insertion of
-level k+1 >= 2 by the Dijkgraaf-Verlinde-Verlinde form of the level-k Virasoro
-constraint, recursing on (g, n):
+<tau_K>_g, with D(0) = 0 and D(g) = 4g - 1, from N_0(0,0,0) = N_1(1) = 1: a
+:func:`combinat.reduction` of weight (a, b) = (2, 1), genus constant 2^{D(g)}.
+Its string, dilaton and raise steps come from the driver; a top insertion of
+level k+1 >= 2 goes by the Dijkgraaf-Verlinde-Verlinde form of the level-k
+Virasoro constraint, recursing on (g, n):
 
     N_g(k+1, S) = sum_j (2d_j + 1) N_g(d_j + k, S\\j)
         + 2^{D(g)-D(g-1)-1} sum_{r+s=k-1} N_{g-1}(r, s, S)
@@ -26,7 +21,6 @@ cache saves it; only this module converts between N and the value.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, prod
 from typing import Optional
 
@@ -34,15 +28,13 @@ from .combinat import (
     PSI_GRADING,
     Family,
     Key,
-    double_factorial,
     graded_splits,
     multinomial,
     multisets,
     reduction,
-    runs,
 )
 from .phase_space import Caps, TruncatedSeries
-from .store import TAG_PSI, register_memo, tables
+from .store import TAG_PSI, tables
 
 __all__ = ["PSI", "psi_integral", "psi_or_zero", "point_partition"]
 
@@ -61,11 +53,7 @@ def memo_entry(g: int, key: Key, value: Fraction) -> Optional[int]:
 
 def _scale(g: int, key: Key) -> int:
     # N_g(K) / <tau_K>_g, read for every value converted, the cache's included
-    return prod(map(_odd_factorial, key), start=1 << max(4 * g - 1, 0))
-
-
-_odd_factorial = lru_cache(maxsize=None)(lambda k: double_factorial(2 * k + 1))  # (2k+1)!!
-register_memo(_odd_factorial.cache_clear)
+    return _rec.scale(key) << max(4 * g - 1, 0)
 
 
 def _top(g: int, key: Key) -> int:
@@ -75,9 +63,7 @@ def _top(g: int, key: Key) -> int:
     k, rest = key[0] - 1, key[1:]
     val = sum(_rec(g - 1, tuple(sorted(rest + (r, k - 1 - r), reverse=True)))
               for r in range(k)) << 3
-    for d, c, i in runs(rest):
-        low = tuple(sorted(rest[:i] + rest[i + 1 :] + (d + k,), reverse=True))
-        val += c * (2 * d + 1) * _rec(g, low)
+    val += _rec.linear(g, key)
     for c, left, right, excess in graded_splits(rest):
         # the left factor (r, left) has genus g1 = (r + 2 + excess) / 3, so the
         # r of one split step by 3; excess >= 0 keeps g1 and g - g1 >= 1

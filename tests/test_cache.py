@@ -102,7 +102,10 @@ def test_round_trip(tmp_path):
     hodge.lambda_gm1(2, [3, 1])
     saved = {tag: dict(memo) for tag, memo in store.tables().items()}
     n_written = cache.save_cache(path)
-    assert n_written == sum(map(len, saved.values())) == len(path.read_text().splitlines()) - 1
+    lines = path.read_text().splitlines()
+    assert n_written == sum(map(len, saved.values())) == len(lines) - 1
+    # the save formats each record itself, as json.dumps(record, sort_keys=True) would
+    assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines[1:])
     store.reset()
     assert cache.load_cache(path) == n_written
     assert store.tables() == saved

@@ -48,6 +48,21 @@ class TestBernoulli:
         for n in range(2, 20):
             assert sum(comb(n, j) * bernoulli(j) for j in range(n)) == 0
 
+    def test_matches_the_fraction_recurrence(self):
+        # the recurrence with one reduced Fraction per addition, as it was
+        # written before the sum moved to integers over one denominator
+        from math import comb
+
+        ref = [F(1)]
+        for n in range(1, 301):
+            s = F(0)
+            for k in range(n):
+                s += comb(n + 1, k) * ref[k]
+            ref.append(-s / (n + 1))
+        for n, want in enumerate(ref):
+            got = bernoulli(n)
+            assert type(got) is Fraction and got == want, n
+
 
 class TestBracket:
     def test_empty_product(self):

@@ -9,13 +9,13 @@ to stay independent of the closed forms they are the oracle for.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeint import hodge, store
+from hodgeint import combinat, hodge, psi, store
 from hodgeint.combinat import bernoulli, double_factorial, multisets
 from hodgeint.errors import DomainError
 from hodgeint.series1d import b_sequence
@@ -114,9 +114,9 @@ def test_independent_of_the_closed_forms(monkeypatch):
     closed += ("_lambda_g", "_lambda_g_gm1", "lambda_g", "lambda_g_gm1")
     for name in closed:
         monkeypatch.setattr(hodge, name, forbidden)
-    for g, ks in lambda_g_keys(0, 6, 5):
+    for g, ks in lambda_g_keys(0, 6, 8):
         assert hodge.lambda_g_solver(g, ks) == ref_lambda_g(g, ks)
-    for g, ks in lambda_gg_keys(1, 6, 5):
+    for g, ks in lambda_gg_keys(1, 6, 8):
         assert hodge.lambda_g_gm1_solver(g, ks) == ref_lambda_gg(g, ks)
     assert not any(store.tables().values())
     store.reset()
@@ -132,6 +132,44 @@ def test_lambda_g_gm1_solver_on_the_sweep_grid():
     for g, ks in lambda_gg_keys(1, 9, 10):
         value = hodge.lambda_g_gm1_solver(g, ks)
         assert type(value) is Fraction and value == ref_lambda_gg(g, ks), (g, ks)
+
+
+@pytest.mark.parametrize(
+    "rec, w",
+    [
+        (psi._rec, lambda k: double_factorial(2 * k + 1)),
+        (hodge._lg_rec, factorial),
+        (hodge._gg_rec, lambda k: double_factorial(2 * k - 1)),
+        (hodge._gg_closed, lambda k: double_factorial(2 * k - 1)),
+    ],
+    ids=["psi", "lambda_g_solver", "lambda_g_gm1_solver", "lambda_g_gm1"],
+)
+def test_scale_is_the_product_of_the_weights(rec, w):
+    # rec.scale is prod w(k_i) for the weight (a, b) the reduction takes, and
+    # the same after a reset empties its memo of w
+    assert rec.scale(()) == 1
+    for _ in range(2):
+        assert [rec.scale((k,)) for k in range(41)] == [w(k) for k in range(41)]
+        assert rec.scale((7, 3, 3, 0)) == w(7) * w(3) ** 2 * w(0)
+        store.reset()
+
+
+def test_a_wrong_weight_rule_disagrees_with_the_closed_form(monkeypatch):
+    # the lambda_g solver's base and y-step under weight (1, 1) instead of
+    # (1, 0): the grid of the independence test tells it apart from lambda_g
+    monkeypatch.setattr(combinat, "REDUCTION_MEMOS", [])
+    monkeypatch.setattr(combinat, "register_memo", lambda clear: None)
+
+    def base(g, key):
+        return factorial(2 * g - 2) if len(key) == 1 else 1 if key == (0, 0, 0) else None
+
+    wrong = combinat.reduction((1, 1), base, lambda g, key: hodge._y_top(1, wrong, g, key))
+    keys = lambda_g_keys(0, 6, 8)
+    differ = sum(
+        F(wrong(g, ks) * hodge.b_constant(g), wrong.scale(ks)) != hodge.lambda_g(g, ks)
+        for g, ks in keys
+    )
+    assert differ > len(keys) // 2, (differ, len(keys))
 
 
 def test_off_the_grading_is_zero():
