@@ -55,7 +55,6 @@ __all__ = [
     "split_block",
     "split_weights",
     "stirling_s2",
-    "string_dilaton",
 ]
 
 # (slope, offset) of a family's grading: a genus-h integral with n insertions
@@ -212,9 +211,9 @@ def harmonic(n: int) -> Fraction:
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """n! / prod(parts_i!); rejects part lists that do not sum to n."""
-    if min(parts, default=0) < 0:
-        raise ValueError("parts must be nonnegative")
-    if sum(parts) != n:
+    if not sum(parts) == n == sum(map(abs, parts)):  # a wrong sum or a negative part
+        if min(parts, default=0) < 0:
+            raise ValueError("parts must be nonnegative")
         raise ValueError(f"parts {list(parts)} do not sum to {n}")
     return factorial(n) // prod(map(factorial, parts))
 
@@ -325,9 +324,8 @@ def split_block(
 
 def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
     """(entry, multiplicity, index of its last copy) of each distinct entry of
-    a sorted key, in one scan.  Equal entries give equal terms in the string
-    and top steps, so those steps visit each once, weighted by its
-    multiplicity; operator contractions slice copies out of sorted terms."""
+    a sorted key, in one scan: operator contractions slice copies out of
+    sorted terms."""
     n, i = len(key), 0
     while i < n:
         v, j = key[i], i + 1
@@ -335,17 +333,6 @@ def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
             j += 1
         yield v, j - i, j - 1
         i = j
-
-
-def string_dilaton(g: int, key: Tuple[int, ...]) -> List[Tuple[int, int, Tuple[int, ...]]]:
-    """The terms (v, c, lower key) of <key>_g = sum c <lower key>_g for a
-    descending genus-g key ending in 0 or 1: the dilaton term (1, 2g - 3 +
-    len(key), key[:-1]) for a 1, else a string term per distinct positive entry
-    v, its last copy lowered by one (the key stays descending), c its count."""
-    rest = key[:-1]
-    if key[-1]:
-        return [(1, 2 * g - 3 + len(key), rest)]
-    return [(v, c, rest[:i] + (v - 1,) + rest[i + 1 :]) for v, c, i in runs(rest) if v]
 
 
 # the memo of every reduction; store.reset() empties each
@@ -356,23 +343,26 @@ def reduction(weight: Tuple[int, int], base: Callable,
               top: Optional[Callable]) -> Callable[[int, Key], Value]:
     """A family's recursion rec(g, key) on descending genus-g keys, memoized
     by (g, key) in ``rec.memo``: the memo's value, else base(g, key) unless
-    None, else for a key ending in 0 or 1 the sum over the terms (v, c, lower
-    key) of :func:`string_dilaton`, else top(g, key), which removes a top
-    insertion >= 2 through rec on canonical keys.  The memo is read before
-    each descent, so a known term costs no call, and every value is memoized,
-    base values too: a base that answers every key makes rec a memoized
-    closed form.
+    None, else for a key ending in 0 or 1 the string or dilaton step, else
+    top(g, key), which removes a top insertion >= 2 through rec on canonical
+    keys.  The memo is read before each descent, so a known term costs no
+    call, and every value is memoized, base values too: a base that answers
+    every key makes rec a memoized closed form.
 
     The weight rule, for every family: the recursion carries w(k) =
     prod_{v=1..k} (a v + b) per insertion k, (a, b) = weight, and a v + b is
     the coefficient of an insertion v in both steps the driver owns.  The
     string step sums c (a v + b) rec(g, key with one v lowered by one) over
-    the distinct v, c its count (the dilaton term is v = 1).  The raise step
-    of the linear block of L_k, ``rec.linear(g, key)``, sums c (a v + b)
-    rec(g, key[1:] with one v raised by key[0] - 1) over the distinct v of
-    key[1:].  ``rec.scale(key)`` is prod w(k_i), 1 on ().  So (2, 1) gives
-    w(k) = (2k+1)!!, (1, 0) k!, (2, -1) (2k-1)!! and (0, 1) w = 1.  Integer
-    string terms sum as integers, Fractions over one common denominator.
+    the distinct positive v, c its count, in descending order: the last copy
+    of v is lowered, so the key stays descending.  The dilaton step, for a
+    trailing 1, is (2g - 3 + len(key)) (a + b) rec(g, key[:-1]).  The raise
+    step of the linear block of L_k, ``rec.linear(g, key)`` on a key with
+    every entry >= 1, sums c (a v + b) rec(g, key[1:] with one v raised by
+    key[0] - 1 to the front) over the distinct v of key[1:].  Both steps walk
+    the key in place, a run at a time.  ``rec.scale(key)`` is prod w(k_i), 1
+    on ().  So (2, 1) gives w(k) = (2k+1)!!, (1, 0) k!, (2, -1) (2k-1)!! and
+    (0, 1) w = 1.  Integer string terms sum as integers, Fractions over one
+    common denominator.
 
     The memo is the family's only store of values; the persistent cache
     saves psi's and lambda_{g-1}'s (see :mod:`hodgeint.store`).
@@ -392,9 +382,17 @@ def reduction(weight: Tuple[int, int], base: Callable,
         val = base(g, key)
         if val is None and key[-1] > 1:
             val = top(g, key)
+        elif val is None and key[-1]:
+            low = key[:-1]
+            x = memo.get((g, low))
+            val = (2 * g - 3 + len(key)) * (a + b) * (rec(g, low) if x is None else x)
         elif val is None:
-            num, den = 0, 1
-            for v, c, low in string_dilaton(g, key):
+            num, den, i, x = 0, 1, 0, 0
+            while key[i]:  # the runs of positive v, ended by the trailing 0
+                v = key[i]
+                c = key.count(v)
+                i += c
+                low = key[: i - 1] + (v - 1,) + key[i:-1]
                 x = memo.get((g, low))
                 if x is None:
                     x = rec(g, low)
@@ -410,9 +408,12 @@ def reduction(weight: Tuple[int, int], base: Callable,
         return val
 
     def linear(g: int, key: Key) -> Value:
-        k, rest, val = key[0] - 1, key[1:], 0
-        for v, c, i in runs(rest):
-            low = tuple(sorted(rest[:i] + rest[i + 1 :] + (v + k,), reverse=True))
+        k, rest, val, i = key[0] - 1, key[1:], 0, 0
+        while i < len(rest):
+            v = rest[i]
+            c = rest.count(v)
+            low = (v + k,) + rest[:i] + rest[i + 1 :]
+            i += c
             x = memo.get((g, low))
             val += c * (a * v + b) * (rec(g, low) if x is None else x)
         return val

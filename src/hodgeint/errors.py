@@ -20,11 +20,11 @@ __all__ = [
 
 # Every entry, the sum entries psi_or_zero, lambda_*_or_zero and degree0_gw
 # included, checks this through combinat.family_key.  String and dilaton
-# steps recurse once per insertion, one frame each (combinat.reduction sums a
-# step in its own loop): with Python 3.11, counted below the entry, 200
-# insertions reach 203-213 frames on either path (all zeros but one, or all
-# ones but one) for psi, every lambda family, the solvers and degree0_gw, of
-# Python's default recursion limit of 1000.  A top step needs every exponent
+# steps recurse once per insertion, one frame each (combinat.reduction walks
+# a step's terms in its own loop): with Python 3.11, counted below the entry,
+# 200 insertions reach 200-211 frames on either path (all zeros but one, or
+# all ones but one) for psi, every lambda family, the solvers and degree0_gw,
+# of Python's default recursion limit of 1000.  A top step needs every exponent
 # >= 2, so it removes at most 3g - 3 insertions (psi, about 3 frames each: 45
 # at g = 6 with 15 points) or 2g - 2 (lambda_{g-1}, 5 each: 307 at g = 31).
 MAX_POINTS = 200
@@ -35,16 +35,16 @@ MAX_POINTS = 200
 # g = 12, 0.36 s at 14 (whole commands), 1.4 s at 16 in-process; the lambda
 # families are closed forms or short solvers (c_g and the lambda_{g-1}^3
 # constant together 0.015 s at g = 50, 0.64 s at 200; lambda_{g-1} with ten
-# balanced points 0.21 s as a whole command at g = 50), and gw0 reaches only
+# balanced points 0.16 s as a whole command at g = 50), and gw0 reaches only
 # them (and psi at g = 1; P^2 with ten balanced class-0 points solves
 # lambda_g lambda_{g-2} in 0.19 s as a whole command at g = 50); bseq takes
 # 0.11 s at G = 100 and 0.27 s at 200 as whole commands, 0.60 s in-process at
 # 300; euler --dim 3, as a whole cold command, 0.11 s and 16 MB at g = 1000
 # (the class alone is under 1 ms).  verify --max-genus, per suite, as whole
 # cold commands: annihilation 0.13 s at 14 (linear); bseq 0.90 s at 200 (2.4 s
-# in-process at 300); closed-vs-recursion 3.0 s at 40 (13 s in-process at 60);
+# in-process at 300); closed-vs-recursion 1.7 s at 40 (13 s in-process at 60);
 # mumford 0.78 s at 80 (7.0 s in-process at 160); euler 0.14 s at 128; cg
-# 2.7 s at 200 (13 s in-process at 320); table stops at the published g = 5.
+# 1.6 s at 200 (13 s in-process at 320); table stops at the published g = 5.
 MAX_PSI_GENUS = 14
 MAX_LAMBDA_GENUS = 50
 MAX_BSEQ_GENUS = 200

@@ -8,9 +8,10 @@ relations, and lambda_g lambda_{g-2} (no closed form beyond g = 2) solved
 from the surface constraint relations, one-point keys included.  Each row
 gives a strict entry and an ``_or_zero`` entry for sums, and keeps its
 values in one memo, its reduction's: the cache saves lambda_{g-1}'s (see
-:mod:`hodgeint.store`), and the closed forms, reductions whose base answers
-every key, are memoized in the process only.  ``lambda_cube`` is the n = 0
-integral of lambda_{g-1}^3.
+:mod:`hodgeint.store`), and the closed forms are memoized in the process
+only, lambda_g's by a reduction whose base answers every key and lambda_g
+lambda_{g-1}'s as the integers M of its string steps.  ``lambda_cube`` is the
+n = 0 integral of lambda_{g-1}^3.
 
 Each closed form ships with an independent recursion solver
 (``lambda_g_solver`` / ``lambda_g_gm1_solver``) that only ever uses the
@@ -147,9 +148,11 @@ def _lg_solve(g: int, key: Key) -> Fraction:
 
 def _y_top(a: int, rec: Callable, g: int, key: Key) -> int:
     # the top step of both solvers, the curve (a = 1) or surface (a = 2)
-    # y-constraint on key = (k + 1, k0) + K with k >= 1
+    # y-constraint on key = (k + 1, k0) + K with k >= 1; the memo is read
+    # first (the entries are positive)
     k, k0 = key[0] - 1, key[1]
-    return a * (k + 1) * rec(g, (k0 + k,) + key[2:]) + rec.linear(g, key)
+    low = (g, (k0 + k,) + key[2:])
+    return a * (k + 1) * (rec.memo.get(low) or rec(*low)) + rec.linear(g, key)
 
 
 # prod k_i! value / b_g of the keys the solver has reached, from (2g-2)! at the
@@ -187,11 +190,9 @@ def _gg_closed_base(g: int, key: Key) -> Optional[int]:
     return None
 
 
-# M of the keys reached; a key ending above 1 has no zero, so no top step is
-# needed
+# M of the keys reached, the row's memo, never saved; a key ending above 1
+# has no zero, so no top step is needed
 _gg_closed = reduction((2, -1), _gg_closed_base, None)
-# the closed form at the keys asked for, memoized in this process, never saved
-_lambda_g_gm1 = reduction((0, 1), _gg_value, None)
 
 
 def _gg_solve(g: int, key: Key) -> Fraction:
@@ -320,8 +321,8 @@ FAMILIES: Dict[str, Family] = {
         PSI,
         Family("lambda_g", "g", (0,), LAMBDA_G_GRADING, 0, 1, _lambda_g,
                ((3, (4, 1, 1, 1)),), _lambda_g.memo).named(),
-        Family("lambda_g_gm1", "gg", (0, 1), LAMBDA_GG_GRADING, 1, 1, _lambda_g_gm1,
-               ((3, (2, 1, 1)),), _lambda_g_gm1.memo).named(),
+        Family("lambda_g_gm1", "gg", (0, 1), LAMBDA_GG_GRADING, 1, 1, _gg_value,
+               ((3, (2, 1, 1)),), _gg_closed.memo).named(),
         Family(TAG_LAMBDA_GM1, "gm1", (1,), LAMBDA_GM1_GRADING, 1, 1, _gm1,
                ((3, (5, 1)),), _gm1.memo).named(),
         Family("lambda_g_gm2", "gm2", (0, 2), LAMBDA_GM2_GRADING, 1, 1, _gm2,

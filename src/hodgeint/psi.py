@@ -59,19 +59,22 @@ def _scale(g: int, key: Key) -> int:
 def _top(g: int, key: Key) -> int:
     # N_g(k + 1, rest) by the DVV step of the module docstring, on the sorted
     # keys it reaches, all stable and on the grading; a top key has g >= 2
-    # (all exponents >= 2), so D(g) - D(g-1) - 1 = 3
-    k, rest = key[0] - 1, key[1:]
-    val = sum(_rec(g - 1, tuple(sorted(rest + (r, k - 1 - r), reverse=True)))
-              for r in range(k)) << 3
-    val += _rec.linear(g, key)
+    # (all exponents >= 2), so D(g) - D(g-1) - 1 = 3.  Each term reads the
+    # memo first; N > 0, so a falsy read is a miss
+    k, rest, get = key[0] - 1, key[1:], _psi_rec.get
+    val = 0
+    for r in range(k):
+        low = (g - 1, tuple(sorted(rest + (r, k - 1 - r), reverse=True)))
+        val += get(low) or _rec(*low)
+    val = (val << 3) + _rec.linear(g, key)
     for c, left, right, excess in graded_splits(rest):
         # the left factor (r, left) has genus g1 = (r + 2 + excess) / 3, so the
         # r of one split step by 3; excess >= 0 keeps g1 and g - g1 >= 1
         for g1 in range(-(-(2 + excess) // 3), (k + 1 + excess) // 3 + 1):
             r = 3 * g1 - 2 - excess
-            lk = tuple(sorted((r,) + left, reverse=True))
-            rk = tuple(sorted((k - 1 - r,) + right, reverse=True))
-            val += c * _rec(g1, lk) * _rec(g - g1, rk)
+            lk = (g1, tuple(sorted((r,) + left, reverse=True)))
+            rk = (g - g1, tuple(sorted((k - 1 - r,) + right, reverse=True)))
+            val += c * (get(lk) or _rec(*lk)) * (get(rk) or _rec(*rk))
     return val
 
 

@@ -14,6 +14,8 @@ calls them.
 import ast
 from pathlib import Path
 
+from test_no_unused_imports import exported_names
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
 MODULE_HOOKS = {"__getattr__", "__dir__"}
@@ -59,11 +61,7 @@ def dead_definitions(sources):
             uses[name] = uses.get(name, 0) + 1
         for name in _reads(tree):
             reads[name] = reads.get(name, 0) + 1
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                exported.update(ast.literal_eval(node.value))
+        exported |= exported_names(tree)
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -101,6 +99,12 @@ def test_scanner_sees_dead_and_used_definitions():
             "def __dir__(): return []\n"
             "def _load(name): return name\n"
             "def _unused_beside_hooks(): pass\n"
+            "def deferred(): pass\n"
+            "def starred(): pass\n"
+            "_DEFERRED = {**dict.fromkeys(('deferred',), 'lazy')}\n"
+            "_STARRED = ['starred']\n"
+            "__all__ = [*_STARRED]\n"
+            "__all__ += _DEFERRED\n"
         ),
         "c.py": (
             "class Used:\n"

@@ -9,6 +9,7 @@ to stay independent of the closed forms they are the oracle for.
 
 from fractions import Fraction
 from functools import lru_cache
+from hashlib import sha256
 from math import comb, factorial
 
 import pytest
@@ -111,7 +112,7 @@ def test_independent_of_the_closed_forms(monkeypatch):
 
     # the closed forms' kernels, from the integer ones up to the public entries
     closed = ("multinomial", "_lg_value", "_gg_closed", "_gg_value")
-    closed += ("_lambda_g", "_lambda_g_gm1", "lambda_g", "lambda_g_gm1")
+    closed += ("_lambda_g", "lambda_g", "lambda_g_gm1")
     for name in closed:
         monkeypatch.setattr(hodge, name, forbidden)
     for g, ks in lambda_g_keys(0, 6, 8):
@@ -208,3 +209,36 @@ def test_lambda_g_gm1_solver_random_keys(gk):
 def test_domain_errors(solver, g, ks):
     with pytest.raises(DomainError):
         solver(g, ks)
+
+
+def test_a_fixed_sweep_does_the_same_work():
+    # the keys and entries each recursion memoizes on a fixed sweep from empty
+    # memos, pinned as (size, hash of the sorted items): a change to the
+    # driver's steps or to a top step that reaches other keys, or memoizes
+    # other numbers, shows here even where the values it returns agree
+    store.reset()
+    for g, ks in lambda_g_keys(0, 5, 6):
+        hodge.lambda_g_solver(g, ks)
+    for g, ks in lambda_gg_keys(1, 5, 6):
+        hodge.lambda_g_gm1_solver(g, ks)
+    for g in range(1, 5):
+        for n in range(1, 7):
+            for ks in multisets(n, 2 * g - 2 + n):
+                hodge.lambda_gm1(g, ks)
+        for n in range(1, 5):
+            for ks in multisets(n, g - 1 + n):
+                hodge.lambda_g_gm2_or_zero(g, ks)
+    psi.psi_integral(4, (3, 3, 3, 2, 2, 2))
+    memos = (psi._rec, hodge._lg_rec, hodge._gg_rec, hodge._gm1, hodge._gm2)
+    work = [
+        (len(rec.memo), sha256(repr(sorted(rec.memo.items())).encode()).hexdigest()[:16])
+        for rec in memos
+    ]
+    assert work == [
+        (89, "9c6cf6ae83eab9a8"),
+        (401, "aefe309437c65e77"),
+        (202, "06934531d0e460d2"),
+        (302, "0a22f9683f337b16"),
+        (64, "3289ff436f84f63d"),
+    ]
+    store.reset()

@@ -11,9 +11,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgeint import combinat
 from hodgeint.combinat import (
     LAMBDA_G_GRADING,
     LAMBDA_GG_GRADING,
@@ -25,7 +27,6 @@ from hodgeint.combinat import (
     runs,
     split_block,
     split_weights,
-    string_dilaton,
 )
 from hodgeint.hodge import _gm1_or_zero, _xcurve_partial, lambda_g_or_zero
 from hodgeint.psi import psi_integral, psi_or_zero
@@ -270,19 +271,36 @@ def test_run_scans_match_a_counter(items):
     assert list(runs(key)) == want
 
 
-@given(st.lists(st.integers(0, 6), max_size=12), st.integers(0, 5))
-@settings(max_examples=200, deadline=None)
-def test_string_dilaton_terms_match_a_counter(items, g):
-    # string: a trailing 0 lowers each distinct positive entry once, weighted
-    # by its multiplicity
+@given(st.lists(st.integers(0, 6), max_size=12), st.integers(0, 5), st.booleans())
+@settings(max_examples=100, deadline=None)
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (2, 1)])
+def test_string_and_dilaton_steps_match_a_counter(a, b, items, g, fractions):
+    # the driver's steps on the two keys under test, over a base that gives
+    # every other key a distinct integer (or Fraction), so a wrong lowered key
+    # or weight changes the sum
     key = _desc(items)
+    rest = tuple(v for v in key if v)
+    tested, ids = {(g, key + (0,)), (g, rest + (1,))}, {}
+
+    def base(h, ks):
+        if (h, ks) in tested:
+            return None
+        i = ids.setdefault((h, ks), len(ids) + 1)
+        return F(i, i + 1) if fractions else i
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(combinat, "REDUCTION_MEMOS", [])
+        mp.setattr(combinat, "register_memo", lambda clear: None)
+        rec = combinat.reduction((a, b), base, None)
+    # string: a trailing 0 lowers each distinct positive entry once, weighted
+    # by its multiplicity c and a v + b
     counts = Counter(key)
     lowered = [
-        (v, counts[v], _desc((counts - Counter([v]) + Counter([v - 1])).elements()))
-        for v in sorted(counts, reverse=True)
+        (counts[v] * (a * v + b), _desc((counts - Counter([v]) + Counter([v - 1])).elements()))
+        for v in counts
         if v
     ]
-    assert list(string_dilaton(g, key + (0,))) == lowered
+    want, got = sum(c * base(g, low) for c, low in lowered), rec(g, key + (0,))
+    assert got == want and type(got) is type(want)
     # dilaton: a trailing 1 drops it, times 2g - 2 + (the insertions left)
-    rest = tuple(v for v in key if v)
-    assert list(string_dilaton(g, rest + (1,))) == [(1, 2 * g - 2 + len(rest), rest)]
+    assert rec(g, rest + (1,)) == (2 * g - 2 + len(rest)) * (a + b) * rec(g, rest)
