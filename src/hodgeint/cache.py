@@ -31,7 +31,7 @@ from . import store
 from .combinat import Value, family_key
 from .errors import MAX_LAMBDA_GENUS, MAX_POINTS, MAX_PSI_GENUS
 from .hodge import FAMILIES
-from .psi import closed_form, memo_entry
+from .psi import closed_form
 
 __all__ = ["FORMAT_VERSION", "ENV_CACHE_PATH", "load_cache", "save_cache"]
 
@@ -81,11 +81,11 @@ def _checked_entry(tag: str, g: int, ks: Tuple[int, ...], value: Fraction) -> Op
     A record of an integral that its family row makes 0 (off the grading,
     below the row's genus or insertion minimum, unstable or with a negative
     exponent) must hold 0 and is left out, as is one beyond the command line's
-    genus and insertion limits, which no command reads.  Other lambda_{g-1}
-    records stay trusted and load as their value.  A psi record loads as the
-    recursion's integer N (see :func:`psi.memo_entry`); at genus 0 and with
-    one point its value must be the closed form, and everywhere it must be on
-    psi's integer scale.  Raises _NoValue otherwise.
+    genus and insertion limits, which no command reads.  Every other record
+    loads as its family's memo entry, ``rec.entry`` of the row's reduction
+    (see :func:`combinat.reduction`), and must be on that integer scale where
+    the entries are integers, as psi's are.  A psi value at genus 0 and with
+    one point must be the closed form.  Raises _NoValue otherwise.
     """
     if g > _MAX_GENUS[tag] or len(ks) > MAX_POINTS:
         return None
@@ -95,14 +95,12 @@ def _checked_entry(tag: str, g: int, ks: Tuple[int, ...], value: Fraction) -> Op
         if value:
             raise _NoValue(0)
         return None
-    if tag == store.TAG_LAMBDA_GM1:
-        return value
-    want = closed_form(g, key)
+    want = closed_form(g, key) if tag == store.TAG_PSI else None
     if want is not None and value != want:
         raise _NoValue(want)
-    entry = memo_entry(g, key, value)
+    entry = row.rec.entry(g, key, value)
     if entry is None:
-        raise _NoValue("on psi's integer scale")
+        raise _NoValue(f"on {tag}'s integer scale")
     return entry
 
 
@@ -151,8 +149,8 @@ def _parse_record(rec: dict, lineno: int):
 
 
 def save_cache(path: Union[str, Path]) -> int:
-    """Export every saved memo's entries as values (each family's evaluator
-    reads its memo); returns the number written."""
+    """Export every saved memo's entries as values (by each family's
+    ``rec.value``); returns the number written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -165,9 +163,9 @@ def save_cache(path: Union[str, Path]) -> int:
                 # a record as the bytes of json.dumps(record, sort_keys=True)
                 line = '{"exponents": [%s], "genus": %d, "tag": ' + json.dumps(tag)
                 line += ', "value": "%s"}\n'
-                evaluate = FAMILIES[tag].evaluate
+                value = FAMILIES[tag].rec.value
                 for g, ks in sorted(memo):
-                    fh.write(line % (", ".join(map(str, ks)), g, evaluate(g, ks)))
+                    fh.write(line % (", ".join(map(str, ks)), g, value(g, ks)))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -112,28 +112,27 @@ class Family(NamedTuple):
     grading: Tuple[int, int]
     gmin: int
     nmin: int
-    evaluate: Callable[[int, Key], Fraction]  # on a key that passed family_key
+    rec: Callable[[int, Key], Value]  # its reduction, whose memo the sweep checks
     seeds: Tuple[Tuple[int, Key], ...]  # nonzero keys for the string-dilaton sweep
-    entries: Dict[Tuple[int, Key], Value]  # its memo, whose keys the sweep checks
     strict: Optional[Callable[[int, Iterable[int]], Fraction]] = None  # see named
     or_zero: Optional[Callable[[int, Iterable[int]], Fraction]] = None
 
     def named(self, strict_name: Optional[str] = None) -> "Family":
         """The row with its entries, named strict_name (default: the row's
-        name) and the row's name + "_or_zero"."""
-        grading, gmin, nmin, evaluate = self.grading, self.gmin, self.nmin, self.evaluate
+        name) and the row's name + "_or_zero", both read ``rec.value``."""
+        grading, gmin, nmin, value = self.grading, self.gmin, self.nmin, self.rec.value
 
         def strict(g: int, ks: Iterable[int]) -> Fraction:
             """The genus-g integral with insertions ks, 0 off the grading; raises
             DomainError below gmin or nmin, for unstable (g, n) or a negative
             exponent, and LimitError beyond MAX_POINTS insertions."""
             key = family_key(g, ks, grading, gmin, nmin, strict=True)
-            return Fraction(0) if key is None else evaluate(g, key)
+            return Fraction(0) if key is None else value(g, key)
 
         def or_zero(g: int, ks: Iterable[int]) -> Fraction:
             """Like the strict entry, but 0 where it raises DomainError (for sums)."""
             key = family_key(g, ks, grading, gmin, nmin)
-            return Fraction(0) if key is None else evaluate(g, key)
+            return Fraction(0) if key is None else value(g, key)
 
         strict.__name__ = strict.__qualname__ = strict_name or self.name
         or_zero.__name__ = or_zero.__qualname__ = self.name + "_or_zero"
@@ -339,8 +338,8 @@ def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
 REDUCTION_MEMOS: List[Dict[Tuple[int, Key], Value]] = []
 
 
-def reduction(weight: Tuple[int, int], base: Callable,
-              top: Optional[Callable]) -> Callable[[int, Key], Value]:
+def reduction(weight: Tuple[int, int], base: Callable, top: Optional[Callable],
+              const: Optional[Callable[[int], Fraction]] = None) -> Callable[[int, Key], Value]:
     """A family's recursion rec(g, key) on descending genus-g keys, memoized
     by (g, key) in ``rec.memo``: the memo's value, else base(g, key) unless
     None, else for a key ending in 0 or 1 the string or dilaton step, else
@@ -364,8 +363,12 @@ def reduction(weight: Tuple[int, int], base: Callable,
     (0, 1) w = 1.  Integer string terms sum as integers, Fractions over one
     common denominator.
 
-    The memo is the family's only store of values; the persistent cache
-    saves psi's and lambda_{g-1}'s (see :mod:`hodgeint.store`).
+    The value rule, the one conversion between the memo, a family's only
+    store of values, and its values: with a genus constant C = const, the
+    value of an entry N is ``rec.value(g, key)`` = N C(g) / prod w(k_i), one
+    Fraction, and ``rec.entry(g, key, value)`` the N of a value, or None
+    where that is no integer.  Without one the entries are the values:
+    ``rec.value`` is rec, and ``rec.entry`` gives the value back.
     """
     a, b = weight
     memo: Dict[Tuple[int, Key], Value] = {}
@@ -418,6 +421,16 @@ def reduction(weight: Tuple[int, int], base: Callable,
             val += c * (a * v + b) * (rec(g, low) if x is None else x)
         return val
 
+    def value(g: int, key: Key) -> Fraction:
+        c = const(g)
+        return Fraction(rec(g, key) * c.numerator, c.denominator * rec.scale(key))
+
+    def entry(g: int, key: Key, value: Fraction) -> Optional[int]:
+        c, s = const(g), rec.scale(key)
+        n, r = divmod(value.numerator * s * c.denominator, value.denominator * c.numerator)
+        return None if r else n
+
     rec.memo, rec.linear = memo, linear  # type: ignore[attr-defined]
     rec.scale = lambda key: prod(map(w, key))  # type: ignore[attr-defined]
+    rec.value, rec.entry = (value, entry) if const else (rec, lambda g, key, value: value)
     return rec

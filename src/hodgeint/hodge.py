@@ -20,12 +20,13 @@ one-point base value, never the closed formula.  Agreement of the two routes
 is one of the package's acceptance gates.  The lambda_g solver carries
 weight (1, 0) and genus constant b_g, both lambda_g lambda_{g-1} routes
 (2, -1) and gg_const(g), and the lambda_{g-1} solve sums numerators over one
-common denominator; each builds one Fraction a value.
+common denominator.
 
 The lambda classes pull back along the forgetful map, so every family obeys
 string and dilaton with the factors of pure psi.  Each recursion is a
-:func:`combinat.reduction`, which takes both steps under its weight rule; a
-family supplies its base and its top step.
+:func:`combinat.reduction`, which takes both steps under its weight rule and
+turns a memo entry into a value by its value rule; a family supplies its
+base, its top step and, where its entries are integers, its genus constant.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .combinat import (
     Key,
     bernoulli,
     double_factorial,
+    graded_splits,
     harmonic,
     linear_block,
     multinomial,
@@ -139,13 +141,6 @@ def _lg_value(g: int, key: Key) -> Fraction:
 _lambda_g = reduction((0, 1), _lg_value, None)
 
 
-def _lg_solve(g: int, key: Key) -> Fraction:
-    """lambda_g_solver, by the curve y-constraint: weight (1, 0), genus constant b_g."""
-    # value / b_g is an integer, a multinomial
-    b = b_constant(g)
-    return Fraction(_lg_rec(g, key) // _lg_rec.scale(key) * b.numerator, b.denominator)
-
-
 def _y_top(a: int, rec: Callable, g: int, key: Key) -> int:
     # the top step of both solvers, the curve (a = 1) or surface (a = 2)
     # y-constraint on key = (k + 1, k0) + K with k >= 1; the memo is read
@@ -155,11 +150,11 @@ def _y_top(a: int, rec: Callable, g: int, key: Key) -> int:
     return a * (k + 1) * (rec.memo.get(low) or rec(*low)) + rec.linear(g, key)
 
 
-# prod k_i! value / b_g of the keys the solver has reached, from (2g-2)! at the
-# one-point key and 1 at (0, 0, 0)
+# lambda_g_solver, by the curve y-constraint: prod k_i! value / b_g of the keys
+# it has reached, from (2g-2)! at the one-point key and 1 at (0, 0, 0)
 _lg_rec = reduction((1, 0), lambda g, key: factorial(2 * g - 2) if len(key) == 1
                     else 1 if key == (0, 0, 0) else None,
-                    lambda g, key: _y_top(1, _lg_rec, g, key))
+                    lambda g, key: _y_top(1, _lg_rec, g, key), b_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +163,6 @@ _lg_rec = reduction((1, 0), lambda g, key: factorial(2 * g - 2) if len(key) == 1
 # For all exponents positive the closed form is
 #     (2g+n-3)! (2g-1)!! / ((2g-1)! prod (2k_i-1)!!) * gg_const(g);
 # zero exponents are removed by the string identity first.
-
-
-def _gg_value(g: int, key: Key) -> Fraction:
-    return _gg_from_m(_gg_closed, g, key)
-
-
-def _gg_from_m(rec: Callable, g: int, key: Key) -> Fraction:
-    # the value M gg_const(g) / prod (2k_i-1)!! of either route's M
-    c = gg_const(g)
-    return Fraction(rec(g, key) * c.numerator, c.denominator * rec.scale(key))
 
 
 def _gg_closed_base(g: int, key: Key) -> Optional[int]:
@@ -190,20 +175,14 @@ def _gg_closed_base(g: int, key: Key) -> Optional[int]:
     return None
 
 
-# M of the keys reached, the row's memo, never saved; a key ending above 1
-# has no zero, so no top step is needed
-_gg_closed = reduction((2, -1), _gg_closed_base, None)
+# M = value prod (2k_i-1)!! / gg_const(g) of the keys reached, the row's memo,
+# never saved; a key ending above 1 has no zero, so no top step is needed
+_gg_closed = reduction((2, -1), _gg_closed_base, None, gg_const)
 
-
-def _gg_solve(g: int, key: Key) -> Fraction:
-    """lambda_g_gm1_solver, by the surface y-constraint: weight (2, -1), genus
-    constant gg_const(g)."""
-    return _gg_from_m(_gg_rec, g, key)
-
-
-# M of the keys the solver has reached, from (2g-3)!! at the one-point key (g-1,)
+# lambda_g_gm1_solver, by the surface y-constraint: M of the keys it has
+# reached, from (2g-3)!! at the one-point key (g-1,)
 _gg_rec = reduction((2, -1), lambda g, key: double_factorial(2 * g - 3) if len(key) == 1
-                    else None, lambda g, key: _y_top(2, _gg_rec, g, key))
+                    else None, lambda g, key: _y_top(2, _gg_rec, g, key), gg_const)
 
 
 # ---------------------------------------------------------------------------
@@ -311,34 +290,34 @@ _gm2 = reduction((0, 1), _gm2_base, partial(_solve, _xsurface_partial))
 
 # ---------------------------------------------------------------------------
 # the family table: a row per family, read by the command line (its
-# `lambda --class` letters), the cache (the evaluators of the saved rows), the
+# `lambda --class` letters), the cache (the reductions of the saved rows), the
 # verify sweep (its seeds and memo) and mumford (its lambda offsets).  Each
-# row's memo is its reduction's.
+# row holds its reduction, whose memo holds its values (see reduction).
 
 FAMILIES: Dict[str, Family] = {
     row.name: row
     for row in (
         PSI,
         Family("lambda_g", "g", (0,), LAMBDA_G_GRADING, 0, 1, _lambda_g,
-               ((3, (4, 1, 1, 1)),), _lambda_g.memo).named(),
-        Family("lambda_g_gm1", "gg", (0, 1), LAMBDA_GG_GRADING, 1, 1, _gg_value,
-               ((3, (2, 1, 1)),), _gg_closed.memo).named(),
+               ((3, (4, 1, 1, 1)),)).named(),
+        Family("lambda_g_gm1", "gg", (0, 1), LAMBDA_GG_GRADING, 1, 1, _gg_closed,
+               ((3, (2, 1, 1)),)).named(),
         Family(TAG_LAMBDA_GM1, "gm1", (1,), LAMBDA_GM1_GRADING, 1, 1, _gm1,
-               ((3, (5, 1)),), _gm1.memo).named(),
+               ((3, (5, 1)),)).named(),
         Family("lambda_g_gm2", "gm2", (0, 2), LAMBDA_GM2_GRADING, 1, 1, _gm2,
-               ((3, (3, 1)), (3, (2, 2))), _gm2.memo).named(),
+               ((3, (3, 1)), (3, (2, 2)))).named(),
     )
 }
 # <tau_{k1}...tau_{kn} | lambda class>_g: the strict entries raise DomainError
 # off the stable range, the or-zero ones give 0 there (see Family); a solver is
-# the strict entry of its family with the solve as evaluator
+# the strict entry of its family with the solver's reduction
 lambda_g, lambda_g_or_zero = FAMILIES["lambda_g"].strict, FAMILIES["lambda_g"].or_zero
 lambda_g_gm1 = FAMILIES["lambda_g_gm1"].strict
 lambda_g_gm1_or_zero = FAMILIES["lambda_g_gm1"].or_zero
 lambda_gm1, _gm1_or_zero = FAMILIES[TAG_LAMBDA_GM1].strict, FAMILIES[TAG_LAMBDA_GM1].or_zero
 lambda_g_gm2_or_zero = FAMILIES["lambda_g_gm2"].or_zero
-lambda_g_solver = FAMILIES["lambda_g"]._replace(evaluate=_lg_solve).named("lambda_g_solver").strict
-lambda_g_gm1_solver = FAMILIES["lambda_g_gm1"]._replace(evaluate=_gg_solve).named(
+lambda_g_solver = FAMILIES["lambda_g"]._replace(rec=_lg_rec).named("lambda_g_solver").strict
+lambda_g_gm1_solver = FAMILIES["lambda_g_gm1"]._replace(rec=_gg_rec).named(
     "lambda_g_gm1_solver").strict
 
 
@@ -355,7 +334,9 @@ def kappa_lambda_integral(g: int, indices: Sequence[int]) -> Fraction:
     (indexed by the cycle sum).  Its inverse sums over set partitions P of
     the indices with weight (-1)^{m-|P|} alone (as 1 - e^{-x} inverts
     -log(1 - x)) of the psi-side values with one insertion k_B + 1 per
-    block B, k_B the block sum.
+    block B, k_B the block sum.  It runs over multisets: the block of the
+    first index takes each sub-multiset of the rest (graded_splits, weighted
+    by its count of index subsets), and the rest is partitioned in turn.
     """
     if g < 1:
         raise DomainError("g must be >= 1")
@@ -364,23 +345,17 @@ def kappa_lambda_integral(g: int, indices: Sequence[int]) -> Fraction:
         raise DomainError("kappa indices must be >= 1")
     if sum(idx) != g - 2:
         return Fraction(0)
-    total = Fraction(0)
-    for part in _set_partitions(list(range(len(idx)))):
-        ks = [sum(idx[i] for i in block) + 1 for block in part]
-        total += (-1) ** (len(idx) - len(part)) * lambda_g_gm1_or_zero(g, ks)
-    return total
+    return _partition_sum(g, tuple(idx), ())
 
 
-def _set_partitions(items: List[int]):
-    if not items:
-        yield []
-        return
-    head, tail = items[0], items[1:]
-    for sub in _set_partitions(tail):
-        # place head into each block or alone
-        for i in range(len(sub)):
-            yield [sorted([head] + sub[i])] + [b for j, b in enumerate(sub) if j != i]
-        yield [[head]] + sub
+def _partition_sum(g: int, idx: Key, blocks: Key) -> Fraction:
+    # the set-partition sum over idx, with the insertions of the blocks
+    # already formed; a block of s indices has sign (-1)^{s-1}
+    if not idx:
+        return lambda_g_gm1_or_zero(g, blocks)
+    head = idx[0] + 1
+    return sum((-1) ** len(left) * c * _partition_sum(g, right, blocks + (head + sum(left),))
+               for c, left, right, _ in graded_splits(idx[1:]))
 
 
 # ---------------------------------------------------------------------------

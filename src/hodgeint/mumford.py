@@ -213,7 +213,7 @@ def _moduli_integral(g: int, lam: LamKey, ks: Sequence[int]) -> Fraction:
         return Fraction(0)
     # every other monomial of the Euler classes (r <= 3) is a family's
     offsets = tuple(g - i for i in lam)
-    return next(row for row in FAMILIES.values() if row.offsets == offsets).evaluate(g, key)
+    return next(row for row in FAMILIES.values() if row.offsets == offsets).rec.value(g, key)
 
 
 def degree0_gw(r: int, g: int, insertions: Sequence[Tuple[int, int]]) -> Fraction:

@@ -2,7 +2,7 @@
 
 The recursion runs over the integer N_g(K) = 2^{D(g)} prod_{k in K} (2k+1)!!
 <tau_K>_g, with D(0) = 0 and D(g) = 4g - 1, from N_0(0,0,0) = N_1(1) = 1: a
-:func:`combinat.reduction` of weight (a, b) = (2, 1), genus constant 2^{D(g)}.
+:func:`combinat.reduction` of weight (a, b) = (2, 1), genus constant 2^{-D(g)}.
 Its string, dilaton and raise steps come from the driver; a top insertion of
 level k+1 >= 2 goes by the Dijkgraaf-Verlinde-Verlinde form of the level-k
 Virasoro constraint, recursing on (g, n):
@@ -15,12 +15,13 @@ With every exponent in S at least 2, the grading gives both factors of a split
 genus >= 1, so every split exponent is 0: the 1/2 of genus-0 splits never arises.
 
 The recursion's memo of N is the one store of psi values, and the persistent
-cache saves it; only this module converts between N and the value.
+cache saves it; the reduction's value rule converts between N and the value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 from typing import Optional
 
@@ -34,26 +35,9 @@ from .combinat import (
     reduction,
 )
 from .phase_space import Caps, TruncatedSeries
-from .store import TAG_PSI, tables
+from .store import TAG_PSI, register_memo, tables
 
 __all__ = ["PSI", "psi_integral", "psi_or_zero", "point_partition"]
-
-
-def _psi(g: int, key: Key) -> Fraction:
-    # key is a canonical key on the grading
-    return Fraction(_rec(g, key), _scale(g, key))
-
-
-def memo_entry(g: int, key: Key, value: Fraction) -> Optional[int]:
-    """The memo's N of a psi value at a canonical key, or None where value
-    times the scale is no integer, which no psi value is."""
-    n, r = divmod(value.numerator * _scale(g, key), value.denominator)
-    return None if r else n
-
-
-def _scale(g: int, key: Key) -> int:
-    # N_g(K) / <tau_K>_g, read for every value converted, the cache's included
-    return _rec.scale(key) << max(4 * g - 1, 0)
 
 
 def _top(g: int, key: Key) -> int:
@@ -90,14 +74,17 @@ def closed_form(g: int, key: Key) -> Optional[Fraction]:
     return Fraction(1, 24**g * factorial(g)) if len(key) == 1 else None
 
 
+# the genus constant 2^{-D(g)}, cached: building it costs more than a memo read
+_const = lru_cache(maxsize=None)(lambda g: Fraction(1, 1 << max(4 * g - 1, 0)))
+register_memo(_const.cache_clear)
 # N_g(K) of every key the recursion has reached, the memo the cache saves.
 # The genus reduction adds an insertion, so the insertion limit is left to
 # the entries.
-_rec = reduction((2, 1), _base, _top)
+_rec = reduction((2, 1), _base, _top, _const)
 _psi_rec = tables()[TAG_PSI] = _rec.memo
 
-PSI = Family(TAG_PSI, None, (), PSI_GRADING, 0, 0, _psi, ((3, (7,)), (2, (3, 2))),
-             _psi_rec).named("psi_integral")
+PSI = Family(TAG_PSI, None, (), PSI_GRADING, 0, 0, _rec,
+             ((3, (7,)), (2, (3, 2)))).named("psi_integral")
 # <tau_{k1} ... tau_{kn}>_g: psi_integral raises DomainError for unstable
 # (g, n) and psi_or_zero, for sums, gives 0 there (see Family)
 psi_integral, psi_or_zero = PSI.strict, PSI.or_zero
@@ -128,7 +115,7 @@ def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:
         n = 3 if g == 0 else 1
         while 3 * g - 3 + 2 * n <= weight_cap:
             for part in multisets(n, 3 * g - 3 + n):
-                val = _psi(g, part)
+                val = _rec.value(g, part)
                 if val:
                     sym = prod(factorial(part.count(x)) for x in set(part))
                     mono = tuple(((0, x), part.count(x)) for x in sorted(set(part)))

@@ -3,10 +3,10 @@
 Each integral family keeps its values in one memo, the memo of its
 :func:`combinat.reduction`, keyed by ``(genus, exponents-sorted-descending)``.
 Two of them are saved by the persistent cache (see :mod:`hodgeint.cache`),
-which loads into and saves from :func:`tables`: psi's, whose entries are the
-recursion's integers N (see :mod:`hodgeint.psi`), and lambda_{g-1}'s, whose
-entries are the values.  Memos behave as insert-once maps: recomputing a key
-must produce the same entry, so repeated insertion is harmless.
+which loads into and saves from :func:`tables`: psi's and lambda_{g-1}'s,
+whose entries map to values by the reduction's value rule.  Memos behave as
+insert-once maps: recomputing a key must produce the same entry, so repeated
+insertion is harmless.
 """
 
 from __future__ import annotations

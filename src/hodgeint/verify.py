@@ -243,7 +243,7 @@ def suite_string_dilaton() -> List[Check]:
         fn = row.strict
         for g, ks in row.seeds:
             fn(g, ks)
-        keys = list(row.entries)
+        keys = list(row.rec.memo)
         string_ok = dilaton_ok = bool(keys)
         for (g, ks) in keys:
             n = len(ks)

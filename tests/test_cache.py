@@ -69,8 +69,8 @@ def test_the_saved_memos_are_the_recursions_memos():
     # psi's values were kept twice, in the recursion's memo of N and in a
     # table of Fractions that the cache saved, and the two could disagree
     assert list(store.tables()) == ["psi", "lambda_gm1"]
-    assert store.tables()["psi"] is psi._rec.memo is hodge.FAMILIES["psi"].entries
-    assert store.tables()["lambda_gm1"] is hodge._gm1.memo is hodge.FAMILIES["lambda_gm1"].entries
+    assert store.tables()["psi"] is psi._rec.memo is hodge.FAMILIES["psi"].rec.memo
+    assert store.tables()["lambda_gm1"] is hodge._gm1.memo is hodge.FAMILIES["lambda_gm1"].rec.memo
 
 
 def test_recursion_reads_a_preloaded_sub_key(tmp_path):
@@ -111,6 +111,39 @@ def test_round_trip(tmp_path):
     assert store.tables() == saved
     assert psi_integral(2, [4]) == F(1, 1152)
     assert store.tables() == saved  # nothing recomputed
+
+
+# a cache file as the format's first writer saved it: psi at genus 0, with one
+# point and with several points, and two lambda_{g-1} records; the round trip
+# above compares a save only with its own reload, so this pins the records
+GOLDEN_RECORDS = """\
+{"exponents": [1, 1, 0, 0, 0], "genus": 0, "tag": "psi", "value": "2"}
+{"exponents": [3, 2], "genus": 2, "tag": "psi", "value": "29/5760"}
+{"exponents": [4], "genus": 2, "tag": "psi", "value": "1/1152"}
+{"exponents": [5, 2, 2], "genus": 3, "tag": "psi", "value": "17/5760"}
+{"exponents": [3], "genus": 2, "tag": "lambda_gm1", "value": "1/480"}
+{"exponents": [4, 2], "genus": 3, "tag": "lambda_gm1", "value": "2329/2903040"}
+"""
+GOLDEN = ('{"created": "2026-10-20T21:27:46.471313+00:00", "format": "hodgeint-cache-v2"}\n'
+          + GOLDEN_RECORDS)
+
+
+def test_a_golden_file_loads_and_saves_the_same_records(tmp_path, capsys):
+    path = tmp_path / "golden.jsonl"
+    path.write_text(GOLDEN)
+    assert cache.load_cache(path) == 6
+    assert capsys.readouterr().err == ""
+    # psi loads as N = 2^{D(g)} prod (2k+1)!! value, D(0) = 0, D(g) = 4g - 1:
+    # 9 * 2, 2^7 * 7!! 5!! * 29/5760, 2^7 * 9!! / 1152, 2^11 * 11!! (5!!)^2 * 17/5760
+    want_psi = {(0, (1, 1, 0, 0, 0)): 18, (2, (3, 2)): 1015, (2, (4,)): 105,
+                (3, (5, 2, 2)): 14137200}
+    assert store.tables()["psi"] == want_psi
+    assert all(type(n) is int for n in store.tables()["psi"].values())
+    # lambda_{g-1} loads as the values
+    assert store.tables()["lambda_gm1"] == {(2, (3,)): F(1, 480), (3, (4, 2)): F(2329, 2903040)}
+    saved = tmp_path / "saved.jsonl"
+    assert cache.save_cache(saved) == 6
+    assert saved.read_text().split("\n", 1)[1] == GOLDEN_RECORDS
 
 
 def test_header_format(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hodgeint.combinat import multisets
 from hodgeint.errors import DomainError
 from hodgeint.hodge import (
     c_constant,
@@ -15,6 +16,7 @@ from hodgeint.hodge import (
     lambda_cube,
     lambda_g,
     lambda_g_gm1,
+    lambda_g_gm1_or_zero,
     lambda_g_gm2_or_zero,
     lambda_gm1,
 )
@@ -92,6 +94,19 @@ def _kappa_triples(g):
     ]
 
 
+def _set_partitions(m):
+    """The set partitions of range(m), as lists of blocks, one per restricted
+    growth string: position i joins one of the blocks before it or opens a
+    new one."""
+    if m == 0:
+        return [[]]
+    out = []
+    for labels in itertools.product(range(m), repeat=m):
+        if labels[0] == 0 and all(a <= max(labels[:i]) + 1 for i, a in enumerate(labels) if i):
+            out.append([[i for i in range(m) if labels[i] == b] for b in range(max(labels) + 1)])
+    return out
+
+
 class TestKappa:
     def test_single_index_is_one_point_descendent(self):
         # <kappa_a l_g l_{g-1}>_g = <tau_{a+1} l_g l_{g-1}>_{g,1}
@@ -137,6 +152,29 @@ class TestKappa:
                 + 2 * K(g, (a + b + c,))
             )
             assert pushed == lambda_g_gm1(g, (a + 1, b + 1, c + 1))
+
+    def test_every_small_multiset_matches_the_set_partition_sum(self):
+        # each index multiset of at most 7 entries at g <= 10, in both
+        # orders, against the sum over set partitions of the positions
+        checked = 0
+        for g in range(1, 11):
+            for m in range(8):
+                for part in multisets(m, g - 2 - m):
+                    idx = tuple(p + 1 for p in part)
+                    want = F(0)
+                    for blocks in _set_partitions(m):
+                        ks = [sum(idx[i] for i in block) + 1 for block in blocks]
+                        want += (-1) ** (m - len(blocks)) * lambda_g_gm1_or_zero(g, ks)
+                    for order in (idx, idx[::-1]):
+                        got = kappa_lambda_integral(g, order)
+                        assert type(got) is Fraction and got == want, (g, order)
+                    checked += 1
+        assert checked == 66
+
+    def test_ten_equal_indices(self):
+        # kappa_1^10 at genus 12: 115,975 set partitions of the positions,
+        # 42 partitions of the multiset
+        assert kappa_lambda_integral(12, (1,) * 10) == F(907638109440, 1063409347)
 
     def test_dimension_mismatch_is_zero(self):
         assert kappa_lambda_integral(3, (2,)) == 0

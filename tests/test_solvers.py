@@ -10,13 +10,14 @@ to stay independent of the closed forms they are the oracle for.
 from fractions import Fraction
 from functools import lru_cache
 from hashlib import sha256
+from inspect import getclosurevars
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeint import combinat, hodge, psi, store
+from hodgeint import combinat, hodge, mumford, psi, store
 from hodgeint.combinat import bernoulli, double_factorial, multisets
 from hodgeint.errors import DomainError
 from hodgeint.series1d import b_sequence
@@ -106,12 +107,17 @@ def lambda_gg_keys(gmin, gmax, nmax):
 
 def test_independent_of_the_closed_forms(monkeypatch):
     store.reset()
+    # each solver row holds its solver's reduction, not a closed form's
+    for solver, rec in ((hodge.lambda_g_solver, hodge._lg_rec),
+                        (hodge.lambda_g_gm1_solver, hodge._gg_rec)):
+        assert getclosurevars(solver).nonlocals["value"] is rec.value
+    closed_memos = (hodge._lambda_g.memo, hodge._gg_closed.memo)
 
     def forbidden(*args):
         raise AssertionError("a solver consulted the closed form")
 
     # the closed forms' kernels, from the integer ones up to the public entries
-    closed = ("multinomial", "_lg_value", "_gg_closed", "_gg_value")
+    closed = ("multinomial", "_lg_value", "_gg_closed")
     closed += ("_lambda_g", "lambda_g", "lambda_g_gm1")
     for name in closed:
         monkeypatch.setattr(hodge, name, forbidden)
@@ -120,6 +126,7 @@ def test_independent_of_the_closed_forms(monkeypatch):
     for g, ks in lambda_gg_keys(1, 6, 8):
         assert hodge.lambda_g_gm1_solver(g, ks) == ref_lambda_gg(g, ks)
     assert not any(store.tables().values())
+    assert not any(closed_memos)
     store.reset()
 
 
@@ -153,6 +160,51 @@ def test_scale_is_the_product_of_the_weights(rec, w):
         assert [rec.scale((k,)) for k in range(41)] == [w(k) for k in range(41)]
         assert rec.scale((7, 3, 3, 0)) == w(7) * w(3) ** 2 * w(0)
         store.reset()
+
+
+def _graded_keys(grading, gmin, nmin):
+    # every stable key on the grading with g <= 5 and n <= 5
+    slope, offset = grading
+    return [
+        (g, ks)
+        for g in range(gmin, 6)
+        for n in range(max(nmin, 3 - 2 * g), 6)
+        for ks in multisets(n, slope * g + offset + n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "rec, grading, gmin, nmin",
+    [
+        (psi._rec, combinat.PSI_GRADING, 0, 0),
+        (hodge._lg_rec, combinat.LAMBDA_G_GRADING, 0, 1),
+        (hodge._gg_rec, combinat.LAMBDA_GG_GRADING, 1, 1),
+        (hodge._gg_closed, combinat.LAMBDA_GG_GRADING, 1, 1),
+    ],
+    ids=["psi", "lambda_g_solver", "lambda_g_gm1_solver", "lambda_g_gm1"],
+)
+def test_the_value_rule_round_trips(rec, grading, gmin, nmin):
+    # rec.entry inverts rec.value on the integer entries, and a value off the
+    # scale has no entry
+    keys = _graded_keys(grading, gmin, nmin)
+    assert len(keys) > 20
+    for g, key in keys:
+        value = rec.value(g, key)
+        assert type(value) is Fraction
+        entry = rec.entry(g, key, value)
+        assert type(entry) is int and entry == rec(g, key), (g, key)
+        assert rec.entry(g, key, value + F(1, 2**60)) is None, (g, key)
+
+
+@pytest.mark.parametrize(
+    "name", ["hodge._lambda_g", "hodge._gm1", "hodge._gm2", "mumford._top_triple"]
+)
+def test_without_a_constant_the_entries_are_the_values(name):
+    module, attr = name.split(".")
+    rec = getattr({"hodge": hodge, "mumford": mumford}[module], attr)
+    assert rec.value is rec
+    value = F(2, 7)
+    assert rec.entry(3, (4, 2), value) is value
 
 
 def test_a_wrong_weight_rule_disagrees_with_the_closed_form(monkeypatch):
