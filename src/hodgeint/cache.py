@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import tempfile
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
@@ -151,6 +150,9 @@ def _parse_record(rec: dict, lineno: int):
 def save_cache(path: Union[str, Path]) -> int:
     """Export every saved memo's entries as values (by each family's
     ``rec.value``); returns the number written."""
+    # the one user of datetime, so a command that writes no cache skips it
+    from datetime import datetime, timezone
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")

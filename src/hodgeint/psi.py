@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .combinat import (
     PSI_GRADING,
@@ -34,8 +34,10 @@ from .combinat import (
     multisets,
     reduction,
 )
-from .phase_space import Caps, TruncatedSeries
 from .store import TAG_PSI, register_memo, tables
+
+if TYPE_CHECKING:
+    from .phase_space import TruncatedSeries
 
 __all__ = ["PSI", "psi_integral", "psi_or_zero", "point_partition"]
 
@@ -104,6 +106,9 @@ def point_partition(weight_cap: int, genus_cap: int) -> TruncatedSeries:
     test, and genus-0 factors only lower hbar, never below the window's
     floor.  So exp runs on the window up to hbar^{max(genus_cap, g) - 1}.
     """
+    # the one psi code that reads phase_space, so `import hodgeint` skips it
+    from .phase_space import Caps, TruncatedSeries
+
     caps = Caps(weight_cap, -(weight_cap // 3), genus_cap - 1)
     genera = [
         g

@@ -1,6 +1,6 @@
 """The package runs on the standard library alone: no process imports sympy,
-and importing it stays cheap: ``import hodgeint`` and the psi/lambda commands
-load none of the layers that test the core."""
+and importing it stays cheap: ``import hodgeint`` loads the psi core alone,
+and the psi/lambda commands load none of the layers that test the core."""
 
 import importlib
 import os
@@ -19,6 +19,11 @@ _LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
 _LAZY_MODULES = ["hodgeint.constraints", "hodgeint.mumford", "hodgeint.operators",
                  "hodgeint.verify", "csv"]
 _LOADED_DEFERRED = f"print([m for m in {_LAZY_MODULES!r} if m in sys.modules])"
+
+# the package's modules that `import hodgeint` loads, the psi core; the CLI
+# loads the lambda layer too, through cache, so this list is not _LAZY_MODULES
+_CORE = ["hodgeint", "hodgeint.combinat", "hodgeint.errors", "hodgeint.psi", "hodgeint.store"]
+_LOADED_PACKAGE = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hodgeint'))"
 
 _CLI = (
     "import runpy, sys\n"
@@ -66,6 +71,39 @@ def test_euler_command_loads_no_sympy():
         "exit 0",
         "[]",
     ]
+
+
+@pytest.mark.parametrize(
+    "use, more",
+    [
+        ("", []),
+        ("hodgeint.psi_integral(3, [4, 3, 2, 1])", []),
+        ("hodgeint.lambda_g", ["hodgeint.hodge", "hodgeint.series1d"]),
+        ("hodgeint.b_sequence", ["hodgeint.series1d"]),
+        ("hodgeint.point_partition(4, 1)", ["hodgeint.phase_space"]),
+    ],
+    ids=["import", "psi_integral", "lambda_g", "b_sequence", "point_partition"],
+)
+def test_import_loads_the_psi_core_and_each_layer_on_first_use(use, more):
+    # a psi value reads no other layer; a lambda name loads hodge and the
+    # series it rests on, b_sequence that series alone, and point_partition
+    # the truncated series it returns
+    out = _run(f"import sys, hodgeint\n{use}\n{_LOADED_PACKAGE}")
+    assert out == f"{sorted(_CORE + more)}\n"
+
+
+def test_a_command_that_writes_no_cache_loads_no_datetime(tmp_path):
+    # save_cache alone stamps the header with the time
+    if _run("import sys; print('datetime' in sys.modules)") == "True\n":
+        pytest.skip("the interpreter loads datetime at startup")
+    path = tmp_path / "memo.jsonl"
+    *_, code = _run("", ["--cache", str(path), "psi", "--genus", "2", "--exponents", "4"]).splitlines()
+    assert code == "exit 0"
+    saved = path.read_bytes()
+    argv = ["--cache", str(path), "lambda", "--class", "g", "--genus", "3", "--exponents", "4"]
+    *_, value, code, loaded = _run("print('datetime' in sys.modules)", argv).splitlines()
+    assert (value, code, loaded) == ("value = 31/967680", "exit 0", "False")
+    assert path.read_bytes() == saved
 
 
 def test_import_defers_the_testing_layers():
