@@ -22,7 +22,8 @@ TAG_LAMBDA_GM1 = "lambda_gm1"
 Key = Tuple[int, Tuple[int, ...]]
 
 # the saved memos by tag, in the order they are saved; psi.py and hodge.py
-# enter their reduction memos here
+# enter their reduction memos here, hodge.py when it is first imported, which
+# `import hodgeint` does not do
 _tables: Dict[str, Dict[Key, Union[int, Fraction]]] = {}
 # clear() of every memo: each combinat.reduction memo and the lru_caches of
 # combinat.py, psi.py, hodge.py and mumford.py
