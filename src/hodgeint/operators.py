@@ -5,10 +5,11 @@ A :class:`DifferentialOperator` is a finite normal-ordered sum of terms
     coefficient * hbar^h * (product of coordinates) * (product of derivatives),
 
 with coordinates labelled ``(class index, descendent level)`` as in
-:mod:`hodgeint.phase_space`.  Operators are subtracted, scaled, filtered by
-level and bracketed (:func:`commutator`, which sums only the contracted terms
-of the two products), and act on truncated series (:func:`apply_operator`);
-no product of two operators is formed.
+:mod:`hodgeint.phase_space`, which also owns the monomial arithmetic of
+their action.  Operators are subtracted, scaled, filtered by level and
+bracketed (:func:`commutator`, which sums only the contracted terms of the
+two products), and act on truncated series (:func:`apply_operator`); no
+product of two operators is formed.
 
 One builder, :func:`general_operator`, makes the level-k operator of any
 target from its even cohomology (:class:`CohomologyData`): bracket
@@ -29,7 +30,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from .combinat import rising_numerator, runs
 from .errors import DomainError
-from .phase_space import Caps, Coord, Monomial, TruncatedSeries, monomial_weight
+from .phase_space import Coord, Monomial, TruncatedSeries, exchange, monomials
 
 __all__ = [
     "CohomologyData",
@@ -43,7 +44,6 @@ __all__ = [
     "general_operator",
     "commutator",
     "apply_operator",
-    "enumerate_keys",
 ]
 
 _ZERO = Fraction(0)
@@ -435,13 +435,10 @@ def apply_operator(
     acc: Dict[Tuple[int, Monomial], int] = {}
     for dh, mult, diff, c, _ in terms:
         for (h, mono), coeff in by_coord.get(diff[0], ()) if diff else series_items:
-            d, factor = _differentiate(mono, diff)
-            if not factor:
-                continue
-            for coord in mult:
-                d[coord] = d.get(coord, 0) + 1
-            key = (h + dh, tuple(sorted(d.items())))
-            acc[key] = acc.get(key, 0) + coeff * c * factor
+            factor, image = exchange(mono, diff, mult)
+            if factor:
+                key = (h + dh, image)
+                acc[key] = acc.get(key, 0) + coeff * c * factor
     out = TruncatedSeries(caps)
     denominator = dop * dseries
     out.terms = {
@@ -449,11 +446,8 @@ def apply_operator(
     }
 
     tainted: Set[Tuple[int, Monomial]] = set()
-    layers: Dict[int, List[Monomial]] = {}
-    for _, mono in enumerate_keys(Caps(weight, 0, 0), basis_size):
-        layers.setdefault(monomial_weight(mono), []).append(mono)
     window = range(lo, hi + 1)
-    for w, monos in layers.items():
+    for w, monos in enumerate(monomials(weight, basis_size)):
         # the terms whose source leaves the caps, with the hbar powers at
         # which it does, by first multiplied coordinate
         live: Dict[Optional[Coord], List[Tuple]] = {}
@@ -462,75 +456,14 @@ def apply_operator(
             if hs:
                 live.setdefault(mult[0] if mult else None, []).append((dh, mult, diff, hs))
         for mono in monos if live else ():
-            held = dict(mono)
-            for first in (None, *held):
+            for first in (None, *(coord for coord, _ in mono)):
                 for dh, mult, diff, hs in live.get(first, ()):
                     todo = [h for h in hs if (h, mono) not in tainted]
-                    if todo and all(held.get(x, 0) >= mult.count(x) for x in mult):
-                        source = _source_key(held, mult, diff)
+                    divides, source = exchange(mono, mult, diff) if todo else (0, ())
+                    if divides:
                         tainted.update(
                             (h, mono)
                             for h in todo
                             if source_vanishes is None or not source_vanishes(h - dh, source)
                         )
     return out, tainted
-
-
-def _differentiate(mono: Monomial, diff: Tuple[Coord, ...]):
-    """The exponents of diff applied to mono, and the factor it brings down
-    (0 when some derivative finds no factor)."""
-    d = dict(mono)
-    factor = 1
-    for coord in diff:
-        e = d.get(coord, 0)
-        if e == 0:
-            return d, 0
-        factor *= e
-        if e == 1:
-            del d[coord]
-        else:
-            d[coord] = e - 1
-    return d, factor
-
-
-def _source_key(held: Dict[Coord, int], mult, diff) -> Monomial:
-    """The monomial whose coefficient an operator term reads to produce the
-    result monomial with exponents ``held``, which ``mult`` divides."""
-    d = dict(held)
-    for coord in mult:
-        if d[coord] == 1:
-            del d[coord]
-        else:
-            d[coord] -= 1
-    for coord in diff:
-        d[coord] = d.get(coord, 0) + 1
-    return tuple(sorted(d.items()))
-
-
-def enumerate_keys(caps: Caps, basis_size: int):
-    """All (hbar, monomial) keys admitted by the caps, over coordinates
-    (a, level) with a < basis_size and level < weight cap."""
-    coords = [
-        (a, lvl)
-        for a in range(basis_size)
-        for lvl in range(caps.weight)  # weight of (a, lvl) is lvl + 1
-    ]
-    monos: List[Monomial] = []
-
-    def rec2(idx: int, budget: int, acc: List[Tuple[Coord, int]]) -> None:
-        if idx == len(coords):
-            monos.append(tuple(acc))
-            return
-        w = coords[idx][1] + 1
-        rec2(idx + 1, budget, acc)
-        e = 1
-        while e * w <= budget:
-            acc.append((coords[idx], e))
-            rec2(idx + 1, budget - e * w, acc)
-            acc.pop()
-            e += 1
-
-    rec2(0, caps.weight, [])
-    for h in range(caps.hbar_min, caps.hbar_max + 1):
-        for m in monos:
-            yield h, tuple(sorted(m))

@@ -11,14 +11,17 @@ factors.  Series are truncated by a weight cap and an hbar window and never
 fabricate coefficients beyond those caps.  The one operation on a series is
 :meth:`TruncatedSeries.exp`, which builds the point partition function from
 its free energies; operators act on series in :mod:`hodgeint.operators`.
+
+Monomial arithmetic lives here too: :func:`monomials` lists monomials by
+weight, and :func:`exchange` divides and multiplies one as an operator term does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-__all__ = ["Caps", "TruncatedSeries", "monomial_weight"]
+__all__ = ["Caps", "TruncatedSeries", "exchange", "monomial_weight", "monomials"]
 
 Coord = Tuple[int, int]
 Monomial = Tuple[Tuple[Coord, int], ...]  # sorted ((a,k), exponent) pairs
@@ -42,6 +45,39 @@ def monomial_weight(mono: Monomial) -> int:
 
 def monomial_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
+
+
+def monomials(weight: int, basis_size: int) -> List[List[Monomial]]:
+    """Every monomial of weight at most ``weight`` over the coordinates (a, k)
+    with a < basis_size, canonically sorted, by layer: entry w lists those of
+    weight w once each.  Each coordinate in turn extends, by its powers, the
+    monomials of the coordinates before it, read from the top layer down."""
+    layers: List[List[Monomial]] = [[()]] + [[] for _ in range(weight)]
+    for coord, step in [((a, k), k + 1) for a in range(basis_size) for k in range(weight)]:
+        for w in range(weight - step, -1, -1):
+            for mono in layers[w]:
+                for e in range(1, (weight - w) // step + 1):
+                    layers[w + e * step].append(mono + ((coord, e),))
+    return layers
+
+
+def exchange(mono: Monomial, removed: Sequence[Coord], added: Sequence[Coord]):
+    """``mono`` divided by the product of ``removed`` and multiplied by that
+    of ``added``, with the falling factorial that differentiating by
+    ``removed`` brings down: ``(factor, monomial)``, or ``(0, ())`` when
+    ``removed`` does not divide."""
+    d = dict(mono)
+    factor = 1
+    for coord in removed:
+        e = d.pop(coord, 0)
+        if not e:
+            return 0, ()
+        factor *= e
+        if e > 1:
+            d[coord] = e - 1
+    for coord in added:
+        d[coord] = d.get(coord, 0) + 1
+    return factor, tuple(sorted(d.items()))
 
 
 class TruncatedSeries:

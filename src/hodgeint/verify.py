@@ -32,14 +32,13 @@ from .operators import (
     DifferentialOperator,
     apply_operator,
     commutator,
-    enumerate_keys,
     general_operator,
     p1_data,
     p2_data,
     point_data,
     point_operator,
 )
-from .phase_space import monomial_degree, monomial_weight
+from .phase_space import monomial_degree, monomial_weight, monomials
 from .psi import point_partition
 from .series1d import b_closed_form, b_sequence
 
@@ -135,6 +134,8 @@ def _point_grade(h: int, mono) -> int:
 def suite_annihilation(weight_cap: int = 8, max_genus: int = 3) -> List[Check]:
     checks: List[Check] = []
     z = point_partition(weight_cap, max_genus)
+    window = range(z.caps.hbar_min, z.caps.hbar_max + 1)
+    keys = [(h, m) for layer in monomials(weight_cap, 1) for m in layer for h in window]
     for k in range(-1, 3):
         op = point_operator(k, weight_cap)
         result, tainted = apply_operator(
@@ -144,7 +145,6 @@ def suite_annihilation(weight_cap: int = 8, max_genus: int = 3) -> List[Check]:
         # the coefficients the caps determine and the grading lets be
         # nonzero; a check that tested none of them passes vacuously, so it
         # fails
-        keys = enumerate_keys(z.caps, 1)
         determined = sum(key not in tainted and _point_grade(*key) == k for key in keys)
         name = f"point L_{k} annihilates Z (weight<={weight_cap}, genus<={max_genus})"
         detail = f"{len(bad)} nonzero of {determined} determined coefficients"

@@ -24,7 +24,7 @@ from hodgeint.operators import (
     point_operator,
     projective,
 )
-from hodgeint.phase_space import Caps, TruncatedSeries, monomial_weight
+from hodgeint.phase_space import Caps, TruncatedSeries, exchange, monomial_weight, monomials
 from hodgeint.psi import point_partition
 from hodgeint.verify import commutator_residuals
 
@@ -607,6 +607,29 @@ class TestGradedKernels:
                 want, want_taint = _reference_apply(op, series, sv, basis)
                 assert got.terms == want.terms, (name, k, sv)
                 assert got_taint == want_taint, (name, k, sv)
+
+    @pytest.mark.parametrize("basis_size", range(4))
+    def test_monomials_list_each_monomial_once_by_weight(self, basis_size):
+        for weight in range(9):
+            layers = monomials(weight, basis_size)
+            assert len(layers) == weight + 1
+            flat = [m for layer in layers for m in layer]
+            assert len(flat) == len(set(flat)), weight
+            for w, layer in enumerate(layers):
+                for m in layer:
+                    assert m == tuple(sorted(m)) and all(e > 0 for _, e in m)
+                    assert monomial_weight(m) == w
+            want = {m for _, m in _reference_keys(Caps(weight, 0, 0), basis_size)}
+            assert set(flat) == want, weight
+
+    def test_exchange_divides_with_the_falling_factorial(self):
+        mono = (((0, 0), 3), ((0, 2), 1))
+        # d^2/dt_0^2 brings down 3 * 2 and leaves t_0 t_2, then times t_1
+        want = (((0, 0), 1), ((0, 1), 1), ((0, 2), 1))
+        assert exchange(mono, ((0, 0), (0, 0)), ((0, 1),)) == (6, want)
+        assert exchange(mono, ((0, 2),), ()) == (1, (((0, 0), 3),))
+        assert exchange(mono, ((0, 2), (0, 2)), ((0, 1),)) == (0, ())
+        assert exchange(mono, ((1, 0),), ()) == (0, ())
 
     def test_apply_taints_only_boundary_layers(self):
         # the terms of L_1 raise the source weight by at most 3 (the dilaton

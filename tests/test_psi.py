@@ -171,6 +171,17 @@ class TestPointPartition:
         checks = suite_annihilation(11, 1)
         assert all(ok for _, ok, _ in checks), checks
 
+    @pytest.mark.parametrize(
+        "caps,counts",
+        [((), (14, 11, 6, 3)), ((11, 1), (27, 22, 12, 6))],
+        ids=["defaults", "weight11-genus1"],
+    )
+    def test_annihilation_determined_counts(self, caps, counts):
+        # a dropped or doubled monomial in the count moves these before it
+        # flips a verdict
+        details = [detail for _, _, detail in suite_annihilation(*caps)]
+        assert details == [f"0 nonzero of {n} determined coefficients" for n in counts]
+
     def test_vacuous_annihilation_check_fails(self):
         # at (8, 0) the caps determine no coefficient that L_2 Z may carry
         checks = suite_annihilation(8, 0)
