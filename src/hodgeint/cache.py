@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
 from . import store
-from .combinat import Value, family_key
+from .combinat import Value, family_key, grading
 from .errors import MAX_LAMBDA_GENUS, MAX_POINTS, MAX_PSI_GENUS
 from .hodge import FAMILIES
 from .psi import closed_form
@@ -89,7 +89,7 @@ def _checked_entry(tag: str, g: int, ks: Tuple[int, ...], value: Fraction) -> Op
     if g > _MAX_GENUS[tag] or len(ks) > MAX_POINTS:
         return None
     row = FAMILIES[tag]
-    key = family_key(g, ks, row.grading, row.gmin, row.nmin)
+    key = family_key(g, ks, grading(row.offsets), row.gmin, row.nmin)
     if key is None:
         if value:
             raise _NoValue(0)

@@ -1,23 +1,16 @@
-"""Exact classical sequences and coefficient symbols.
+"""What the psi core and the lazy layers share: the family gate, the family
+row, the reduction driver and the integer kernels of more than one layer.
 
-Everything here returns ``fractions.Fraction`` or ``int``; no floating point
-anywhere.  The bracket symbol ``[x]^k_i`` is the elementary-symmetric-function
-coefficient
-
-    sum_i [x]^k_i t^i = (t+x)(t+x+1)...(t+x+k),
-
-which also packages ratios of Gamma functions at half-integers as rising
-products, keeping all operator coefficients rational.  Its integer kernel
-:func:`rising_numerator` gives one coefficient of the rising product.
-
-The lambda and constraint evaluators read a coefficient of L_k on a partition
-function, built from two blocks in the shifted class weight b: the linear block
-(:func:`linear_block`) and the order-hbar split block (:func:`split_weights`,
-:func:`split_block`), which splits through :func:`graded_splits` as psi does.
-:func:`family_key` is the one gate every integral family's entries pass:
-canonical key, stability, insertion limit and grading; :class:`Family`
-builds a family's entries on it, and :func:`reduction` is every family's
-recursion.
+:func:`grading` is the dimension rule of every family, :func:`family_key`
+the one gate every integral family's entries pass: canonical key,
+stability, insertion limit and grading; :class:`Family` builds a family's
+entries on it, and :func:`reduction` is every family's recursion.
+:func:`multisets` and :func:`graded_splits` list keys and their splits over
+two factors, :func:`multinomial` is the genus-0 and lambda_g value, and
+:func:`rising_numerator` gives one integer coefficient of a rising product,
+the kernel of the bracket symbols of :mod:`hodgeint.hodge` and of
+:mod:`hodgeint.operators`.  Everything here returns ``int`` or
+``fractions.Fraction``; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -26,53 +19,41 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 from typing import Sequence, Tuple, Union
 
 from .errors import DomainError, check_points
 from .store import register_memo
 
 __all__ = [
-    "LAMBDA_GG_GRADING",
-    "LAMBDA_GM1_GRADING",
-    "LAMBDA_GM2_GRADING",
-    "LAMBDA_G_GRADING",
-    "PSI_GRADING",
     "Family",
     "Key",
-    "bernoulli",
-    "bracket",
-    "double_factorial",
     "family_key",
     "graded_splits",
-    "harmonic",
-    "linear_block",
+    "grading",
     "multinomial",
     "multisets",
     "reduction",
     "rising_numerator",
-    "runs",
-    "split_block",
-    "split_weights",
-    "stirling_s2",
 ]
-
-# (slope, offset) of a family's grading: a genus-h integral with n insertions
-# summing to d is nonzero only if d - n = slope * h + offset.
-PSI_GRADING = (3, -3)  # d = 3h - 3 + n
-LAMBDA_G_GRADING = (2, -3)  # lambda_g: d = 2h - 3 + n
-LAMBDA_GM1_GRADING = (2, -2)  # lambda_{h-1}: d = 2h - 2 + n
-LAMBDA_GG_GRADING = (1, -2)  # lambda_h lambda_{h-1}: d = h - 2 + n
-LAMBDA_GM2_GRADING = (1, -1)  # lambda_h lambda_{h-2}: d = h - 1 + n
 
 Key = Tuple[int, ...]
 Value = Union[int, Fraction]
 
 
+def grading(offsets: Key) -> Tuple[int, int]:
+    """(slope, offset) of the grading of the family with lambda monomial
+    prod_j lambda_{h-j}, j over ``offsets``: its genus-h integral with n
+    insertions summing to d is nonzero only if d - n = slope * h + offset,
+    as the psi degree d and the lambda degree sum_j (h - j) fill the
+    dimension 3h - 3 + n of the moduli space."""
+    return 3 - len(offsets), sum(offsets) - 3
+
+
 def family_key(
     g: int,
     ks: Iterable[int],
-    grading: Tuple[int, int],
+    rule: Tuple[int, int],
     gmin: int = 0,
     nmin: int = 0,
     strict: bool = False,
@@ -83,7 +64,8 @@ def family_key(
     A genus below gmin, fewer than nmin insertions, an unstable (g, n) or a
     negative exponent raise DomainError in strict mode and give None
     otherwise; more than MAX_POINTS insertions raise LimitError in both modes;
-    a key off the family's grading gives None.
+    a key off the family's grading, ``rule`` = :func:`grading` of its lambda
+    offsets, gives None.
     """
     key = tuple(sorted(ks, reverse=True))
     n = len(key)
@@ -98,7 +80,7 @@ def family_key(
             raise DomainError(f"(g, n) = ({g}, {n}) is unstable")
         raise DomainError("exponents must be >= 0")
     check_points(n)
-    slope, offset = grading
+    slope, offset = rule
     return key if sum(key) - n == slope * g + offset else None
 
 
@@ -109,7 +91,6 @@ class Family(NamedTuple):
     name: str  # its sweep name, and the tag of its cache records if it is saved
     letter: Optional[str]  # its `lambda --class` letter
     offsets: Key  # its lambda monomial, as the j of each lambda_{g-j}
-    grading: Tuple[int, int]
     gmin: int
     nmin: int
     rec: Callable[[int, Key], Value]  # its reduction, whose memo the sweep checks
@@ -120,40 +101,23 @@ class Family(NamedTuple):
     def named(self, strict_name: Optional[str] = None) -> "Family":
         """The row with its entries, named strict_name (default: the row's
         name) and the row's name + "_or_zero", both read ``rec.value``."""
-        grading, gmin, nmin, value = self.grading, self.gmin, self.nmin, self.rec.value
+        rule, gmin, nmin, value = grading(self.offsets), self.gmin, self.nmin, self.rec.value
 
         def strict(g: int, ks: Iterable[int]) -> Fraction:
             """The genus-g integral with insertions ks, 0 off the grading; raises
             DomainError below gmin or nmin, for unstable (g, n) or a negative
             exponent, and LimitError beyond MAX_POINTS insertions."""
-            key = family_key(g, ks, grading, gmin, nmin, strict=True)
+            key = family_key(g, ks, rule, gmin, nmin, strict=True)
             return Fraction(0) if key is None else value(g, key)
 
         def or_zero(g: int, ks: Iterable[int]) -> Fraction:
             """Like the strict entry, but 0 where it raises DomainError (for sums)."""
-            key = family_key(g, ks, grading, gmin, nmin)
+            key = family_key(g, ks, rule, gmin, nmin)
             return Fraction(0) if key is None else value(g, key)
 
         strict.__name__ = strict.__qualname__ = strict_name or self.name
         or_zero.__name__ = or_zero.__qualname__ = self.name + "_or_zero"
         return self._replace(strict=strict, or_zero=or_zero)
-
-
-@lru_cache(maxsize=None)
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n with the convention B_1 = -1/2.
-
-    Computed from the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0, summed as
-    integer numerators over one common denominator.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    bs = [bernoulli(k) for k in range(n)]
-    d = lcm(*(x.denominator for x in bs))
-    s = sum(comb(n + 1, k) * x.numerator * (d // x.denominator) for k, x in enumerate(bs) if x)
-    return Fraction(-s, (n + 1) * d)
 
 
 @lru_cache(maxsize=None)
@@ -169,43 +133,7 @@ def rising_numerator(p: int, q: int, k: int, i: int) -> int:
     return coeffs[i]
 
 
-register_memo(bernoulli.cache_clear)
 register_memo(rising_numerator.cache_clear)
-
-
-def bracket(x, k: int, i: int):
-    """The symbol [x]^k_i: coefficient of t^i in prod_{j=0}^{k}(t + x + j).
-
-    Defined for k >= -1 (k = -1 gives the empty product, so only i = 0 is
-    nonzero); an int at integer x, else a Fraction.  Out-of-range i returns
-    0; the Virasoro operator sums rely on that convention.
-    """
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    if i < 0 or i > k + 1:
-        return 0
-    p, q = x.numerator, x.denominator
-    n = rising_numerator(p, q, k, i)
-    return n if q == 1 else Fraction(n, q ** (k + 1 - i))
-
-
-def stirling_s2(n: int) -> int:
-    """|s(n, 2)| = (n-1)! H_{n-1}, the unsigned Stirling number of the first
-    kind, by |s(m+1, 2)| = m |s(m, 2)| + (m-1)!: without :func:`harmonic`, so
-    that it checks c_g, which is built from H."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    s, fact = 1, 1  # |s(m, 2)| and (m-1)! at m = 2
-    for m in range(2, n):
-        s, fact = m * s + fact, m * fact
-    return s
-
-
-def harmonic(n: int) -> Fraction:
-    """H_n = sum_{k=1}^{n} 1/k."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
@@ -215,17 +143,6 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
             raise ValueError("parts must be nonnegative")
         raise ValueError(f"parts {list(parts)} do not sum to {n}")
     return factorial(n) // prod(map(factorial, parts))
-
-
-def double_factorial(n: int) -> int:
-    """n!! with (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise ValueError("n must be >= -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def multisets(n: int, total: int) -> List[Tuple[int, ...]]:
@@ -263,75 +180,6 @@ def graded_splits(
             for a in range(c + 1)
         ]
     return splits
-
-
-def linear_block(
-    k: int, i: int, b, derivs: Tuple[int, ...], head: Tuple[int, ...] = ()
-) -> Iterator[Tuple[Union[int, Fraction], Tuple[int, ...]]]:
-    """The linear block sum_j [b + j]^k_i t_j d/dt_{j+k-i} of L_k, with the
-    dilaton shift t_1 -> t_1 - 1, differentiated at the origin by ``derivs``.
-
-    Yields (coefficient, insertions): first the dilaton term
-    (-[b + 1]^k_i, (k + 1 - i,) + head + derivs), then ([b + j]^k_i, with j
-    raised to j + k - i) for each position j of ``derivs`` (ints at integer
-    b).  ``head`` holds insertions the block carries along without raising.
-    """
-    yield -bracket(b + 1, k, i), (k + 1 - i,) + head + derivs
-    for p, j in enumerate(derivs):
-        yield bracket(b + j, k, i), (k + j - i,) + head + derivs[:p] + derivs[p + 1 :]
-
-
-@lru_cache(maxsize=None)
-def split_weights(k: int, i: int, b) -> Tuple[Tuple[int, Union[int, Fraction]], ...]:
-    """(m, (-1)^{m+1} [b - m - 1]^k_i) for m = 0..k-i-1, zero weights left
-    out: the order-hbar block of L_k is 1/2 sum_m w_m d_m d_{k-m-i-1}, and
-    the caller halves the sum it builds from these (ints at integer b)."""
-    weights = ((m, bracket(b - m - 1, k, i)) for m in range(k - i))
-    return tuple((m, w if m % 2 else -w) for m, w in weights if w)
-
-
-register_memo(split_weights.cache_clear)
-
-
-def split_block(
-    k: int,
-    i: int,
-    b,
-    derivs: Sequence[int],
-    genus: int,
-    grading: Tuple[int, int],
-    lhead: Tuple[int, ...] = (),
-    rhead: Tuple[int, ...] = (),
-) -> Iterator[Tuple[Union[int, Fraction], Tuple[int, ...], Tuple[int, ...], int]]:
-    """Twice the order-hbar block of L_k on a genus-split product,
-    differentiated at the origin by ``derivs``.
-
-    Yields (weight, left, right, g1): left = (m,) + lhead + I and
-    right = (k-m-i-1,) + rhead + J over the :func:`split_weights` and the
-    :func:`graded_splits` I + J of ``derivs``, the weight their product, g1
-    the genus the grading leaves the left factor.
-    """
-    slope, offset = grading
-    weights = split_weights(k, i, b)
-    base = sum(lhead) - len(lhead) - 1 - offset
-    for c, left, right, excess in graded_splits(derivs):
-        for m, w in weights:
-            g1, r = divmod(base + m + excess, slope)
-            if not r and 0 <= g1 <= genus:
-                yield w * c, (m,) + lhead + left, (k - m - i - 1,) + rhead + right, g1
-
-
-def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
-    """(entry, multiplicity, index of its last copy) of each distinct entry of
-    a sorted key, in one scan: operator contractions slice copies out of
-    sorted terms."""
-    n, i = len(key), 0
-    while i < n:
-        v, j = key[i], i + 1
-        while j < n and key[j] == v:
-            j += 1
-        yield v, j - i, j - 1
-        i = j
 
 
 # the memo of every reduction; store.reset() empties each

@@ -28,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .combinat import PSI_GRADING, bracket, linear_block, split_block
+from .combinat import grading
 from .errors import MAX_POINTS, DomainError, check_limit
-from .hodge import lambda_g_gm1_or_zero, lambda_g_or_zero
+from .hodge import bracket, lambda_g_gm1_or_zero, lambda_g_or_zero, linear_block, split_block
 from .hodge import _gm1_or_zero as _lambda_gm1_or_zero
 from .hodge import Half, _gm2_slot, _xcurve_partial, _xsurface_partial
 from .psi import psi_or_zero
@@ -126,8 +126,6 @@ def y_surface(k: int, g: int, ell: int, derivs: Sequence[int] = ()) -> Fraction:
     for c, key in linear_block(k, 0, -Half, derivs, (ell,)):
         total += c * lambda_g_gm1_or_zero(g, key)
     for b, lhead, rhead in ((-Half, (), (ell,)), (Half, (ell,), ())):
-        for w, left, right, _ in split_block(
-            k, 0, b, derivs, 0, PSI_GRADING, lhead, rhead
-        ):
+        for w, left, right, _ in split_block(k, 0, b, derivs, 0, grading(()), lhead, rhead):
             total += w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
     return total

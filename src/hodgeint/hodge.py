@@ -34,28 +34,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, lcm
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .combinat import (
-    LAMBDA_G_GRADING,
-    LAMBDA_GG_GRADING,
-    LAMBDA_GM1_GRADING,
-    LAMBDA_GM2_GRADING,
-    PSI_GRADING,
     Family,
     Key,
-    bernoulli,
-    double_factorial,
     graded_splits,
-    harmonic,
-    linear_block,
+    grading,
     multinomial,
     reduction,
-    split_block,
+    rising_numerator,
 )
 from .errors import DomainError
 from .psi import PSI, psi_or_zero
-from .series1d import b_closed_form
+from .series1d import b_closed_form, bernoulli
 from .store import TAG_LAMBDA_GM1, register_memo, tables
 
 __all__ = [
@@ -77,6 +69,101 @@ __all__ = [
 ]
 
 Half = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# exact sequences, and the two blocks of L_k
+
+
+def harmonic(n: int) -> Fraction:
+    """H_n = sum_{k=1}^{n} 1/k."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+
+
+def double_factorial(n: int) -> int:
+    """n!! with (-1)!! = 0!! = 1."""
+    if n < -1:
+        raise ValueError("n must be >= -1")
+    out = 1
+    while n > 1:
+        out *= n
+        n -= 2
+    return out
+
+
+def bracket(x, k: int, i: int):
+    """The symbol [x]^k_i: coefficient of t^i in prod_{j=0}^{k}(t + x + j).
+
+    Defined for k >= -1 (k = -1 gives the empty product, so only i = 0 is
+    nonzero); an int at integer x, else a Fraction.  Out-of-range i returns
+    0; the Virasoro operator sums rely on that convention.
+    """
+    if k < -1:
+        raise ValueError("k must be >= -1")
+    if i < 0 or i > k + 1:
+        return 0
+    p, q = x.numerator, x.denominator
+    n = rising_numerator(p, q, k, i)
+    return n if q == 1 else Fraction(n, q ** (k + 1 - i))
+
+
+def linear_block(
+    k: int, i: int, b, derivs: Tuple[int, ...], head: Tuple[int, ...] = ()
+) -> Iterator[Tuple[Union[int, Fraction], Tuple[int, ...]]]:
+    """The linear block sum_j [b + j]^k_i t_j d/dt_{j+k-i} of L_k, with the
+    dilaton shift t_1 -> t_1 - 1, differentiated at the origin by ``derivs``.
+
+    Yields (coefficient, insertions): first the dilaton term
+    (-[b + 1]^k_i, (k + 1 - i,) + head + derivs), then ([b + j]^k_i, with j
+    raised to j + k - i) for each position j of ``derivs`` (ints at integer
+    b).  ``head`` holds insertions the block carries along without raising.
+    """
+    yield -bracket(b + 1, k, i), (k + 1 - i,) + head + derivs
+    for p, j in enumerate(derivs):
+        yield bracket(b + j, k, i), (k + j - i,) + head + derivs[:p] + derivs[p + 1 :]
+
+
+@lru_cache(maxsize=None)
+def split_weights(k: int, i: int, b) -> Tuple[Tuple[int, Union[int, Fraction]], ...]:
+    """(m, (-1)^{m+1} [b - m - 1]^k_i) for m = 0..k-i-1, zero weights left
+    out: the order-hbar block of L_k is 1/2 sum_m w_m d_m d_{k-m-i-1}, and
+    the caller halves the sum it builds from these (ints at integer b)."""
+    weights = ((m, bracket(b - m - 1, k, i)) for m in range(k - i))
+    return tuple((m, w if m % 2 else -w) for m, w in weights if w)
+
+
+register_memo(split_weights.cache_clear)
+
+
+def split_block(
+    k: int,
+    i: int,
+    b,
+    derivs: Sequence[int],
+    genus: int,
+    rule: Tuple[int, int],
+    lhead: Tuple[int, ...] = (),
+    rhead: Tuple[int, ...] = (),
+) -> Iterator[Tuple[Union[int, Fraction], Tuple[int, ...], Tuple[int, ...], int]]:
+    """Twice the order-hbar block of L_k on a genus-split product,
+    differentiated at the origin by ``derivs``.
+
+    Yields (weight, left, right, g1): left = (m,) + lhead + I and
+    right = (k-m-i-1,) + rhead + J over the :func:`split_weights` and the
+    :func:`graded_splits` I + J of ``derivs``, the weight their product, g1
+    the genus the grading ``rule`` (see :func:`combinat.grading`) leaves the
+    left factor.
+    """
+    slope, offset = rule
+    weights = split_weights(k, i, b)
+    base = sum(lhead) - len(lhead) - 1 - offset
+    for c, left, right, excess in graded_splits(derivs):
+        for m, w in weights:
+            g1, r = divmod(base + m + excess, slope)
+            if not r and 0 <= g1 <= genus:
+                yield w * c, (m,) + lhead + left, (k - m - i - 1,) + rhead + right, g1
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +309,7 @@ def _xcurve_partial(g: int, k: int, derivs: Key) -> Tuple[Tuple[int, Key], Fract
         lam = [0] * (g + 1)
         for c, key in linear_block(k, 1, 0, derivs):
             lam[g] -= 2 * c * multinomial(sum(key), key)
-        for w, left, right, h in split_block(k, 1, 0, derivs, g, LAMBDA_G_GRADING):
+        for w, left, right, h in split_block(k, 1, 0, derivs, g, grading((0,))):
             lam[h] -= w * multinomial(sum(left), left) * multinomial(sum(right), right)
         b = [b_constant(h) for h in range(g + 1)]
         terms += [(s, b[h] * b[g - h]) for h, s in enumerate(lam) if s]
@@ -269,18 +356,18 @@ def _xsurface_partial(g: int, k: int, derivs: Key) -> Tuple[Tuple[Fraction, Key]
     is a product of half-integers, never 0."""
     lead, *linear = linear_block(k, 0, -Half, derivs)
     rest = sum((c * _gm2_slot(g, key) for c, key in linear), Fraction(0))
-    for w, left, right, _ in split_block(k, 0, -Half, derivs, 0, PSI_GRADING):
+    for w, left, right, _ in split_block(k, 0, -Half, derivs, 0, grading(())):
         rest += w * psi_or_zero(0, left) * _gm2_slot(g, right)
     # the double derivative on the (1,1) block squares the lambda_g
     # lambda_{g-1} part of the exponent
-    for w, left, right, g1 in split_block(k, 0, Half, derivs, g, LAMBDA_GG_GRADING):
+    for w, left, right, g1 in split_block(k, 0, Half, derivs, g, grading((0, 1))):
         pair = lambda_g_gm1_or_zero(g1, left) * lambda_g_gm1_or_zero(g - g1, right)
         rest += Half * w * pair
     # the lambda_g lambda_{g-1} block (its exponent block carries a minus
     # sign, so the shifted-coordinate pair comes out +constant, -t_m)
     for c, key in linear_block(k, 1, -Half, derivs):
         rest -= c * lambda_g_gm1_or_zero(g, key)
-    for w, left, right, _ in split_block(k, 1, -Half, derivs, 0, PSI_GRADING):
+    for w, left, right, _ in split_block(k, 1, -Half, derivs, 0, grading(())):
         rest -= w * psi_or_zero(0, left) * lambda_g_gm1_or_zero(g, right)
     return lead, rest
 
@@ -298,14 +385,10 @@ FAMILIES: Dict[str, Family] = {
     row.name: row
     for row in (
         PSI,
-        Family("lambda_g", "g", (0,), LAMBDA_G_GRADING, 0, 1, _lambda_g,
-               ((3, (4, 1, 1, 1)),)).named(),
-        Family("lambda_g_gm1", "gg", (0, 1), LAMBDA_GG_GRADING, 1, 1, _gg_closed,
-               ((3, (2, 1, 1)),)).named(),
-        Family(TAG_LAMBDA_GM1, "gm1", (1,), LAMBDA_GM1_GRADING, 1, 1, _gm1,
-               ((3, (5, 1)),)).named(),
-        Family("lambda_g_gm2", "gm2", (0, 2), LAMBDA_GM2_GRADING, 1, 1, _gm2,
-               ((3, (3, 1)), (3, (2, 2)))).named(),
+        Family("lambda_g", "g", (0,), 0, 1, _lambda_g, ((3, (4, 1, 1, 1)),)).named(),
+        Family("lambda_g_gm1", "gg", (0, 1), 1, 1, _gg_closed, ((3, (2, 1, 1)),)).named(),
+        Family(TAG_LAMBDA_GM1, "gm1", (1,), 1, 1, _gm1, ((3, (5, 1)),)).named(),
+        Family("lambda_g_gm2", "gm2", (0, 2), 1, 1, _gm2, ((3, (3, 1)), (3, (2, 2)))).named(),
     )
 }
 # <tau_{k1}...tau_{kn} | lambda class>_g: the strict entries raise DomainError
@@ -345,6 +428,9 @@ def kappa_lambda_integral(g: int, indices: Sequence[int]) -> Fraction:
         raise DomainError("kappa indices must be >= 1")
     if sum(idx) != g - 2:
         return Fraction(0)
+    if not idx:
+        # the unpointed integral, g = 2: by dilaton, the one-point one over 2g - 2
+        return lambda_g_gm1(g, (1,)) / (2 * g - 2)
     return _partition_sum(g, tuple(idx), ())
 
 

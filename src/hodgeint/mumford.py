@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, prod
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from .combinat import family_key, reduction
+from .combinat import family_key, grading, reduction
 from .errors import DomainError, check_points
 from .hodge import FAMILIES, lambda_cube
 from .store import register_memo
@@ -202,7 +202,8 @@ _top_triple = reduction((0, 1), lambda g, ks: None if ks else lambda_cube(g) / 2
 def _moduli_integral(g: int, lam: LamKey, ks: Sequence[int]) -> Fraction:
     """Integral of psi^{ks} times the lambda monomial over the pointed moduli
     space, looked up in the known families."""
-    key = family_key(g, ks, (3, -3 - sum(lam)))
+    offsets = tuple(g - i for i in lam)
+    key = family_key(g, ks, grading(offsets))
     if key is None:
         return Fraction(0)
     top = (2, 1) if g == 2 else tuple(range(g, g - 3, -1))
@@ -212,7 +213,6 @@ def _moduli_integral(g: int, lam: LamKey, ks: Sequence[int]) -> Fraction:
         # only the top lambda monomial has a nonzero unpointed integral
         return Fraction(0)
     # every other monomial of the Euler classes (r <= 3) is a family's
-    offsets = tuple(g - i for i in lam)
     return next(row for row in FAMILIES.values() if row.offsets == offsets).rec.value(g, key)
 
 

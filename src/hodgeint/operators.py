@@ -8,8 +8,9 @@ with coordinates labelled ``(class index, descendent level)`` as in
 :mod:`hodgeint.phase_space`, which also owns the monomial arithmetic of
 their action.  Operators are subtracted, scaled, filtered by level and
 bracketed (:func:`commutator`, which sums only the contracted terms of the
-two products), and act on truncated series (:func:`apply_operator`); no
-product of two operators is formed.
+two products, found through the :func:`runs` of equal entries of sorted
+terms), and act on truncated series (:func:`apply_operator`); no product of
+two operators is formed.
 
 One builder, :func:`general_operator`, makes the level-k operator of any
 target from its even cohomology (:class:`CohomologyData`): bracket
@@ -26,9 +27,10 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm, perm
 from operator import mul
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set
+from typing import Tuple
 
-from .combinat import rising_numerator, runs
+from .combinat import rising_numerator
 from .errors import DomainError
 from .phase_space import Coord, Monomial, TruncatedSeries, exchange, monomials
 
@@ -246,6 +248,19 @@ def _over(d: int, *parts: Iterable[Tuple[TermKey, int]]) -> DifferentialOperator
     return DifferentialOperator._from_canonical(
         {key: Fraction(n, d) for key, n in acc.items() if n}
     )
+
+
+def runs(key: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
+    """(entry, multiplicity, index of its last copy) of each distinct entry of
+    a sorted key, in one scan: operator contractions slice copies out of
+    sorted terms."""
+    n, i = len(key), 0
+    while i < n:
+        v, j = key[i], i + 1
+        while j < n and key[j] == v:
+            j += 1
+        yield v, j - i, j - 1
+        i = j
 
 
 def _contracted(left: List[Tuple[TermKey, int]], right: List[Tuple[TermKey, int]]):

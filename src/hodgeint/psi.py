@@ -25,15 +25,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import TYPE_CHECKING, Optional
 
-from .combinat import (
-    PSI_GRADING,
-    Family,
-    Key,
-    graded_splits,
-    multinomial,
-    multisets,
-    reduction,
-)
+from .combinat import Family, Key, graded_splits, multinomial, multisets, reduction
 from .store import TAG_PSI, register_memo, tables
 
 if TYPE_CHECKING:
@@ -85,8 +77,7 @@ register_memo(_const.cache_clear)
 _rec = reduction((2, 1), _base, _top, _const)
 _psi_rec = tables()[TAG_PSI] = _rec.memo
 
-PSI = Family(TAG_PSI, None, (), PSI_GRADING, 0, 0, _rec,
-             ((3, (7,)), (2, (3, 2)))).named("psi_integral")
+PSI = Family(TAG_PSI, None, (), 0, 0, _rec, ((3, (7,)), (2, (3, 2)))).named("psi_integral")
 # <tau_{k1} ... tau_{kn}>_g: psi_integral raises DomainError for unstable
 # (g, n) and psi_or_zero, for sums, gives 0 there (see Family)
 psi_integral, psi_or_zero = PSI.strict, PSI.or_zero

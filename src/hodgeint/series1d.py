@@ -1,18 +1,40 @@
 """The one-point psi-lambda_g constants b_g, by two independent routes.
 
 :func:`b_sequence` expands (t/2)/sin(t/2) exactly as a power series;
-:func:`b_closed_form` evaluates the Bernoulli-number closed form.
+:func:`b_closed_form` evaluates the Bernoulli-number closed form on
+:func:`bernoulli`, which the lambda families' other genus constants read too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from functools import lru_cache
+from math import comb, factorial, lcm
 from typing import List
 
-from .combinat import bernoulli
+from .store import register_memo
 
 __all__ = ["b_sequence", "b_closed_form"]
+
+
+@lru_cache(maxsize=None)
+def bernoulli(n: int) -> Fraction:
+    """Bernoulli number B_n with the convention B_1 = -1/2.
+
+    Computed from the recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0, summed as
+    integer numerators over one common denominator.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return Fraction(1)
+    bs = [bernoulli(k) for k in range(n)]
+    d = lcm(*(x.denominator for x in bs))
+    s = sum(comb(n + 1, k) * x.numerator * (d // x.denominator) for k, x in enumerate(bs) if x)
+    return Fraction(-s, (n + 1) * d)
+
+
+register_memo(bernoulli.cache_clear)
 
 
 def b_sequence(gmax: int) -> List[Fraction]:

@@ -26,7 +26,7 @@ Key = Tuple[int, Tuple[int, ...]]
 # `import hodgeint` does not do
 _tables: Dict[str, Dict[Key, Union[int, Fraction]]] = {}
 # clear() of every memo: each combinat.reduction memo and the lru_caches of
-# combinat.py, psi.py, hodge.py and mumford.py
+# combinat.py, psi.py, series1d.py, hodge.py and mumford.py
 _memos: List[Callable[[], None]] = []
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hodgeint import cache, combinat, hodge, mumford, psi, store
+from hodgeint import cache, combinat, hodge, mumford, psi, series1d, store
 from hodgeint.psi import psi_integral
 
 F = Fraction
@@ -44,9 +44,9 @@ def test_reset_empties_every_memo():
             **{f"reduction {i}": len(m) for i, m in enumerate(combinat.REDUCTION_MEMOS)},
             "b_constant": hodge.b_constant.cache_info().currsize,
             "gg_const": hodge.gg_const.cache_info().currsize,
-            "bernoulli": combinat.bernoulli.cache_info().currsize,
+            "bernoulli": series1d.bernoulli.cache_info().currsize,
             "rising_numerator": combinat.rising_numerator.cache_info().currsize,
-            "split_weights": combinat.split_weights.cache_info().currsize,
+            "split_weights": hodge.split_weights.cache_info().currsize,
             "square_rule": mumford._square_rule.cache_info().currsize,
             "reduce": mumford.reduce_lambda_monomial.cache_info().currsize,
         }

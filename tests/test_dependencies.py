@@ -86,8 +86,9 @@ def test_euler_command_loads_no_sympy():
 )
 def test_import_loads_the_psi_core_and_each_layer_on_first_use(use, more):
     # a psi value reads no other layer; a lambda name loads hodge and the
-    # series it rests on, b_sequence that series alone, and point_partition
-    # the truncated series it returns
+    # series it rests on, b_sequence that series alone (it reads only store,
+    # and Bernoulli numbers of its own), and point_partition the truncated
+    # series it returns
     out = _run(f"import sys, hodgeint\n{use}\n{_LOADED_PACKAGE}")
     assert out == f"{sorted(_CORE + more)}\n"
 

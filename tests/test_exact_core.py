@@ -1,4 +1,5 @@
-"""Exact-arithmetic utilities: Bernoulli numbers, bracket symbols, the b_g constants."""
+"""Exact-arithmetic utilities: Bernoulli numbers, bracket symbols, the b_g
+constants, and the dimension rule with the family gate on it."""
 
 from fractions import Fraction
 
@@ -6,19 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeint.combinat import (
-    LAMBDA_G_GRADING,
-    PSI_GRADING,
-    bernoulli,
-    bracket,
-    double_factorial,
-    family_key,
-    harmonic,
-    multinomial,
-    stirling_s2,
-)
+from hodgeint.combinat import family_key, grading, multinomial
 from hodgeint.errors import MAX_POINTS, DomainError, LimitError
-from hodgeint.series1d import b_closed_form, b_sequence
+from hodgeint.hodge import bracket, double_factorial, harmonic
+from hodgeint.series1d import b_closed_form, b_sequence, bernoulli
+from hodgeint.verify import stirling_s2
 
 F = Fraction
 
@@ -131,22 +124,43 @@ class TestCombinatorics:
         # c_g is built from H_{2g-1}; the cg suite (AC7) reads |s(2g, 2)| =
         # (2g-1)! H_{2g-1}, which must not share that sum, so an error in
         # H_n from n = 9 shows from g = 5
-        from hodgeint import combinat, hodge, verify
+        from hodgeint import hodge, verify
 
         def wrong(n):
             return harmonic(n) + (n >= 9)
 
-        monkeypatch.setattr(combinat, "harmonic", wrong)
         monkeypatch.setattr(hodge, "harmonic", wrong)
         failed = [name for name, ok, _ in verify.suite_cg(8) if not ok]
         assert failed == [f"one-point relation at g={g}" for g in range(5, 9)]
 
 
 class TestFamilyKey:
+    @pytest.mark.parametrize(
+        "offsets,rule",
+        [((), (3, -3)), ((0,), (2, -3)), ((1,), (2, -2)), ((0, 1), (1, -2)), ((0, 2), (1, -1))],
+        ids=["psi", "lambda_g", "lambda_gm1", "lambda_g_gm1", "lambda_g_gm2"],
+    )
+    def test_grading_of_each_family(self, offsets, rule):
+        # d - n = (3 - |J|) g - 3 + sum J for the lambda offsets J
+        assert grading(offsets) == rule
+
+    def test_every_memo_key_of_every_family_is_on_its_grading(self):
+        from hodgeint.hodge import FAMILIES
+
+        for row in FAMILIES.values():
+            for g, key in row.seeds:
+                assert row.strict(g, key), (row.name, g, key)
+        for row in FAMILIES.values():
+            slope, offset = grading(row.offsets)
+            assert row.rec.memo, row.name
+            for g, key in row.rec.memo:
+                assert sum(key) - len(key) == slope * g + offset, (row.name, g, key)
+
     def test_canonical_key_on_the_grading(self):
-        assert family_key(2, [2, 3], PSI_GRADING) == (3, 2)
-        assert family_key(2, (4,), PSI_GRADING, strict=True) == (4,)
-        assert family_key(2, [1, 1], PSI_GRADING, strict=True) is None
+        psi_grading = grading(())
+        assert family_key(2, [2, 3], psi_grading) == (3, 2)
+        assert family_key(2, (4,), psi_grading, strict=True) == (4,)
+        assert family_key(2, [1, 1], psi_grading, strict=True) is None
         # an empty key is a key, not a zero: the top lambda triple has n = 0
         assert family_key(2, [], (0, 0)) == ()
 
@@ -161,21 +175,21 @@ class TestFamilyKey:
         ],
     )
     def test_domain_errors_only_in_strict_mode(self, g, ks, gmin, nmin, message):
-        grading = LAMBDA_G_GRADING
-        assert family_key(g, ks, grading, gmin, nmin) is None
+        rule = grading((0,))
+        assert family_key(g, ks, rule, gmin, nmin) is None
         with pytest.raises(DomainError) as exc:
-            family_key(g, ks, grading, gmin, nmin, strict=True)
+            family_key(g, ks, rule, gmin, nmin, strict=True)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_limit_in_both_modes(self, strict):
-        n = MAX_POINTS
-        assert family_key(0, [n - 3] + [0] * (n - 1), PSI_GRADING, strict=strict)
+        n, psi_grading = MAX_POINTS, grading(())
+        assert family_key(0, [n - 3] + [0] * (n - 1), psi_grading, strict=strict)
         with pytest.raises(LimitError):
-            family_key(0, [n - 2] + [0] * n, PSI_GRADING, strict=strict)
+            family_key(0, [n - 2] + [0] * n, psi_grading, strict=strict)
         # the limit is checked before the grading
         with pytest.raises(LimitError):
-            family_key(0, [0] * (n + 1), PSI_GRADING, strict=strict)
+            family_key(0, [0] * (n + 1), psi_grading, strict=strict)
 
 
 class TestSeries1D:

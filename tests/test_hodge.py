@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hodgeint.combinat import multisets
 from hodgeint.errors import DomainError
+from hodgeint.mumford import _moduli_integral
 from hodgeint.hodge import (
     c_constant,
     gg_const,
@@ -108,6 +109,11 @@ def _set_partitions(m):
 
 
 class TestKappa:
+    def test_no_index_is_the_unpointed_integral(self):
+        # the empty kappa monomial is 1: the integral of l_2 l_1 over the
+        # unpointed genus-2 space, which has no lambda_g lambda_{g-1} key
+        assert kappa_lambda_integral(2, ()) == F(1, 5760) == _moduli_integral(2, (2, 1), ())
+
     def test_single_index_is_one_point_descendent(self):
         # <kappa_a l_g l_{g-1}>_g = <tau_{a+1} l_g l_{g-1}>_{g,1}
         assert kappa_lambda_integral(3, (1,)) == lambda_g_gm1(3, (2,))
@@ -164,7 +170,9 @@ class TestKappa:
                     want = F(0)
                     for blocks in _set_partitions(m):
                         ks = [sum(idx[i] for i in block) + 1 for block in blocks]
-                        want += (-1) ** (m - len(blocks)) * lambda_g_gm1_or_zero(g, ks)
+                        # no index (g = 2): the unpointed integral of l_2 l_1
+                        x = lambda_g_gm1_or_zero(g, ks) if ks else _moduli_integral(g, (2, 1), ())
+                        want += (-1) ** (m - len(blocks)) * x
                     for order in (idx, idx[::-1]):
                         got = kappa_lambda_integral(g, order)
                         assert type(got) is Fraction and got == want, (g, order)

@@ -16,6 +16,7 @@ from hodgeint.mumford import (
     LambdaRingElem,
     degree0_gw,
     euler_class,
+    euler_class_genus1,
     reduce_lambda_monomial,
 )
 
@@ -299,6 +300,18 @@ class TestDegreeZeroGW:
                             if r == 2 and g > 2 and not any(powers):
                                 surface_gm2 += value != 0
         assert surface_gm2 == 48
+
+    def test_moduli_integral_resolves_every_euler_class_monomial(self):
+        # each lambda monomial of the Euler classes (r <= 3, g <= 8, and at
+        # genus 1) has a family or is the top triple: at the one-point key
+        # on the grading of its offsets it reads a nonzero value
+        classes = [(g, euler_class(r, g)) for r in range(1, 4) for g in range(2, 9)]
+        classes += [(1, euler_class_genus1(r)) for r in range(1, 4)]
+        monomials = {(g, lam) for g, e in classes for lam, _ in e.terms}
+        assert len(monomials) == 35
+        for g, lam in sorted(monomials):
+            value = mumford._moduli_integral(g, lam, (3 * g - 2 - sum(lam),))
+            assert type(value) is Fraction and value, (g, lam)
 
     def test_bad_insertions(self):
         with pytest.raises(DomainError):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hodgeint.combinat import bracket
 from hodgeint.errors import DomainError
+from hodgeint.hodge import bracket
 from hodgeint.operators import (
     CohomologyData,
     DifferentialOperator,

@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgeint import combinat, hodge, mumford, psi, store
-from hodgeint.combinat import bernoulli, double_factorial, multisets
+from hodgeint.combinat import grading, multisets
 from hodgeint.errors import DomainError
-from hodgeint.series1d import b_sequence
+from hodgeint.hodge import double_factorial
+from hodgeint.series1d import b_sequence, bernoulli
 
 F = Fraction
 B = b_sequence(12)
@@ -162,9 +163,9 @@ def test_scale_is_the_product_of_the_weights(rec, w):
         store.reset()
 
 
-def _graded_keys(grading, gmin, nmin):
-    # every stable key on the grading with g <= 5 and n <= 5
-    slope, offset = grading
+def _graded_keys(offsets, gmin, nmin):
+    # every stable key on the grading of the lambda offsets with g <= 5 and n <= 5
+    slope, offset = grading(offsets)
     return [
         (g, ks)
         for g in range(gmin, 6)
@@ -174,19 +175,19 @@ def _graded_keys(grading, gmin, nmin):
 
 
 @pytest.mark.parametrize(
-    "rec, grading, gmin, nmin",
+    "rec, offsets, gmin, nmin",
     [
-        (psi._rec, combinat.PSI_GRADING, 0, 0),
-        (hodge._lg_rec, combinat.LAMBDA_G_GRADING, 0, 1),
-        (hodge._gg_rec, combinat.LAMBDA_GG_GRADING, 1, 1),
-        (hodge._gg_closed, combinat.LAMBDA_GG_GRADING, 1, 1),
+        (psi._rec, (), 0, 0),
+        (hodge._lg_rec, (0,), 0, 1),
+        (hodge._gg_rec, (0, 1), 1, 1),
+        (hodge._gg_closed, (0, 1), 1, 1),
     ],
     ids=["psi", "lambda_g_solver", "lambda_g_gm1_solver", "lambda_g_gm1"],
 )
-def test_the_value_rule_round_trips(rec, grading, gmin, nmin):
+def test_the_value_rule_round_trips(rec, offsets, gmin, nmin):
     # rec.entry inverts rec.value on the integer entries, and a value off the
     # scale has no entry
-    keys = _graded_keys(grading, gmin, nmin)
+    keys = _graded_keys(offsets, gmin, nmin)
     assert len(keys) > 20
     for g, key in keys:
         value = rec.value(g, key)
@@ -240,14 +241,14 @@ def graded_keys(draw, slope, offset, gmin):
     return g, [b - a for a, b in zip([0] + cuts, cuts + [total])]
 
 
-@given(graded_keys(2, -3, 0))
+@given(graded_keys(*grading((0,)), 0))
 @settings(max_examples=40, deadline=None)
 def test_lambda_g_solver_random_keys(gk):
     g, ks = gk
     assert hodge.lambda_g_solver(g, ks) == ref_lambda_g(g, _canon(ks))
 
 
-@given(graded_keys(1, -2, 1))
+@given(graded_keys(*grading((0, 1)), 1))
 @settings(max_examples=40, deadline=None)
 def test_lambda_g_gm1_solver_random_keys(gk):
     g, ks = gk
