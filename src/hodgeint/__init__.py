@@ -33,7 +33,6 @@ _DEFERRED = {
             "lambda_gm1",
             "lambda_cube",
             "kappa_lambda_integral",
-            "hodge_table",
         ),
         "hodge",
     ),

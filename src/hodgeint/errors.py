@@ -44,7 +44,8 @@ MAX_POINTS = 200
 # cold commands: annihilation 0.13 s at 14 (linear); bseq 0.90 s at 200 (2.4 s
 # in-process at 300); closed-vs-recursion 1.7 s at 40 (13 s in-process at 60);
 # mumford 0.78 s at 80 (7.0 s in-process at 160); euler 0.14 s at 128; cg
-# 1.6 s at 200 (13 s in-process at 320); table stops at the published g = 5.
+# 1.4 s at 200 (0.71 s at 160; 9.0 s in-process at 320); table stops at the
+# published g = 5.
 MAX_PSI_GENUS = 14
 MAX_LAMBDA_GENUS = 50
 MAX_BSEQ_GENUS = 200

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial, lcm
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .combinat import (
     Family,
@@ -65,7 +65,6 @@ __all__ = [
     "lambda_g_gm1_or_zero",
     "lambda_g_gm2_or_zero",
     "kappa_lambda_integral",
-    "hodge_table",
 ]
 
 Half = Fraction(1, 2)
@@ -442,14 +441,3 @@ def _partition_sum(g: int, idx: Key, blocks: Key) -> Fraction:
     head = idx[0] + 1
     return sum((-1) ** len(left) * c * _partition_sum(g, right, blocks + (head + sum(left),))
                for c, left, right, _ in graded_splits(idx[1:]))
-
-
-# ---------------------------------------------------------------------------
-# table emitter
-
-
-def hodge_table(gmax: int) -> List[Tuple[int, Fraction, Fraction]]:
-    """Rows (g, b_g, c_g) for g = 1..gmax."""
-    if gmax < 1:
-        raise DomainError("gmax must be >= 1")
-    return [(g, b_constant(g), c_constant(g)) for g in range(1, gmax + 1)]

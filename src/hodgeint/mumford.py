@@ -68,12 +68,13 @@ def reduce_lambda_monomial(g: int, key: LamKey) -> Tuple[Tuple[int, LamKey], ...
     """Normal form of a product of lambda classes as ((coeff, monomial), ...),
     with integer coefficients.
 
-    Indices outside 1..g make the product zero; monomials of weighted degree
-    above the dimension of the coarse space the classes live on (3g - 3 for
-    g >= 2, 1 for g = 1) are dropped.  The relations are homogeneous, so a
-    product above that degree is dropped before any rewriting.
+    lambda_0 = 1 drops out, and an index outside 0..g makes the product zero;
+    monomials of weighted degree above the dimension of the coarse space the
+    classes live on (3g - 3 for g >= 2, 1 for g = 1) are dropped.  The
+    relations are homogeneous, so a product above that degree is dropped
+    before any rewriting.
     """
-    if any(i > g or i < 1 for i in key):
+    if any(i > g or i < 0 for i in key):
         return ()
     key = _lam_key(key)
     if sum(key) > max(3 * g - 3, 1):

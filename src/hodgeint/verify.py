@@ -3,14 +3,16 @@
 Each suite returns a list of ``(check name, passed, detail)`` triples; the CLI
 and the acceptance tests share these implementations.  The suites mirror the
 package's correctness arguments: golden constants, dual-route computations
-(closed form against recursion, series against Bernoulli numbers), operator
-algebra identities, annihilation of the point partition function, and ring
-identities among lambda classes.
+(closed form against recursion, series against Bernoulli numbers, c_g against
+the one-point series of Faber and Pandharipande), operator algebra
+identities, annihilation of the point partition function, and ring identities
+among lambda classes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from .combinat import grading, multisets
@@ -18,7 +20,6 @@ from .hodge import (
     FAMILIES,
     b_constant,
     c_constant,
-    hodge_table,
     lambda_g_gm1_solver,
     lambda_g_solver,
 )
@@ -40,7 +41,7 @@ from .operators import (
 )
 from .phase_space import monomial_degree, monomial_weight, monomials
 from .psi import point_partition
-from .series1d import b_closed_form, b_sequence
+from .series1d import b_closed_form, b_sequence, bernoulli
 
 __all__ = ["SUITES", "run_suite", "GOLDEN_TABLE", "commutator_residuals",
            "mumford_relations"]
@@ -59,8 +60,8 @@ GOLDEN_TABLE: Dict[int, Tuple[Fraction, Fraction]] = {
 
 def suite_table(max_genus: int = 5) -> List[Check]:
     checks: List[Check] = []
-    rows = hodge_table(min(max_genus, 5)) if max_genus > 0 else []  # starts at g = 1
-    for g, b, c in rows:
+    for g in range(1, min(max_genus, 5) + 1):
+        b, c = b_constant(g), c_constant(g)
         bg, cg = GOLDEN_TABLE[g]
         checks.append((f"b_{g}", b == bg, f"{b} vs {bg}"))
         checks.append((f"c_{g}", c == cg, f"{c} vs {cg}"))
@@ -216,32 +217,25 @@ def suite_euler(max_genus: int = 5) -> List[Check]:
     return checks
 
 
-def stirling_s2(n: int) -> int:
-    """|s(n, 2)| = (n-1)! H_{n-1}, the unsigned Stirling number of the first
-    kind, by |s(m+1, 2)| = m |s(m, 2)| + (m-1)!: without :func:`hodge.harmonic`,
-    so that it checks c_g, which is built from H."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    s, fact = 1, 1  # |s(m, 2)| and (m-1)! at m = 2
-    for m in range(2, n):
-        s, fact = m * s + fact, m * fact
-    return s
-
-
 def suite_cg(max_genus: int = 5) -> List[Check]:
-    """The one-point lambda_{g-1} relation: (2g-1)! c_g equals the harmonic
-    multiple of b_g minus the quadratic b-sum (an unsigned Stirling number of
-    the first kind appears as the linear coefficient)."""
-    from math import factorial
-
+    """c_g against the one-point series of Faber and Pandharipande, proved by
+    localization and not from the constraints that c_constant's formula rests
+    on: ((t/2)/sin(t/2))^{k+1} generates the one-point linear Hodge integrals,
+    so c_g is the t^{2g} coefficient of its k^1 term L S, with
+    S = (t/2)/sin(t/2) and L = log S = sum_j |B_{2j}| t^{2j} / (2j (2j)!).
+    The reference reads b_sequence and bernoulli only, nothing that
+    c_constant is built from, and sums integer numerators over one common
+    denominator."""
+    b = b_sequence(max(max_genus, 0))
+    ell = [abs(bernoulli(2 * j)) / (2 * j * factorial(2 * j)) for j in range(1, max_genus + 1)]
     checks: List[Check] = []
     for g in range(1, max_genus + 1):
-        lhs = factorial(2 * g - 1) * c_constant(g)
-        rhs = stirling_s2(2 * g) * b_constant(g)
-        for g1 in range(1, g):
-            w = Fraction(factorial(2 * g1 - 1) * factorial(2 * g - 2 * g1 - 1), 2)
-            rhs -= w * b_constant(g1) * b_constant(g - g1)
-        checks.append((f"one-point relation at g={g}", lhs == rhs, f"{lhs} vs {rhs}"))
+        terms = [(x.numerator * y.numerator, x.denominator * y.denominator)
+                 for x, y in zip(ell[:g], reversed(b[:g]))]
+        d = lcm(*(q for _, q in terms))
+        want = Fraction(sum(p * (d // q) for p, q in terms), d)
+        got = c_constant(g)
+        checks.append((f"one-point relation at g={g}", got == want, f"{got} vs {want}"))
     return checks
 
 

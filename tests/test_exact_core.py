@@ -11,7 +11,6 @@ from hodgeint.combinat import family_key, grading, multinomial
 from hodgeint.errors import MAX_POINTS, DomainError, LimitError
 from hodgeint.hodge import bracket, double_factorial, harmonic
 from hodgeint.series1d import b_closed_form, b_sequence, bernoulli
-from hodgeint.verify import stirling_s2
 
 F = Fraction
 
@@ -113,17 +112,10 @@ class TestCombinatorics:
         assert harmonic(1) == 1
         assert harmonic(4) == F(25, 12)
 
-    def test_stirling_first_kind_column_two(self):
-        # unsigned Stirling numbers of the first kind c(n, 2)
-        assert stirling_s2(3) == 3
-        assert stirling_s2(4) == 11
-        assert stirling_s2(5) == 50
-        assert stirling_s2(6) == 274
-
     def test_wrong_harmonic_number_is_caught_by_the_cg_suite(self, monkeypatch):
-        # c_g is built from H_{2g-1}; the cg suite (AC7) reads |s(2g, 2)| =
-        # (2g-1)! H_{2g-1}, which must not share that sum, so an error in
-        # H_n from n = 9 shows from g = 5
+        # c_g is built from H_{2g-1}; the cg suite (AC7) reads the one-point
+        # series, which shares no harmonic number with it, so an error in H_n
+        # from n = 9 shows from g = 5 (H_9 enters c_5 first)
         from hodgeint import hodge, verify
 
         def wrong(n):
@@ -132,6 +124,41 @@ class TestCombinatorics:
         monkeypatch.setattr(hodge, "harmonic", wrong)
         failed = [name for name, ok, _ in verify.suite_cg(8) if not ok]
         assert failed == [f"one-point relation at g={g}" for g in range(5, 9)]
+
+    def test_shifted_harmonic_index_fails_every_cg_line(self, monkeypatch):
+        # H_{2g-2} in place of H_{2g-1}
+        from hodgeint import hodge, verify
+
+        monkeypatch.setattr(hodge, "harmonic", lambda n: harmonic(n - 1))
+        assert not any(ok for _, ok, _ in verify.suite_cg(8))
+
+    def test_wrong_b_constant_is_caught_by_the_cg_suite(self, monkeypatch):
+        # c_g reads b_g linearly and b_{g1} b_{g2} in its quadratic sum, so a
+        # wrong b_7 shows in every c_g from g = 7
+        from hodgeint import hodge, verify
+
+        right = hodge.b_constant
+        monkeypatch.setattr(hodge, "b_constant", lambda g: right(g) * (F(8, 7) if g == 7 else 1))
+        failed = [name for name, ok, _ in verify.suite_cg(10) if not ok]
+        assert failed == [f"one-point relation at g={g}" for g in range(7, 11)]
+
+    def test_the_cg_reference_reads_nothing_c_constant_is_built_from(self, monkeypatch):
+        # each detail reads "c_constant vs reference": wrong b_g and H_n move
+        # the first side only (b_constant is patched under verify's name for
+        # it too, so that a reference importing it would move as well)
+        from hodgeint import hodge, verify
+
+        def sides():
+            return [detail.split(" vs ") for _, _, detail in verify.suite_cg(6)]
+
+        before = sides()
+        right = hodge.b_constant
+        for module in (hodge, verify):
+            monkeypatch.setattr(module, "b_constant", lambda g: 2 * right(g))
+        monkeypatch.setattr(hodge, "harmonic", lambda n: harmonic(n) + 1)
+        after = sides()
+        assert [want for _, want in after] == [want for _, want in before]
+        assert all(got != old for (got, _), (old, _) in zip(after, before))
 
 
 class TestFamilyKey:

@@ -60,7 +60,13 @@ class TestMumfordRelations:
 
     def test_out_of_range_index_kills_product(self):
         assert reduce_lambda_monomial(2, (3,)) == ()
-        assert reduce_lambda_monomial(2, (0,)) == ()
+        assert reduce_lambda_monomial(2, (0,)) == ((1, ()),)
+
+    def test_lambda_0_is_one(self):
+        # lambda_0 = 1, as _lam_key and the square rules read it; an index
+        # below 0 still kills the product
+        assert reduce_lambda_monomial(3, (2, 0)) == reduce_lambda_monomial(3, (2,))
+        assert reduce_lambda_monomial(2, (-1,)) == ()
 
 
 def _keys(weight, top):
