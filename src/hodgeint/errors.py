@@ -31,8 +31,9 @@ MAX_POINTS = 200
 
 # Largest genus the command line accepts, so that no single cold command runs
 # for more than a few seconds.  Measured on one core of a 2-vCPU x86-64 host,
-# Python 3.11, empty memo, no bytecode cache: <tau_{3g-2}>_g takes 0.25 s at
-# g = 12, 0.36 s at 14 (whole commands), 1.4 s at 16 in-process; the lambda
+# Python 3.11, empty memo, no bytecode cache: psi with ten balanced points
+# takes 0.24 s at g = 12, 0.51 s at 14 (whole commands), 2.9 s at 16
+# in-process; one-point and genus-0 psi values are closed forms; the lambda
 # families are closed forms or short solvers (c_g and the lambda_{g-1}^3
 # constant together 0.015 s at g = 50, 0.64 s at 200; lambda_{g-1} with ten
 # balanced points 0.16 s as a whole command at g = 50), and gw0 reaches only
@@ -41,11 +42,11 @@ MAX_POINTS = 200
 # 0.11 s at G = 100 and 0.27 s at 200 as whole commands, 0.60 s in-process at
 # 300; euler --dim 3, as a whole cold command, 0.11 s and 16 MB at g = 1000
 # (the class alone is under 1 ms).  verify --max-genus, per suite, as whole
-# cold commands: annihilation 0.13 s at 14 (linear); bseq 0.90 s at 200 (2.4 s
-# in-process at 300); closed-vs-recursion 1.7 s at 40 (13 s in-process at 60);
-# mumford 0.78 s at 80 (7.0 s in-process at 160); euler 0.14 s at 128; cg
-# 1.4 s at 200 (0.71 s at 160; 9.0 s in-process at 320); table stops at the
-# published g = 5.
+# cold commands: annihilation 0.13 s at 14 (linear); bseq 0.35 s at 200
+# (1.1 s in-process at 300); closed-vs-recursion 1.8 s at 40 (8.3 s
+# in-process at 60); mumford 0.78 s at 80 (7.0 s in-process at 160); euler
+# 0.14 s at 128; cg 1.4 s at 200 (0.71 s at 160; 9.0 s in-process at 320);
+# table stops at the published g = 5.
 MAX_PSI_GENUS = 14
 MAX_LAMBDA_GENUS = 50
 MAX_BSEQ_GENUS = 200

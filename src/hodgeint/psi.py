@@ -1,10 +1,13 @@
 """Pure psi intersection numbers on moduli of stable pointed curves.
 
 The recursion runs over the integer N_g(K) = 2^{D(g)} prod_{k in K} (2k+1)!!
-<tau_K>_g, with D(0) = 0 and D(g) = 4g - 1, from N_0(0,0,0) = N_1(1) = 1: a
-:func:`combinat.reduction` of weight (a, b) = (2, 1), genus constant 2^{-D(g)}.
-Its string, dilaton and raise steps come from the driver; a top insertion of
-level k+1 >= 2 goes by the Dijkgraaf-Verlinde-Verlinde form of the level-k
+<tau_K>_g, with D(0) = 0 and D(g) = 4g - 1: a :func:`combinat.reduction` of
+weight (a, b) = (2, 1), genus constant 2^{-D(g)}.  Its base is
+:func:`closed_form`, which answers every genus-0 key, <tau_K>_0 =
+(n-3)! / prod k_i!, and every one-point key, <tau_{3g-2}>_g = 1/(24^g g!)
+(Witten).  The other keys, of genus >= 1 with two or more insertions, take
+the driver's string, dilaton and raise steps; a top insertion of level
+k+1 >= 2 goes by the Dijkgraaf-Verlinde-Verlinde form of the level-k
 Virasoro constraint, recursing on (g, n):
 
     N_g(k+1, S) = sum_j (2d_j + 1) N_g(d_j + k, S\\j)
@@ -57,12 +60,13 @@ def _top(g: int, key: Key) -> int:
 
 
 def _base(g: int, key: Key) -> Optional[int]:
-    return 1 if g == 0 and key == (0, 0, 0) or g == 1 and key == (1,) else None
+    val = closed_form(g, key)
+    return None if val is None else _rec.entry(g, key, val)
 
 
 def closed_form(g: int, key: Key) -> Optional[Fraction]:
-    """<tau_key>_g at genus 0 and with one point, else None: what a cached
-    psi value at a canonical key must be."""
+    """<tau_key>_g at genus 0 and with one point, else None: the base of the
+    recursion, and what a cached psi value at a canonical key must be."""
     if g == 0:
         return Fraction(multinomial(len(key) - 3, key))
     return Fraction(1, 24**g * factorial(g)) if len(key) == 1 else None

@@ -321,8 +321,8 @@ class TestCachePlumbing:
         store.reset()
         code, out, _ = run(capsys, "--cache", path, "cache-info")
         assert code == EXIT_OK
-        # the saved memos only: psi's four keys, none of lambda_{g-1}
-        assert out == "lambda_gm1 = 0\npsi = 4\n"
+        # the saved memos only: psi's one key, a base value, none of lambda_{g-1}
+        assert out == "lambda_gm1 = 0\npsi = 1\n"
 
     def test_closed_forms_write_no_cache(self, tmp_path, capsys):
         # lambda_g and lambda_g lambda_{g-1} records were saved, and checked

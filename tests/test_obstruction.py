@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeint import mumford, store, verify
+from hodgeint import combinat, mumford, store, verify
 from hodgeint.combinat import multisets
 from hodgeint.errors import DomainError
 from hodgeint.hodge import lambda_cube, lambda_g, lambda_g_gm1
@@ -258,6 +258,30 @@ class TestDegreeZeroGW:
 
     def test_threefold_higher_genus(self):
         assert degree0_gw(3, 4, [(0, 1)]) == F(1, 2) * (4 - 24) * 6 * lambda_cube(4)
+
+    @staticmethod
+    def _assert_threefold_dilaton(g):
+        # Faber-Pandharipande's degree-zero 3-fold formula on P^3:
+        # <tau_1(1)>_{g,0} = (2g - 2) (-1)^g / 2 int(c_3 - c_1 c_2) lambda-cube,
+        # int(c_3 - c_1 c_2) = 4 - 24 = -20, the dilaton factor 2g - 2
+        want = (2 * g - 2) * (-1) ** g * F(1, 2) * -20 * lambda_cube(g)
+        assert degree0_gw(3, g, [(0, 1)]) == want
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_threefold_dilaton_formula(self, g):
+        self._assert_threefold_dilaton(g)
+
+    def test_top_triple_mutant_is_caught(self, monkeypatch):
+        # the lambda triple's unpointed value halved by 3 instead of 2 at g = 3
+        # turns 1/18144 into 1/27216; of the tests, only the 3-fold formula catches it
+        assert degree0_gw(3, 3, [(0, 1)]) == F(1, 18144)
+        monkeypatch.setattr(combinat, "REDUCTION_MEMOS", [])
+        monkeypatch.setattr(combinat, "register_memo", lambda clear: None)
+        base = lambda g, ks: None if ks else lambda_cube(g) / (3 if g == 3 else 2)
+        monkeypatch.setattr(mumford, "_top_triple", combinat.reduction((0, 1), base, None))
+        assert degree0_gw(3, 3, [(0, 1)]) == F(1, 27216)
+        with pytest.raises(AssertionError):
+            self._assert_threefold_dilaton(3)
 
     def test_threefold_string_step_counts_repeated_exponents(self):
         # <tau_2^2 tau_0^2> = 2 <tau_2 tau_1 tau_0> = 2 (<tau_1^2> + <tau_2 tau_0>)

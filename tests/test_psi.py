@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodgeint import errors, store
-from hodgeint.combinat import multinomial
+from hodgeint import combinat, errors, psi, store
+from hodgeint.combinat import multinomial, multisets
 from hodgeint.constraints import x_curve, x_surface
 from hodgeint.errors import MAX_POINTS, DomainError, LimitError
 from hodgeint.hodge import (
@@ -29,7 +29,9 @@ from hodgeint.verify import suite_annihilation
 F = Fraction
 
 # independently known values (genus-0 closed form, one-point genus formula,
-# and low-genus numbers recomputable by hand from the recursion)
+# and low-genus numbers recomputable by hand from the recursion); the genus-0
+# and one-point rows are the recursion's base, which the DVV and string steps
+# reproduce in the two *_step_gives_* tests below
 ORACLE = {
     (0, (0, 0, 0)): F(1),
     (0, (1, 0, 0, 0)): F(1),
@@ -60,6 +62,27 @@ class TestOracleValues:
         for ks in [(2, 0, 0, 0, 0), (3, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0)]:
             n = len(ks)
             assert psi_integral(0, ks) == multinomial(n - 3, ks)
+
+    def test_dvv_step_gives_the_one_point_closed_form(self):
+        # one-point keys are base values, so drive the DVV step itself: it
+        # reaches two-point keys of genus g - 1 and lower one-point keys
+        store.reset()
+        for g in range(2, 15):
+            key = (3 * g - 2,)
+            assert psi._top(g, key) == psi._rec.entry(g, key, F(1, 24**g * factorial(g)))
+
+    def test_string_step_gives_the_genus_zero_multinomial(self, monkeypatch):
+        # genus-0 keys are base values, so rebuild the recursion on the one
+        # seed N_0(0, 0, 0) = 1: a genus-0 key on the grading ends in 0, so
+        # the string step reaches every one
+        monkeypatch.setattr(combinat, "REDUCTION_MEMOS", [])
+        monkeypatch.setattr(combinat, "register_memo", lambda clear: None)
+        seed = lambda g, key: 1 if (g, key) == (0, (0, 0, 0)) else None
+        rec = combinat.reduction((2, 1), seed, None, psi._const)
+        keys = [ks for n in range(3, 13) for ks in multisets(n, n - 3)]
+        assert len(keys) == 97
+        for ks in keys:
+            assert rec.value(0, ks) == multinomial(len(ks) - 3, ks)
 
 
 class TestStructure:

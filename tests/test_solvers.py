@@ -288,7 +288,7 @@ def test_a_fixed_sweep_does_the_same_work():
         for rec in memos
     ]
     assert work == [
-        (89, "9c6cf6ae83eab9a8"),
+        (85, "fb805044d5da4106"),
         (401, "aefe309437c65e77"),
         (202, "06934531d0e460d2"),
         (302, "0a22f9683f337b16"),
